@@ -8,10 +8,12 @@ explicit error instead of a silently truncated "maximum".
 
 from __future__ import annotations
 
+import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import prod
+
+import numpy as np
 
 from .core import (
     BINARY01,
@@ -21,7 +23,7 @@ from .core import (
     MemRead,
     Program,
     ProgramValidationError,
-    _run_values,
+    apply_mnemonic,
     validate_program,
 )
 from .knownbits import KnownBits, knownbits_transfer
@@ -59,71 +61,174 @@ class WorstCaseResult:
         return lines
 
 
-def _input_domains(program: Program) -> tuple[list[str], list[range]]:
-    names = [name for name, _ in program.free_inputs]
-    domains = [
-        range(2) if domain == BINARY01 else range(1 << program.width)
-        for _, domain in program.free_inputs
-    ]
-    return names, domains
+# Rows per chunk of the vectorized scan: the live columns of a chunk, not the
+# whole assignment space, set the scan's memory.
+CHUNK_ROWS = 4096
 
 
-def _scan_range(program: Program, names, domains, lo: int, hi: int):
-    """Best (total, witness values) over enumeration indices [lo, hi): first
-    attaining tuple in lexicographic order wins."""
-    best = -1
-    best_combo = None
-    for combo in itertools.islice(itertools.product(*domains), lo, hi):
-        outputs, _, _ = _run_values(program, dict(zip(names, combo)))
-        total = 0
-        for i in range(len(outputs) - 1):
-            total += (outputs[i] ^ outputs[i + 1]).bit_count()
-        if total > best:
-            best = total
-            best_combo = combo
-    return best, best_combo
+def check_budget(required: int, budget: int = DEFAULT_BUDGET):
+    """Raise EnumerationBudgetError when `required` assignments exceed `budget`."""
+    if required > budget:
+        raise EnumerationBudgetError(required, budget)
 
 
-def brute_force_worst_case(
-    program: Program,
-    budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
-) -> WorstCaseResult:
+@functools.cache  # one table per width, at most MAX_WIDTH of them
+def _vector_ops(width: int) -> dict:
+    """Column forms of `core.apply_mnemonic` over uint64 arrays (mov, store
+    and load are copies and never evaluated)."""
+    mask = np.uint64((1 << width) - 1)
+    w = np.uint64(width)
+    return {
+        "add": lambda a, b: (a + b) & mask,
+        "sub": lambda a, b: (a - b) & mask,
+        "and": np.bitwise_and,
+        "or": np.bitwise_or,
+        "xor": np.bitwise_xor,
+        "not": lambda a: ~a & mask,
+        "shl": lambda a, b: (a << (b % w)) & mask,
+        "shr": lambda a, b: a >> (b % w),
+        "ite": lambda c, a, b: np.where(c != 0, a, b),
+        "eqz": lambda a: (a == 0).astype(np.uint64),
+    }
+
+
+def _input_fields(program: Program) -> list[tuple[int, int]]:
+    """(shift, mask) of each free input within an enumeration index; the last
+    input varies fastest, as in itertools.product over the domains."""
+    bits = [1 if domain == BINARY01 else program.width for _, domain in program.free_inputs]
+    return [(sum(bits[k + 1:]), (1 << b) - 1) for k, b in enumerate(bits)]
+
+
+@dataclass
+class _Lowered:
+    """A program lowered for column evaluation.
+
+    Slots 0..len(fields)-1 hold the free-input columns; later slots hold
+    constants (preset in `template`) or instruction results. Each schedule
+    entry is (op or None, dest slot, operand slots, transition slot pair or
+    None, slots dead afterwards); `base` is the switching between adjacent
+    constant outputs.
+    """
+
+    fields: list
+    template: list
+    schedule: list
+    base: int
+
+
+def _lower(program: Program, fields: list) -> _Lowered:
+    """Resolve every operand to a slot once: a memory read becomes the latest
+    earlier value stored to its address (0 if none), copies alias their
+    operand, and instructions over constants fold to constants."""
+    w = program.width
+    ops = _vector_ops(w)
+    free_slot = {name: k for k, (name, _) in enumerate(program.free_inputs)}
+    value: list = [None] * len(fields)  # per slot: its constant, None for a column
+    const_slot: dict[int, int] = {}
+
+    def constant(v: int) -> int:
+        if v not in const_slot:
+            const_slot[v] = len(value)
+            value.append(v)
+        return const_slot[v]
+
+    stored: dict[int, int] = {}
+    out_slot: list[int] = []
+    steps = []
+    last_use: dict[int, int] = {}
+    base = 0
+    for i, insn in enumerate(program.instructions):
+        srcs = []
+        for src in insn.inputs:
+            if isinstance(src, Const):
+                srcs.append(constant(src.value))
+            elif isinstance(src, Free):
+                srcs.append(free_slot[src.name])
+            elif isinstance(src, MemRead):
+                srcs.append(stored[src.addr] if src.addr in stored else constant(0))
+            else:  # PriorOutput
+                srcs.append(out_slot[src.index])
+        args = [value[s] for s in srcs]
+        op = None
+        if insn.mnemonic in ("mov", "store", "load"):
+            dest = srcs[0]
+        elif insn.mnemonic == "ite" and args[0] is not None:
+            dest = srcs[1] if args[0] else srcs[2]
+        elif None not in args:
+            dest = constant(apply_mnemonic(insn.mnemonic, args, w))
+        else:
+            op, dest = ops[insn.mnemonic], len(value)
+            value.append(None)
+            for s in srcs:
+                last_use[s] = i
+        if insn.mem_dest is not None:
+            stored[insn.mem_dest] = dest
+
+        pair = None
+        if out_slot and out_slot[-1] != dest:
+            prev = out_slot[-1]
+            if value[prev] is not None and value[dest] is not None:
+                base += (value[prev] ^ value[dest]).bit_count()
+            else:
+                pair = (prev, dest)
+                last_use[prev] = last_use[dest] = i
+        out_slot.append(dest)
+        steps.append([op, dest, srcs, pair, []])
+
+    for s, i in last_use.items():
+        if value[s] is None:
+            steps[i][4].append(s)
+    template = [None if v is None else np.uint64(v) for v in value]
+    schedule = [step for step in steps if step[0] is not None or step[3] or step[4]]
+    return _Lowered(fields, template, schedule, base)
+
+
+def _scan_chunk(lowered: _Lowered, lo: int, hi: int) -> np.ndarray:
+    """Switching totals (int64) of enumeration indices [lo, hi)."""
+    index = np.arange(lo, hi, dtype=np.uint64)
+    env = lowered.template.copy()
+    for k, (shift, mask) in enumerate(lowered.fields):
+        env[k] = (index >> np.uint64(shift)) & np.uint64(mask)
+    totals = np.full(hi - lo, lowered.base, dtype=np.int64)
+    for op, dest, srcs, pair, dead in lowered.schedule:
+        if op is not None:
+            env[dest] = op(*[env[s] for s in srcs])
+        if pair is not None:
+            totals += np.bitwise_count(env[pair[0]] ^ env[pair[1]])
+        for s in dead:
+            env[s] = None
+    return totals
+
+
+def brute_force_worst_case(program: Program, budget: int = DEFAULT_BUDGET) -> WorstCaseResult:
     """Enumerate every free-input assignment and return the exact maximum.
 
-    With workers > 1 the assignment space is split into contiguous chunks;
-    the merge keeps the maximum and breaks ties toward the earlier chunk, so
-    the result is identical to the sequential scan.
+    The program is lowered once and evaluated over chunks of CHUNK_ROWS
+    consecutive enumeration indices as uint64 columns. Within a chunk argmax
+    keeps the first maximum and across chunks only a strictly larger total
+    replaces it, so the witness is the first maximum in enumeration order.
     """
     violations = validate_program(program)
     if violations:
         raise ProgramValidationError(violations)
+    fields = _input_fields(program)
+    total_assignments = prod(mask + 1 for _, mask in fields)
+    check_budget(total_assignments, budget)
 
-    names, domains = _input_domains(program)
-    total_assignments = prod(len(d) for d in domains)
-    if total_assignments > budget:
-        raise EnumerationBudgetError(total_assignments, budget)
-
-    if workers <= 1 or total_assignments < 2 * workers:
-        best, combo = _scan_range(program, names, domains, 0, total_assignments)
-    else:
-        chunk = -(-total_assignments // workers)
-        bounds = [
-            (lo, min(lo + chunk, total_assignments))
-            for lo in range(0, total_assignments, chunk)
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda b: _scan_range(program, names, domains, *b), bounds)
-            )
-        best, combo = -1, None
-        for cand_best, cand_combo in results:  # chunk order == enumeration order
-            if cand_best > best:
-                best, combo = cand_best, cand_combo
+    lowered = _lower(program, fields)
+    best, best_index = -1, 0
+    for lo in range(0, total_assignments, CHUNK_ROWS):
+        totals = _scan_chunk(lowered, lo, min(lo + CHUNK_ROWS, total_assignments))
+        row = int(totals.argmax())
+        if totals[row] > best:
+            best, best_index = int(totals[row]), lo + row
 
     return WorstCaseResult(
         max_switching=best,
-        witness=dict(zip(names, combo)),
+        witness={
+            name: (best_index >> shift) & mask
+            for (name, _), (shift, mask) in zip(program.free_inputs, fields)
+        },
         explored=total_assignments,
     )
 
@@ -131,17 +236,12 @@ def brute_force_worst_case(
 # ---------------------------------------------------------------------------
 # Boolean-side oracles (independent of program execution)
 
-def _check_bool_budget(num_vars: int, budget: int):
-    if 1 << num_vars > budget:
-        raise EnumerationBudgetError(1 << num_vars, budget)
-
-
 def maxsat_oracle(
     instance: MaxSat2Instance, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, tuple[bool, ...]]:
     """Exact maximum satisfied-clause count and the lexicographically smallest
     maximizing assignment (False < True, variables in index order)."""
-    _check_bool_budget(instance.num_vars, budget)
+    check_budget(1 << instance.num_vars, budget)
     best = -1
     best_assignment = None
     for assignment in itertools.product((False, True), repeat=instance.num_vars):
@@ -156,7 +256,7 @@ def sat_oracle(
     instance: SatInstance, budget: int = DEFAULT_BUDGET
 ) -> tuple[bool, tuple[bool, ...] | None]:
     """Decision form: (satisfiable, first satisfying model or None)."""
-    _check_bool_budget(instance.num_vars, budget)
+    check_budget(1 << instance.num_vars, budget)
     for assignment in itertools.product((False, True), repeat=instance.num_vars):
         if all_satisfied(instance, assignment):
             return True, assignment

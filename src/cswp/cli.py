@@ -94,7 +94,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_solve(args) -> int:
     program = _load_program(args.program)
-    result = analysis.brute_force_worst_case(program, budget=args.budget, workers=args.workers)
+    result = analysis.brute_force_worst_case(program, budget=args.budget)
     _write_output(args.output, _render_report(result.report_lines(), args.format))
     return 0
 
@@ -127,10 +127,14 @@ def _cmd_checksat_verify(args) -> int:
     instance = _instance_from_args(args, sat.SatInstance)
     program, result_index = reductions.build_checksat_program(instance, width=args.width)
     if args.assign:
-        combos = [[bit == "1" for bit in args.assign.replace(",", "")]]
+        bits = args.assign.replace(",", "")
+        if set(bits) - {"0", "1"}:
+            raise CswpError(f"bad --assign {args.assign!r}: each value must be 0 or 1")
+        combos = [[bit == "1" for bit in bits]]
         if len(combos[0]) != instance.num_vars:
             raise CswpError(f"--assign covers {len(combos[0])} of {instance.num_vars} variables")
     else:
+        analysis.check_budget(1 << instance.num_vars, analysis.DEFAULT_BUDGET)
         combos = [
             [(i >> k) & 1 == 1 for k in range(instance.num_vars)]
             for i in range(1 << instance.num_vars)
@@ -204,10 +208,17 @@ def _cmd_energy(args) -> int:
     return 0
 
 
+def _parse_powers(tokens: list[str]) -> list[float]:
+    try:
+        return [float(token) for token in tokens]
+    except ValueError as e:
+        raise CswpError(f"bad power value: {e}") from None
+
+
 def _cmd_summarize_power(args) -> int:
-    powers = [float(p) for p in args.powers]
+    powers = _parse_powers(args.powers)
     if args.powers_file:
-        powers += [float(line) for line in _read_text(args.powers_file).split()]
+        powers += _parse_powers(_read_text(args.powers_file).split())
     summary = energy.summarize_power(args.tdual, powers)
     _write_output(args.output, _render_report(summary.report_lines(), args.format))
     return 0
@@ -237,7 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("solve", _cmd_solve, "exact worst-case switching by exhaustive enumeration")
     p.add_argument("program")
     p.add_argument("--budget", type=int, default=analysis.DEFAULT_BUDGET)
-    p.add_argument("--workers", type=int, default=1)
 
     p = add("bound", _cmd_bound, "sound upper bound on worst-case switching")
     p.add_argument("program")

@@ -63,6 +63,10 @@ def load_model(spec: str) -> EnergyModel:
             raw = json.load(fh)
     except OSError as e:
         raise CswpError(f"unknown preset and unreadable model file {spec!r}: {e}") from None
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise CswpError(f"model file {spec!r} is not valid JSON: {e}") from None
+    if not isinstance(raw, dict):
+        raise CswpError(f"model file {spec!r} must hold a JSON object")
     try:
         return EnergyModel(
             p_idle_single=float(raw["p_idle_single_mw"]),
@@ -73,6 +77,8 @@ def load_model(spec: str) -> EnergyModel:
         )
     except KeyError as e:
         raise CswpError(f"model file {spec!r} missing key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise CswpError(f"model file {spec!r} has a non-numeric value: {e}") from None
 
 
 @dataclass
@@ -135,6 +141,11 @@ def summarize_power(p_tdual: float, test_powers: Sequence[float]) -> PowerSummar
     p_tsingle = p_tdual / 2
     p_dmin = min(test_powers) - p_tdual
     p_dmax = max(test_powers) - p_tdual
+    if p_tsingle + p_dmin == 0 or p_tsingle + p_dmax == 0:
+        raise CswpError(
+            f"a test power equals half the dual-core idle power ({p_tsingle:g} mW), "
+            "so its dynamic share is undefined"
+        )
     return PowerSummary(
         p_tdual=p_tdual,
         p_tsingle=p_tsingle,
@@ -282,15 +293,20 @@ def measurements_from_csv(text: str) -> list[Measurement]:
     for row in reader:
         if not row:
             continue
-        out.append(
-            Measurement(
-                op_a=int(row[0], 0),
-                op_b=int(row[1], 0),
-                h_in=int(row[2]),
-                h_out=int(row[3]),
-                power=float(row[4]),
+        if len(row) < len(CSV_HEADER):
+            raise CswpError(f"CSV line {reader.line_num}: {len(row)} fields, want {len(CSV_HEADER)}")
+        try:
+            out.append(
+                Measurement(
+                    op_a=int(row[0], 0),
+                    op_b=int(row[1], 0),
+                    h_in=int(row[2]),
+                    h_out=int(row[3]),
+                    power=float(row[4]),
+                )
             )
-        )
+        except ValueError as e:
+            raise CswpError(f"CSV line {reader.line_num}: {e}") from None
     return out
 
 
@@ -307,6 +323,8 @@ def heatmap_matrix(
     grid, the grid minus c_out*h_out, minus c_in*h_in, or minus both."""
     if stage not in HEATMAP_STAGES:
         raise CswpError(f"unknown heatmap stage {stage!r}, want one of {', '.join(HEATMAP_STAGES)}")
+    if not measurements:
+        raise CswpError("empty measurement grid")
     size = max(max(m.op_a, m.op_b) for m in measurements) + 1
     if len(measurements) != size * size:
         raise CswpError(f"need a full {size}x{size} grid, got {len(measurements)} rows")

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from cswp import analysis
 from cswp.analysis import (
     brute_force_worst_case,
     coarse_upper_bound,
@@ -223,16 +224,15 @@ def assert_round_trip(program):
     assert parse_program(serialize_program(program)) == program
 
 
-@criterion(8, "witness validity and parallel/sequential agreement")
-def test_criterion_8_witness_validity():
-    for program in program_pool(count=60, seed=8008):
+@criterion(8, "witness validity and agreement of every chunk size with one chunk")
+def test_criterion_8_witness_validity(monkeypatch):
+    programs = program_pool(count=60, seed=8008)
+    programs += [reduce_maxsat2(inst, width=4).program for inst in maxsat2_pool(count=10, seed=9009)]
+    one_chunk = []
+    for program in programs:
         result = brute_force_worst_case(program)
         assert evaluate_switching(program, result.witness).total == result.max_switching
-        parallel = brute_force_worst_case(program, workers=4)
-        assert parallel == result
-    for inst in maxsat2_pool(count=10, seed=9009):
-        red = reduce_maxsat2(inst, width=4)
-        sequential = brute_force_worst_case(red.program)
-        parallel = brute_force_worst_case(red.program, workers=3)
-        assert parallel == sequential
-        assert evaluate_switching(red.program, sequential.witness).total == sequential.max_switching
+        one_chunk.append(result)
+    for rows in (1, 3, 7):
+        monkeypatch.setattr(analysis, "CHUNK_ROWS", rows)
+        assert [brute_force_worst_case(p) for p in programs] == one_chunk

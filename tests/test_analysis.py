@@ -1,8 +1,12 @@
 import itertools
 import random
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cswp import analysis
 from cswp.analysis import (
     EnumerationBudgetError,
     brute_force_worst_case,
@@ -21,6 +25,8 @@ from cswp.core import (
     MemRead,
     PriorOutput,
     Program,
+    _run_values,
+    apply_mnemonic,
     evaluate_switching,
     execute,
 )
@@ -80,14 +86,19 @@ class TestBruteForce:
             result = brute_force_worst_case(p)
             assert evaluate_switching(p, result.witness).total == result.max_switching
 
-    def test_parallel_matches_sequential(self):
+    def test_any_chunk_size_matches_one_chunk(self, monkeypatch):
+        # maxima recur across chunks, so this checks that a later chunk
+        # never displaces an earlier witness with an equal total
         rng = random.Random(29)
-        for _ in range(10):
-            p = random_program(rng)
-            sequential = brute_force_worst_case(p, workers=1)
-            for workers in (2, 3, 8):
-                parallel = brute_force_worst_case(p, workers=workers)
-                assert parallel == sequential
+        programs = [random_program(rng) for _ in range(10)]
+        programs.append(prog(2, [
+            Instruction("mov", (Free("0"),)),
+            Instruction("xor", (PriorOutput(0), Const(0x3))),
+        ], free_inputs=[("0", FULL)]))
+        one_chunk = [brute_force_worst_case(p) for p in programs]
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(analysis, "CHUNK_ROWS", rows)
+            assert [brute_force_worst_case(p) for p in programs] == one_chunk
 
     def test_report_lines(self):
         p = prog(2, [
@@ -96,6 +107,87 @@ class TestBruteForce:
         ], free_inputs=[("0", FULL)])
         lines = brute_force_worst_case(p).report_lines()
         assert lines == ["max=2", "witness.free0=0x1", "explored=4"]
+
+
+def scalar_worst_case(p):
+    """Reference scan: itertools.product over the domains, scalar interpreter."""
+    names = [name for name, _ in p.free_inputs]
+    domains = [range(2) if d == BINARY01 else range(1 << p.width) for _, d in p.free_inputs]
+    totals, combos = [], []
+    for combo in itertools.product(*domains):
+        outputs, _, _ = _run_values(p, dict(zip(names, combo)))
+        totals.append(sum((a ^ b).bit_count() for a, b in zip(outputs, outputs[1:])))
+        combos.append(dict(zip(names, combo)))
+    return totals, combos
+
+
+class TestVectorizedEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 7, 4096]))
+    def test_matches_scalar_interpreter(self, seed, rows):
+        p = random_program(random.Random(seed))
+        fields = analysis._input_fields(p)
+        totals, combos = scalar_worst_case(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lowered = analysis._lower(p, fields)
+            vector = analysis._scan_chunk(lowered, 0, len(totals))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(analysis, "CHUNK_ROWS", rows)
+                result = brute_force_worst_case(p)
+        for index, combo in enumerate(combos):
+            assert vector[index] == evaluate_switching(p, combo).total == totals[index]
+        best = max(totals)
+        assert result.max_switching == best
+        assert result.witness == combos[totals.index(best)]
+        assert result.explored == len(totals)
+        assert all(type(v) is int for v in result.witness.values())
+
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_edge_semantics(self, width):
+        top = (1 << width) - 1
+        cases = [
+            ("shl", top, width), ("shl", 1, width + 1), ("shl", top, top),
+            ("shr", top, width), ("shr", top, width + 1), ("shr", top, top),
+            ("sub", 0, 1), ("sub", 0, top), ("sub", 1, top),
+            ("not", 0), ("not", top),
+        ]
+        ops = analysis._vector_ops(width)
+        for mnemonic, *args in cases:
+            if width == 1 and any(a > top for a in args):
+                continue
+            expected = apply_mnemonic(mnemonic, args, width)
+            column = [np.array([a], dtype=np.uint64) for a in args]
+            assert int(ops[mnemonic](*column)[0]) == expected, (mnemonic, args)
+            # the engine pairs columns with scalar constants on either side
+            mixed = [column[0], *(np.uint64(a) for a in args[1:])]
+            assert int(ops[mnemonic](*mixed)[0]) == expected, (mnemonic, args)
+            if len(args) == 2:
+                mixed = [np.uint64(args[0]), column[1]]
+                assert int(ops[mnemonic](*mixed)[0]) == expected, (mnemonic, args)
+
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_edge_semantics_end_to_end(self, width):
+        # binary inputs select extreme operands, so every operation sees a
+        # column and none folds to a constant
+        top = (1 << width) - 1
+        pick = lambda c, hi, lo: Instruction("ite", (Free(c, BINARY01), Const(hi), Const(lo)))
+        p = prog(width, [
+            pick("a", top, 0),
+            pick("b", top, min(width + 1, top)),
+            Instruction("shl", (PriorOutput(0), PriorOutput(1))),
+            Instruction("shr", (PriorOutput(0), PriorOutput(1))),
+            Instruction("sub", (Const(0), PriorOutput(0))),
+            Instruction("sub", (PriorOutput(1), PriorOutput(0))),
+            Instruction("not", (PriorOutput(0),)),
+            Instruction("add", (PriorOutput(0), PriorOutput(1))),
+        ], free_inputs=[("a", BINARY01), ("b", BINARY01)])
+        totals, combos = scalar_worst_case(p)
+        result = brute_force_worst_case(p)
+        assert result.max_switching == max(totals)
+        assert result.witness == combos[totals.index(max(totals))]
+        vector = analysis._scan_chunk(analysis._lower(p, analysis._input_fields(p)), 0, 4)
+        assert list(vector) == totals
 
 
 class TestMaxsatOracle:

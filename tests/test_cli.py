@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+from cswp import analysis
 from cswp.cli import main
 
 
@@ -66,10 +67,16 @@ class TestRunSolveBound:
         assert code == 1
         assert "budget" in err
 
-    def test_workers_agree(self, capsys, doubling_path):
-        _, sequential, _ = run_cli(capsys, "solve", doubling_path, "--workers", "1")
-        _, parallel, _ = run_cli(capsys, "solve", doubling_path, "--workers", "4")
-        assert sequential == parallel
+    def test_chunk_size_does_not_change_output(self, capsys, monkeypatch, doubling_path):
+        _, one_chunk, _ = run_cli(capsys, "solve", doubling_path)
+        for rows in (1, 3, 7):
+            monkeypatch.setattr(analysis, "CHUNK_ROWS", rows)
+            assert run_cli(capsys, "solve", doubling_path) == (0, one_chunk, "")
+
+    def test_workers_flag_is_gone(self, doubling_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", doubling_path, "--workers", "2"])
+        assert exc.value.code == 2
 
     def test_repeat_invocation_is_byte_identical(self, capsys, doubling_path):
         _, first, _ = run_cli(capsys, "solve", doubling_path)
@@ -116,6 +123,21 @@ class TestReductionCommands:
                                "--clause", "x1 x2", "--assign", "0,1")
         assert code == 0
         assert "assign.01=result:1,expected:1" in out
+
+    @pytest.mark.parametrize("bits", ["2", "0,x", "1 0", "01-"])
+    def test_checksat_verify_rejects_non_binary_assign(self, capsys, bits):
+        code, out, err = run_cli(capsys, "checksat-verify", "--vars", "1",
+                                 "--clause", "x1", "--assign", bits)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "0 or 1" in err
+
+    def test_checksat_verify_all_assignments_respects_budget(self, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 4)
+        code, out, err = run_cli(capsys, "checksat-verify", "--vars", "3", "--clause", "x1")
+        assert (code, out) == (1, "")
+        assert err == "error: exhaustive search needs 8 assignments, budget is 4\n"
+        code, out, _ = run_cli(capsys, "checksat-verify", "--vars", "2", "--clause", "x1")
+        assert code == 0 and out.endswith("ok=true\n")
 
 
 class TestEnergyCommands:
@@ -173,6 +195,33 @@ class TestEnergyCommands:
         code, _, err = run_cli(capsys, "fit", str(grid_path))
         assert code == 1
         assert "h_in" in err
+
+
+GRID_HEADER = "op_a,op_b,h_in,h_out,power_mw\n"
+
+
+class TestMalformedInput:
+    """Malformed input ends in one `error:` line and exit code 1."""
+
+    @pytest.mark.parametrize("files, argv", [
+        ({"g.csv": GRID_HEADER + "0x0,0x0,1.5,0,10.0\n"}, ["fit", "g.csv"]),
+        ({"g.csv": GRID_HEADER + "0x0,0x0,1\n"}, ["fit", "g.csv"]),
+        ({"g.csv": GRID_HEADER}, ["heatmap", "g.csv", "--stage", "raw"]),
+        ({"p.cswp": DOUBLING, "bad.json": "{not json"},
+         ["energy", "p.cswp", "--input", "free0=1", "--model", "bad.json"]),
+        ({"p.cswp": DOUBLING, "list.json": "[1, 2]"},
+         ["energy", "p.cswp", "--input", "free0=1", "--model", "list.json"]),
+        ({}, ["summarize-power", "--tdual", "0", "0"]),
+        ({}, ["summarize-power", "--tdual", "2", "1", "5"]),
+        ({}, ["summarize-power", "--tdual", "2", "abc"]),
+    ])
+    def test_error_line_not_traceback(self, capsys, tmp_path, monkeypatch, files, argv):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestOutputHandling:
