@@ -8,7 +8,6 @@ explicit error instead of a silently truncated "maximum".
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import prod
@@ -25,6 +24,7 @@ from .core import (
     ProgramValidationError,
     apply_mnemonic,
     validate_program,
+    vector_ops,
 )
 from .knownbits import KnownBits, knownbits_transfer
 from .sat import MaxSat2Instance, SatInstance, all_satisfied, count_satisfied
@@ -72,26 +72,6 @@ def check_budget(required: int, budget: int = DEFAULT_BUDGET):
         raise EnumerationBudgetError(required, budget)
 
 
-@functools.cache  # one table per width, at most MAX_WIDTH of them
-def _vector_ops(width: int) -> dict:
-    """Column forms of `core.apply_mnemonic` over uint64 arrays (mov, store
-    and load are copies and never evaluated)."""
-    mask = np.uint64((1 << width) - 1)
-    w = np.uint64(width)
-    return {
-        "add": lambda a, b: (a + b) & mask,
-        "sub": lambda a, b: (a - b) & mask,
-        "and": np.bitwise_and,
-        "or": np.bitwise_or,
-        "xor": np.bitwise_xor,
-        "not": lambda a: ~a & mask,
-        "shl": lambda a, b: (a << (b % w)) & mask,
-        "shr": lambda a, b: a >> (b % w),
-        "ite": lambda c, a, b: np.where(c != 0, a, b),
-        "eqz": lambda a: (a == 0).astype(np.uint64),
-    }
-
-
 def _input_fields(program: Program) -> list[tuple[int, int]]:
     """(shift, mask) of each free input within an enumeration index; the last
     input varies fastest, as in itertools.product over the domains."""
@@ -121,7 +101,7 @@ def _lower(program: Program, fields: list) -> _Lowered:
     earlier value stored to its address (0 if none), copies alias their
     operand, and instructions over constants fold to constants."""
     w = program.width
-    ops = _vector_ops(w)
+    ops = vector_ops(w)
     free_slot = {name: k for k, (name, _) in enumerate(program.free_inputs)}
     value: list = [None] * len(fields)  # per slot: its constant, None for a column
     const_slot: dict[int, int] = {}

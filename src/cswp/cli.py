@@ -11,6 +11,7 @@ atomically (write-then-rename). Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -94,7 +95,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_solve(args) -> int:
     program = _load_program(args.program)
-    result = analysis.brute_force_worst_case(program, budget=args.budget)
+    budget = analysis.DEFAULT_BUDGET if args.budget is None else args.budget
+    result = analysis.brute_force_worst_case(program, budget=budget)
     _write_output(args.output, _render_report(result.report_lines(), args.format))
     return 0
 
@@ -154,8 +156,8 @@ def _cmd_checksat_verify(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    measurements = energy.measurements_from_csv(_read_text(args.grid))
-    fit = energy.fit_hamming_model(measurements)
+    grid = energy.measurements_from_csv(_read_text(args.grid))
+    fit = energy.fit_hamming_model(grid)
     _write_output(args.output, _render_report(fit.report_lines(), args.format))
     return 0
 
@@ -184,11 +186,11 @@ def _cmd_gen_grid(args) -> int:
 
 
 def _cmd_heatmap(args) -> int:
-    measurements = energy.measurements_from_csv(_read_text(args.grid))
+    grid = energy.measurements_from_csv(_read_text(args.grid))
     model = energy.load_model(args.model)
     c_in = args.c_in if args.c_in is not None else model.c_in
     c_out = args.c_out if args.c_out is not None else model.c_out
-    matrix = energy.heatmap_matrix(measurements, args.stage, c_in=c_in, c_out=c_out)
+    matrix = energy.heatmap_matrix(grid, args.stage, c_in=c_in, c_out=c_out)
     _write_output(args.output, energy.heatmap_to_csv(matrix))
     return 0
 
@@ -226,6 +228,7 @@ def _cmd_summarize_power(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cswp",
@@ -247,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("solve", _cmd_solve, "exact worst-case switching by exhaustive enumeration")
     p.add_argument("program")
-    p.add_argument("--budget", type=int, default=analysis.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=None)  # None: analysis.DEFAULT_BUDGET
 
     p = add("bound", _cmd_bound, "sound upper bound on worst-case switching")
     p.add_argument("program")

@@ -8,8 +8,11 @@ between consecutive output values, maximized over the program's free inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 MAX_WIDTH = 64
 
@@ -195,6 +198,26 @@ def apply_mnemonic(mnemonic: str, args: Sequence[int], width: int) -> int:
     if mnemonic == "eqz":
         return 1 if args[0] == 0 else 0
     raise ValueError(f"unknown mnemonic {mnemonic!r}")
+
+
+@functools.cache  # one table per width, at most MAX_WIDTH of them
+def vector_ops(width: int) -> dict:
+    """Column forms of `apply_mnemonic` over uint64 arrays (mov, store and
+    load are copies and have none)."""
+    mask = np.uint64((1 << width) - 1)
+    w = np.uint64(width)
+    return {
+        "add": lambda a, b: (a + b) & mask,
+        "sub": lambda a, b: (a - b) & mask,
+        "and": np.bitwise_and,
+        "or": np.bitwise_or,
+        "xor": np.bitwise_xor,
+        "not": lambda a: ~a & mask,
+        "shl": lambda a, b: (a << (b % w)) & mask,
+        "shr": lambda a, b: a >> (b % w),
+        "ite": lambda c, a, b: np.where(c != 0, a, b),
+        "eqz": lambda a: (a == 0).astype(np.uint64),
+    }
 
 
 def validate_program(program: Program) -> list[str]:

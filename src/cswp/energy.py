@@ -82,14 +82,18 @@ def load_model(spec: str) -> EnergyModel:
 
 
 @dataclass
-class Measurement:
-    """One grid point: operands, their Hamming units, measured power (mW)."""
+class Grid:
+    """Measurement grid as columns, one entry per point: operands and their
+    Hamming units (int64) and the measured power in mW (float64)."""
 
-    op_a: int
-    op_b: int
-    h_in: int
-    h_out: int
-    power: float
+    op_a: np.ndarray
+    op_b: np.ndarray
+    h_in: np.ndarray
+    h_out: np.ndarray
+    power: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.power)
 
 
 @dataclass
@@ -168,7 +172,7 @@ def gen_synthetic_grid(
     base: float,
     noise_sigma: float = 0.0,
     seed: int = 0,
-) -> list[Measurement]:
+) -> Grid:
     """Every operand pair (a, b) in [0, 2^width)^2 for a two-input mnemonic:
     h_in = weight(a) + weight(b), h_out = weight(result), power = base +
     c_in*h_in + c_out*h_out + N(0, sigma). Deterministic for a fixed seed."""
@@ -179,26 +183,23 @@ def gen_synthetic_grid(
     size = 1 << width
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_sigma, size * size) if noise_sigma > 0 else np.zeros(size * size)
-    out = []
-    k = 0
-    for a in range(size):
-        for b in range(size):
-            result = core.apply_mnemonic(mnemonic, (a, b), width)
-            h_in = a.bit_count() + b.bit_count()
-            h_out = result.bit_count()
-            power = base + model.c_in * h_in + model.c_out * h_out + float(noise[k])
-            out.append(Measurement(op_a=a, op_b=b, h_in=h_in, h_out=h_out, power=power))
-            k += 1
-    return out
+    operands = np.arange(size, dtype=np.uint64)
+    a = np.repeat(operands, size)
+    b = np.tile(operands, size)
+    result = core.vector_ops(width)[mnemonic](a, b)
+    h_in = np.bitwise_count(a).astype(np.int64) + np.bitwise_count(b)
+    h_out = np.bitwise_count(result).astype(np.int64)
+    power = base + model.c_in * h_in + model.c_out * h_out + noise
+    return Grid(a.astype(np.int64), b.astype(np.int64), h_in, h_out, power)
 
 
-def fit_hamming_model(measurements: Sequence[Measurement]) -> FitResult:
+def fit_hamming_model(grid: Grid) -> FitResult:
     """Ordinary least squares for power ~ base + c_in*h_in + c_out*h_out."""
-    if len(measurements) < 3:
-        raise CswpError(f"need at least 3 measurements, got {len(measurements)}")
-    h_in = np.array([m.h_in for m in measurements], dtype=float)
-    h_out = np.array([m.h_out for m in measurements], dtype=float)
-    power = np.array([m.power for m in measurements], dtype=float)
+    if len(grid) < 3:
+        raise CswpError(f"need at least 3 measurements, got {len(grid)}")
+    h_in = grid.h_in.astype(float)
+    h_out = grid.h_out.astype(float)
+    power = grid.power
 
     design = np.column_stack([np.ones_like(h_in), h_in, h_out])
     if np.linalg.matrix_rank(design) < 3:
@@ -272,76 +273,82 @@ def dynamic_power(alpha: float, c_sw: float, v_dd: float, f: float) -> float:
 CSV_HEADER = ["op_a", "op_b", "h_in", "h_out", "power_mw"]
 
 
-def measurements_to_csv(measurements: Sequence[Measurement], width: int) -> str:
+# Rows formatted per chunk: a chunk's Python objects, not the whole grid's,
+# set the export's peak memory.
+CSV_CHUNK_ROWS = 4096
+
+
+def measurements_to_csv(grid: Grid, width: int) -> str:
     digits = max(1, (width + 3) // 4)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for m in measurements:
-        writer.writerow(
-            [f"0x{m.op_a:0{digits}x}", f"0x{m.op_b:0{digits}x}", m.h_in, m.h_out, f"{m.power:.6f}"]
-        )
-    return buf.getvalue()
+    line = f"0x%0{digits}x,0x%0{digits}x,%d,%d,%.6f\n"
+    columns = (grid.op_a, grid.op_b, grid.h_in, grid.h_out, grid.power)
+    parts = [",".join(CSV_HEADER) + "\n"]
+    for lo in range(0, len(grid), CSV_CHUNK_ROWS):
+        rows = zip(*(column[lo:lo + CSV_CHUNK_ROWS].tolist() for column in columns))
+        parts.append("".join([line % row for row in rows]))
+    return "".join(parts)
 
 
-def measurements_from_csv(text: str) -> list[Measurement]:
+def measurements_from_csv(text: str) -> Grid:
+    """Parse a measurement CSV, converting each field as it streams past:
+    operands accept any int() literal with a base prefix, extra fields are
+    ignored and blank lines skipped."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != CSV_HEADER:
         raise CswpError(f"bad measurement CSV header {header!r}, want {CSV_HEADER!r}")
-    out = []
+    op_a, op_b, h_in, h_out, power = columns = ([], [], [], [], [])
     for row in reader:
         if not row:
             continue
         if len(row) < len(CSV_HEADER):
             raise CswpError(f"CSV line {reader.line_num}: {len(row)} fields, want {len(CSV_HEADER)}")
         try:
-            out.append(
-                Measurement(
-                    op_a=int(row[0], 0),
-                    op_b=int(row[1], 0),
-                    h_in=int(row[2]),
-                    h_out=int(row[3]),
-                    power=float(row[4]),
-                )
-            )
+            op_a.append(int(row[0], 0))
+            op_b.append(int(row[1], 0))
+            h_in.append(int(row[2]))
+            h_out.append(int(row[3]))
+            power.append(float(row[4]))
         except ValueError as e:
             raise CswpError(f"CSV line {reader.line_num}: {e}") from None
-    return out
+    try:
+        return Grid(*(np.array(c, dtype=np.int64) for c in columns[:4]),
+                    np.array(power, dtype=np.float64))
+    except OverflowError:
+        raise CswpError("measurement CSV holds an integer outside the int64 range") from None
 
 
 HEATMAP_STAGES = ("raw", "minus-out", "minus-in", "residual")
 
 
-def heatmap_matrix(
-    measurements: Sequence[Measurement],
-    stage: str,
-    c_in: float,
-    c_out: float,
-) -> np.ndarray:
+def heatmap_matrix(grid: Grid, stage: str, c_in: float, c_out: float) -> np.ndarray:
     """Dense op_a x op_b power matrix for one decomposition stage: the raw
-    grid, the grid minus c_out*h_out, minus c_in*h_in, or minus both."""
+    grid, the grid minus c_out*h_out, minus c_in*h_in, or minus both. The
+    grid must hold every operand pair in [0, size)^2 exactly once."""
     if stage not in HEATMAP_STAGES:
         raise CswpError(f"unknown heatmap stage {stage!r}, want one of {', '.join(HEATMAP_STAGES)}")
-    if not measurements:
+    if not len(grid):
         raise CswpError("empty measurement grid")
-    size = max(max(m.op_a, m.op_b) for m in measurements) + 1
-    if len(measurements) != size * size:
-        raise CswpError(f"need a full {size}x{size} grid, got {len(measurements)} rows")
-    grid = np.zeros((size, size))
-    for m in measurements:
-        value = m.power
-        if stage in ("minus-out", "residual"):
-            value -= c_out * m.h_out
-        if stage in ("minus-in", "residual"):
-            value -= c_in * m.h_in
-        grid[m.op_a, m.op_b] = value
-    return grid
+    lowest = int(min(grid.op_a.min(), grid.op_b.min()))
+    if lowest < 0:
+        raise CswpError(f"grid operand {lowest} is negative")
+    size = int(max(grid.op_a.max(), grid.op_b.max())) + 1
+    if len(grid) != size * size:
+        raise CswpError(f"need a full {size}x{size} grid, got {len(grid)} rows")
+    counts = np.bincount(grid.op_a * size + grid.op_b, minlength=size * size)
+    if counts.max() > 1:  # with size*size rows, a repeated pair means a missing one
+        a, b = divmod(int(counts.argmax()), size)
+        raise CswpError(f"grid pair (0x{a:x}, 0x{b:x}) appears {counts.max()} times, want once")
+    value = grid.power
+    if stage in ("minus-out", "residual"):
+        value = value - c_out * grid.h_out
+    if stage in ("minus-in", "residual"):
+        value = value - c_in * grid.h_in
+    matrix = np.empty((size, size))
+    matrix[grid.op_a, grid.op_b] = value
+    return matrix
 
 
 def heatmap_to_csv(matrix: np.ndarray) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in matrix:
-        writer.writerow([f"{v:.6f}" for v in row])
-    return buf.getvalue()
+    line = ",".join(["%.6f"] * matrix.shape[1]) + "\n"
+    return "".join([line % tuple(row) for row in matrix.tolist()])

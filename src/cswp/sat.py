@@ -59,6 +59,11 @@ def _normalize(clauses: Iterable) -> tuple[tuple[Literal, ...], ...]:
     return tuple(out)
 
 
+def _check_num_vars(num_vars: int):
+    if num_vars < 0:
+        raise CswpError(f"number of variables {num_vars} is negative")
+
+
 @dataclass(frozen=True)
 class SatInstance:
     """CNF: clauses of any positive length. Clauses accept Literal objects or
@@ -68,6 +73,7 @@ class SatInstance:
     clauses: tuple = ()
 
     def __post_init__(self):
+        _check_num_vars(self.num_vars)
         object.__setattr__(self, "clauses", _normalize(self.clauses))
         for i, clause in enumerate(self.clauses):
             if not clause:
@@ -85,6 +91,7 @@ class MaxSat2Instance:
     clauses: tuple = ()
 
     def __post_init__(self):
+        _check_num_vars(self.num_vars)
         object.__setattr__(self, "clauses", _normalize(self.clauses))
         for i, clause in enumerate(self.clauses):
             if not 1 <= len(clause) <= 2:

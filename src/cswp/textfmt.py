@@ -73,7 +73,7 @@ def parse_program(text: str) -> Program:
     """Parse the canonical text format. Raises ParseError with a line number on
     syntax problems; structural checks beyond arity are validate_program's job."""
     width = None
-    mem_size = 0
+    mem_size = None
     free_inputs: list[tuple[str, str]] = []
     instructions: list[Instruction] = []
     free_domains: dict[str, str] = {}
@@ -95,6 +95,8 @@ def parse_program(text: str) -> Program:
             continue
 
         if line.startswith("mem "):
+            if mem_size is not None:
+                raise ParseError(lineno, "duplicate mem line")
             if instructions:
                 raise ParseError(lineno, "mem must precede instructions")
             try:
@@ -149,7 +151,7 @@ def parse_program(text: str) -> Program:
 
     if width is None:
         raise ParseError(1, "missing width header")
-    return Program(width=width, mem_size=mem_size, instructions=tuple(instructions),
+    return Program(width=width, mem_size=mem_size or 0, instructions=tuple(instructions),
                    free_inputs=tuple(free_inputs))
 
 

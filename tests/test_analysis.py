@@ -29,6 +29,7 @@ from cswp.core import (
     apply_mnemonic,
     evaluate_switching,
     execute,
+    vector_ops,
 )
 from cswp.sat import MaxSat2Instance, SatInstance
 
@@ -152,7 +153,7 @@ class TestVectorizedEngine:
             ("sub", 0, 1), ("sub", 0, top), ("sub", 1, top),
             ("not", 0), ("not", top),
         ]
-        ops = analysis._vector_ops(width)
+        ops = vector_ops(width)
         for mnemonic, *args in cases:
             if width == 1 and any(a > top for a in args):
                 continue

@@ -1,8 +1,10 @@
+import hashlib
 import os
 
 import pytest
 
-from cswp import analysis
+from cswp import analysis, cli
+from cswp.energy import HEATMAP_STAGES
 from cswp.cli import main
 
 
@@ -140,7 +142,48 @@ class TestReductionCommands:
         assert code == 0 and out.endswith("ok=true\n")
 
 
+def grid_outputs_digest(capsys, tmp_path, op, width):
+    """sha256 prefix over the bytes of a noisy `gen-grid` file, `fit` stdout
+    in both formats and `heatmap` stdout for every stage."""
+    grid_path = tmp_path / f"{op}{width}.csv"
+    run_cli(capsys, "gen-grid", "--op", op, "--width", str(width), "--sigma", "0.7",
+            "--seed", "11", "--base", "47.25", "--c-in", "1.1", "--c-out", "3.7",
+            "-o", str(grid_path))
+    digest = hashlib.sha256(grid_path.read_bytes())
+    for argv in (["fit"], ["fit", "--format", "csv"],
+                 *(["heatmap", "--stage", stage, "--c-in", "1.1"] for stage in HEATMAP_STAGES)):
+        code, out, err = run_cli(capsys, argv[0], str(grid_path), *argv[1:])
+        assert (code, err) == (0, "")
+        digest.update(out.encode())
+    return digest.hexdigest()[:16]
+
+
+# digests of the outputs of the row-by-row grid code that the columnar one replaced
+GRID_DIGESTS = {
+    ("add", 1): "e8b0cd2937cc8438",
+    ("add", 3): "533b0b70d9add03f",
+    ("sub", 1): "e8b0cd2937cc8438",
+    ("sub", 3): "5a2c50a21118766b",
+    ("and", 1): "a9c39cc07e4f8c18",
+    ("and", 3): "e08f55e568392d33",
+    ("or", 1): "835c226724a8521e",
+    ("or", 3): "63fcb661a2ae37af",
+    ("xor", 1): "e8b0cd2937cc8438",
+    ("xor", 3): "86fc70d7735ed5ac",
+    ("shl", 1): "2efd624b24800132",
+    ("shl", 3): "bd5bbcc2b2075cfd",
+    ("shr", 1): "2efd624b24800132",
+    ("shr", 3): "e3ad29f2e8ac31e6",
+    ("add", 8): "c97a34b1f846492d",
+    ("shl", 8): "88b52fc87ee78ac0",
+}
+
+
 class TestEnergyCommands:
+    @pytest.mark.parametrize("op, width", sorted(GRID_DIGESTS))
+    def test_grid_outputs_byte_identical(self, capsys, tmp_path, op, width):
+        assert grid_outputs_digest(capsys, tmp_path, op, width) == GRID_DIGESTS[op, width]
+
     def test_gen_grid_then_fit_recovers_preset(self, capsys, tmp_path):
         grid_path = tmp_path / "grid.csv"
         code, _, _ = run_cli(capsys, "gen-grid", "--op", "add", "--width", "6",
@@ -214,6 +257,13 @@ class TestMalformedInput:
         ({}, ["summarize-power", "--tdual", "0", "0"]),
         ({}, ["summarize-power", "--tdual", "2", "1", "5"]),
         ({}, ["summarize-power", "--tdual", "2", "abc"]),
+        ({"g.csv": GRID_HEADER + "0x0,0x0,0,0,1.0\n0x0,0x1,1,1,2.0\n0x1,0x0,1,1,2.0\n-0x1,0x1,1,0,3.0\n"},
+         ["heatmap", "g.csv", "--stage", "raw"]),
+        ({"g.csv": GRID_HEADER + "0x0,0x0,0,0,1.0\n0x0,0x1,1,1,2.0\n0x1,0x0,1,1,2.0\n0x1,0x0,1,1,2.0\n"},
+         ["heatmap", "g.csv", "--stage", "residual"]),
+        ({}, ["checksat-verify", "--vars", "-1"]),
+        ({}, ["reduce-maxsat", "--vars", "-1"]),
+        ({}, ["reduce-sat-gap", "--vars", "-1"]),
     ])
     def test_error_line_not_traceback(self, capsys, tmp_path, monkeypatch, files, argv):
         for name, text in files.items():
@@ -222,6 +272,33 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestParserReuse:
+    def test_no_values_leak_between_calls(self, capsys, doubling_path):
+        # argparse's append actions copy their default list, so the parser
+        # built once per process carries nothing from one call to the next
+        first = ["run", doubling_path, "--input", "free0=0x1"]
+        second = ["run", doubling_path]
+        clauses = ["reduce-maxsat", "--vars", "2", "--clause", "x1 ~x2", "--clause", "x2"]
+        bare = ["reduce-maxsat", "--vars", "2"]
+        fresh = {}
+        for argv in (first, second, clauses, bare):
+            cli._build_parser.cache_clear()
+            fresh[tuple(argv)] = run_cli(capsys, *argv)
+        for a, b in ((first, second), (clauses, bare)):
+            assert run_cli(capsys, *a) == fresh[tuple(a)]
+            assert run_cli(capsys, *b) == fresh[tuple(b)]
+        assert fresh[tuple(second)][0] == 1
+        assert "vars=2 clauses=0 " in fresh[tuple(bare)][1]
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_budget_default_read_at_call_time(self, capsys, monkeypatch, doubling_path):
+        main(["solve", doubling_path])  # the cached parser exists before the patch
+        capsys.readouterr()
+        monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 3)
+        code, _, err = run_cli(capsys, "solve", doubling_path)
+        assert (code, err) == (1, "error: exhaustive search needs 4 assignments, budget is 3\n")
 
 
 class TestOutputHandling:

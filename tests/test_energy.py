@@ -1,14 +1,16 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from cswp.core import Const, CswpError, Instruction, Program
+from cswp.core import Const, CswpError, Instruction, Program, apply_mnemonic
 from cswp.energy import (
+    GRID_MNEMONICS,
     PRESETS,
     EnergyModel,
     FitRankError,
-    Measurement,
+    Grid,
     dynamic_power,
     fit_hamming_model,
     gen_synthetic_grid,
@@ -23,6 +25,23 @@ from cswp.energy import (
 )
 
 PAPER_MODEL = PRESETS["xs1l-paper"]
+
+
+def columns(grid):
+    return [getattr(grid, f.name) for f in fields(grid)]
+
+
+def point(grid, a, b):
+    """(op_a, op_b, h_in, h_out, power) of the one grid row with operands (a, b)."""
+    (k,) = np.flatnonzero((grid.op_a == a) & (grid.op_b == b))
+    return tuple(column[k] for column in columns(grid))
+
+
+def make_grid(rows):
+    """A Grid from (op_a, op_b, h_in, h_out, power) tuples."""
+    op_a, op_b, h_in, h_out, power = zip(*rows)
+    ints = [np.array(c, dtype=np.int64) for c in (op_a, op_b, h_in, h_out)]
+    return Grid(*ints, np.array(power, dtype=np.float64))
 
 
 class TestSummarizePower:
@@ -53,26 +72,48 @@ class TestSummarizePower:
 class TestSyntheticGrid:
     def test_zero_operands_row(self):
         grid = gen_synthetic_grid(8, "add", PAPER_MODEL, base=50.0)
-        first = grid[0]
-        assert (first.op_a, first.op_b, first.h_in, first.h_out) == (0, 0, 0, 0)
-        assert first.power == pytest.approx(50.0)
+        op_a, op_b, h_in, h_out, power = (column[0] for column in columns(grid))
+        assert (op_a, op_b, h_in, h_out) == (0, 0, 0, 0)
+        assert power == pytest.approx(50.0)
 
     def test_wraparound_add(self):
         grid = gen_synthetic_grid(8, "add", PAPER_MODEL, base=0.0)
-        m = next(m for m in grid if m.op_a == 0x80 and m.op_b == 0x80)
-        assert (m.h_in, m.h_out) == (2, 0)
+        assert point(grid, 0x80, 0x80)[2:4] == (2, 0)
 
     def test_sub_produces_all_ones_row(self):
         grid = gen_synthetic_grid(8, "sub", PAPER_MODEL, base=0.0)
-        m = next(m for m in grid if m.op_a == 0 and m.op_b == 1)
-        assert m.h_out == 8
+        assert point(grid, 0, 1)[3] == 8
 
     def test_deterministic_per_seed(self):
         a = gen_synthetic_grid(4, "add", PAPER_MODEL, base=10.0, noise_sigma=2.0, seed=7)
         b = gen_synthetic_grid(4, "add", PAPER_MODEL, base=10.0, noise_sigma=2.0, seed=7)
-        assert a == b
+        assert all(np.array_equal(x, y) for x, y in zip(columns(a), columns(b)))
         c = gen_synthetic_grid(4, "add", PAPER_MODEL, base=10.0, noise_sigma=2.0, seed=8)
-        assert a != c
+        assert not np.array_equal(a.power, c.power)
+
+    @pytest.mark.parametrize("mnemonic", GRID_MNEMONICS)
+    def test_columns_match_scalar_semantics(self, mnemonic):
+        # every column against a per-pair loop over the scalar semantics, and
+        # power against the per-row formula term by term, with and without noise
+        model = EnergyModel(p_idle_single=0.0, c_in=1.37, c_out=4.21)
+        for width in range(1, 9):
+            size = 1 << width
+            noise = np.random.default_rng(width).normal(0.0, 0.9, size * size)
+            rows = []
+            for a in range(size):
+                for b in range(size):
+                    h_in = a.bit_count() + b.bit_count()
+                    h_out = apply_mnemonic(mnemonic, (a, b), width).bit_count()
+                    rows.append((a, b, h_in, h_out, 47.3 + model.c_in * h_in + model.c_out * h_out))
+            want = [np.array(c) for c in zip(*rows)]
+            for sigma, added in ((0.0, np.zeros(size * size)), (0.9, noise)):
+                grid = gen_synthetic_grid(width, mnemonic, model, base=47.3, noise_sigma=sigma, seed=width)
+                assert len(grid) == size * size
+                for got, expected in zip(columns(grid)[:4], want[:4]):
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, expected), (mnemonic, width)
+                assert grid.power.dtype == np.float64
+                assert grid.power.tolist() == [p + n for p, n in zip(want[4].tolist(), added.tolist())]
 
     def test_width_guard(self):
         with pytest.raises(CswpError):
@@ -117,19 +158,19 @@ class TestFit:
         reconstructed = (
             fit.residuals
             + fit.base
-            + fit.c_in * np.array([m.h_in for m in grid])
-            + fit.c_out * np.array([m.h_out for m in grid])
+            + fit.c_in * grid.h_in
+            + fit.c_out * grid.h_out
         )
-        assert np.allclose(reconstructed, [m.power for m in grid], atol=1e-9)
+        assert np.allclose(reconstructed, grid.power, atol=1e-9)
 
     def test_constant_h_in_names_column(self):
-        points = [Measurement(0, 0, 2, o, 10.0 + o) for o in range(4)]
+        points = make_grid([(0, 0, 2, o, 10.0 + o) for o in range(4)])
         with pytest.raises(FitRankError, match="h_in"):
             fit_hamming_model(points)
 
     def test_too_few_points(self):
         with pytest.raises(CswpError):
-            fit_hamming_model([Measurement(0, 0, 0, 0, 1.0)] * 2)
+            fit_hamming_model(make_grid([(0, 0, 0, 0, 1.0)] * 2))
 
 
 class TestPredictAndEnergy:
@@ -204,9 +245,12 @@ class TestCsvAndHeatmap:
         grid = gen_synthetic_grid(4, "add", PAPER_MODEL, base=12.0, noise_sigma=0.5, seed=1)
         text = measurements_to_csv(grid, 4)
         back = measurements_from_csv(text)
-        assert [(m.op_a, m.op_b, m.h_in, m.h_out) for m in back] == \
-            [(m.op_a, m.op_b, m.h_in, m.h_out) for m in grid]
-        assert all(abs(a.power - b.power) < 1e-6 for a, b in zip(grid, back))
+        for name in ("op_a", "op_b", "h_in", "h_out"):
+            assert getattr(back, name).dtype == np.int64
+            assert np.array_equal(getattr(back, name), getattr(grid, name))
+        assert back.power.dtype == np.float64
+        assert np.all(np.abs(back.power - grid.power) < 1e-6)
+        assert measurements_to_csv(back, 4) == text
 
     def test_bad_header_rejected(self):
         with pytest.raises(CswpError):
@@ -234,9 +278,39 @@ class TestCsvAndHeatmap:
         assert np.ptp(residual) < np.ptp(minus_out) < np.ptp(raw)
 
     def test_partial_grid_rejected(self):
-        grid = gen_synthetic_grid(4, "add", PAPER_MODEL, base=0.0)[:-1]
-        with pytest.raises(CswpError):
+        grid = gen_synthetic_grid(4, "add", PAPER_MODEL, base=0.0)
+        partial = Grid(*(column[:-1] for column in columns(grid)))
+        with pytest.raises(CswpError, match="full 16x16"):
+            heatmap_matrix(partial, "raw", c_in=1.3, c_out=4.4)
+
+    @pytest.mark.parametrize("index, op_a, op_b, message", [
+        (3, -1, 1, "operand -1 is negative"),
+        (3, 1, 0, r"pair \(0x1, 0x0\) appears 2 times"),
+        (0, 1, 1, r"pair \(0x1, 0x1\) appears 2 times"),
+    ])
+    def test_heatmap_needs_each_pair_once(self, index, op_a, op_b, message):
+        grid = gen_synthetic_grid(1, "add", PAPER_MODEL, base=0.0)
+        grid.op_a[index], grid.op_b[index] = op_a, op_b
+        with pytest.raises(CswpError, match=message):
             heatmap_matrix(grid, "raw", c_in=1.3, c_out=4.4)
+
+    def test_csv_field_syntax(self):
+        # int() with base 0 for operands, underscores, extra fields, blank lines
+        text = ("op_a,op_b,h_in,h_out,power_mw\n"
+                "0x0,0b1,1,0_1,5.5,extra\n\n"
+                "0o2,3,1_0,2,-1e3\n")
+        grid = measurements_from_csv(text)
+        assert [c.tolist() for c in columns(grid)] == [[0, 2], [1, 3], [1, 10], [1, 2], [5.5, -1000.0]]
+
+    @pytest.mark.parametrize("row, message", [
+        ("0x0,0x0,1", "CSV line 3: 3 fields, want 5"),
+        ("0x,0x0,1,1,1.0", "CSV line 3: invalid literal for int"),
+        ("0x0,0x0,1,1,watts", "CSV line 3: could not convert string to float"),
+        ("0x0,0x0,1,99999999999999999999,1.0", "outside the int64 range"),
+    ])
+    def test_csv_errors_name_line(self, row, message):
+        with pytest.raises(CswpError, match=message):
+            measurements_from_csv("op_a,op_b,h_in,h_out,power_mw\n0x1,0x1,2,1,3.0\n" + row + "\n")
 
     def test_heatmap_csv_shape(self):
         grid = gen_synthetic_grid(3, "or", PAPER_MODEL, base=1.0)

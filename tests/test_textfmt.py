@@ -73,6 +73,15 @@ class TestParse:
         with pytest.raises(ParseError, match="precede"):
             parse_program("width 4\no1: mov #0x0\nmem 2\n")
 
+    @pytest.mark.parametrize("header, message", [
+        ("width 4\nwidth 4\n", "line 2: duplicate width line"),
+        ("width 4\nmem 2\nmem 3\n", "line 3: duplicate mem line"),
+        ("width 4\nmem 0\nmem 0\n", "line 3: duplicate mem line"),
+    ])
+    def test_duplicate_header_rejected(self, header, message):
+        with pytest.raises(ParseError, match=message):
+            parse_program(header + "o1: mov #0x0\n")
+
 
 class TestRoundTrip:
     def test_simple_round_trip(self):
