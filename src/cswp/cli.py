@@ -11,13 +11,14 @@ atomically (write-then-rename). Exit codes: 0 success, 1 domain error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
 import tempfile
 
 from . import analysis, energy, reductions, sat
-from .core import CswpError, ProgramValidationError, evaluate_switching, execute, validate_program
+from .core import CswpError, ProgramValidationError, execute, validate_program
 from .textfmt import parse_program
 
 
@@ -83,9 +84,8 @@ def _instance_from_args(args, cls):
 
 def _cmd_run(args) -> int:
     program = _load_program(args.program)
-    assignment = _parse_assignment(args.input)
-    trace = execute(program, assignment)
-    report = evaluate_switching(program, assignment)
+    trace = execute(program, _parse_assignment(args.input))
+    report = trace.switching()
     pairs = [f"o{i + 1}=0x{bv.value:x}" for i, bv in enumerate(trace.outputs)]
     pairs += [f"transition.{i + 1}={t}" for i, t in enumerate(report.transitions)]
     pairs.append(f"total={report.total}")
@@ -164,14 +164,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_gen_grid(args) -> int:
     model = energy.load_model(args.model)
-    if args.c_in is not None or args.c_out is not None:
-        model = energy.EnergyModel(
-            p_idle_single=model.p_idle_single,
-            c_in=args.c_in if args.c_in is not None else model.c_in,
-            c_out=args.c_out if args.c_out is not None else model.c_out,
-            v_dd=model.v_dd,
-            f=model.f,
-        )
+    overrides = {"c_in": args.c_in, "c_out": args.c_out}
+    model = dataclasses.replace(model, **{k: v for k, v in overrides.items() if v is not None})
     base = args.base if args.base is not None else model.p_idle_single
     grid = energy.gen_synthetic_grid(
         width=args.width,
@@ -198,9 +192,9 @@ def _cmd_heatmap(args) -> int:
 def _cmd_energy(args) -> int:
     program = _load_program(args.program)
     model = energy.load_model(args.model)
-    assignment = _parse_assignment(args.input)
-    report = evaluate_switching(program, assignment)
-    nj = energy.trace_energy(program, assignment, model, include_input_term=args.input_term)
+    trace = execute(program, _parse_assignment(args.input))
+    report = trace.switching()
+    nj = energy.trace_energy(trace, model, include_input_term=args.input_term)
     pairs = [
         f"switching={report.total}",
         f"transitions={len(report.transitions)}",

@@ -9,6 +9,7 @@ between consecutive output values, maximized over the program's free inputs.
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -20,6 +21,9 @@ MAX_WIDTH = 64
 BINARY01 = "01"
 FULL = "full"
 DOMAINS = (BINARY01, FULL)
+
+# the free-input names the text format can carry
+NAME_PATTERN = "[A-Za-z0-9_]+"
 
 # arity per mnemonic; store additionally requires mem_dest
 ARITY = {
@@ -69,9 +73,6 @@ class BitVector:
         if not 0 <= self.value < (1 << self.width):
             raise ValueError(f"value {self.value:#x} does not fit in {self.width} bits")
 
-    def popcount(self) -> int:
-        return self.value.bit_count()
-
     def __str__(self):
         return f"0x{self.value:x}"
 
@@ -88,10 +89,9 @@ def hamming_distance(a: BitVector, b: BitVector) -> int:
 
 @dataclass(frozen=True)
 class Free:
-    """Unconstrained program input, restricted to {0,1} when domain is BINARY01."""
+    """Program input; its domain is declared in Program.free_inputs."""
 
     name: str
-    domain: str = FULL
 
 
 @dataclass(frozen=True)
@@ -145,12 +145,6 @@ class Program:
     def mask(self) -> int:
         return (1 << self.width) - 1
 
-    def free_domain(self, name: str) -> str | None:
-        for n, d in self.free_inputs:
-            if n == name:
-                return d
-        return None
-
 
 @dataclass
 class ExecutionTrace:
@@ -159,6 +153,12 @@ class ExecutionTrace:
     outputs: tuple
     final_memory: tuple
     input_values: tuple = ()
+
+    def switching(self) -> SwitchingReport:
+        """Hamming distance between each pair of consecutive outputs."""
+        values = [bv.value for bv in self.outputs]
+        transitions = tuple((a ^ b).bit_count() for a, b in zip(values, values[1:]))
+        return SwitchingReport(transitions=transitions, total=sum(transitions))
 
 
 @dataclass
@@ -228,11 +228,13 @@ def validate_program(program: Program) -> list[str]:
     if program.mem_size < 0:
         violations.append(f"mem_size {program.mem_size} is negative")
 
-    declared = {}
+    declared = set()
     for name, domain in program.free_inputs:
         if name in declared:
             violations.append(f"free input {name!r} declared more than once")
-        declared[name] = domain
+        declared.add(name)
+        if not re.fullmatch(NAME_PATTERN, name):
+            violations.append(f"free input name {name!r} does not match {NAME_PATTERN}")
         if domain not in DOMAINS:
             violations.append(f"free input {name!r} has unknown domain {domain!r}")
 
@@ -257,11 +259,6 @@ def validate_program(program: Program) -> list[str]:
             if isinstance(src, Free):
                 if src.name not in declared:
                     violations.append(f"{where}: free input {src.name!r} not declared")
-                elif declared[src.name] != src.domain:
-                    violations.append(
-                        f"{where}: free input {src.name!r} domain {src.domain!r} "
-                        f"differs from declared {declared[src.name]!r}"
-                    )
             elif isinstance(src, Const):
                 if not 0 <= src.value <= mask:
                     violations.append(f"{where}: constant {src.value:#x} does not fit in {program.width} bits")
@@ -325,24 +322,15 @@ def _run_values(program: Program, values: Mapping[str, int]):
     return outputs, memory, input_values
 
 
-def _coerce_values(program: Program, assignment: Mapping, validate: bool) -> dict[str, int]:
-    if validate:
-        violations = validate_program(program)
-        if violations:
-            raise ProgramValidationError(violations)
-        return _check_assignment(program, assignment)
-    return {n: (v.value if isinstance(v, BitVector) else v) for n, v in assignment.items()}
-
-
-def execute(program: Program, assignment: Mapping, *, validate: bool = True) -> ExecutionTrace:
+def execute(program: Program, assignment: Mapping) -> ExecutionTrace:
     """Run the program deterministically; memory cells start at zero.
 
     `assignment` maps each declared free-input name to an int or BitVector.
-    With validate=False the caller guarantees the program and assignment are
-    already well-formed (used by enumeration loops).
     """
-    values = _coerce_values(program, assignment, validate)
-    outputs, memory, input_values = _run_values(program, values)
+    violations = validate_program(program)
+    if violations:
+        raise ProgramValidationError(violations)
+    outputs, memory, input_values = _run_values(program, _check_assignment(program, assignment))
     w = program.width
     return ExecutionTrace(
         outputs=tuple(BitVector(v, w) for v in outputs),
@@ -351,11 +339,6 @@ def execute(program: Program, assignment: Mapping, *, validate: bool = True) -> 
     )
 
 
-def evaluate_switching(program: Program, assignment: Mapping, *, validate: bool = True) -> SwitchingReport:
+def evaluate_switching(program: Program, assignment: Mapping) -> SwitchingReport:
     """Total output-datapath switching: sum of h(o_i, o_{i+1}) over consecutive pairs."""
-    values = _coerce_values(program, assignment, validate)
-    outputs, _, _ = _run_values(program, values)
-    transitions = tuple(
-        (outputs[i] ^ outputs[i + 1]).bit_count() for i in range(len(outputs) - 1)
-    )
-    return SwitchingReport(transitions=transitions, total=sum(transitions))
+    return execute(program, assignment).switching()

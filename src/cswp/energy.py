@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import core
-from .core import CswpError, Program, execute
+from .core import CswpError, ExecutionTrace
 
 
 class FitRankError(CswpError):
@@ -27,16 +28,15 @@ class FitRankError(CswpError):
 
 @dataclass
 class EnergyModel:
-    """Per-bit power coefficients plus the operating point.
+    """Per-bit power coefficients plus the clock.
 
     p_idle_single is the single-core idle power (mW), c_in/c_out the mW per
-    input/output Hamming unit, v_dd the supply (V), f the clock (Hz).
+    input/output Hamming unit, f the clock (Hz).
     """
 
     p_idle_single: float
     c_in: float
     c_out: float
-    v_dd: float = 1.0
     f: float = 500e6
 
     def __post_init__(self):
@@ -47,15 +47,15 @@ class EnergyModel:
 
 
 # coefficients published for the XS1-L case study: 164 mW idle single core,
-# 1.3 mW per input bit set, 4.4 mW per output bit set, 1.0 V, 500 MHz
+# 1.3 mW per input bit set, 4.4 mW per output bit set, 500 MHz
 PRESETS = {
-    "xs1l-paper": EnergyModel(p_idle_single=164.0, c_in=1.3, c_out=4.4, v_dd=1.0, f=500e6),
+    "xs1l-paper": EnergyModel(p_idle_single=164.0, c_in=1.3, c_out=4.4, f=500e6),
 }
 
 
 def load_model(spec: str) -> EnergyModel:
     """A preset name or a JSON file with keys p_idle_single_mw, c_in_mw,
-    c_out_mw, and optional v_dd_v, f_hz."""
+    c_out_mw, and optional f_hz."""
     if spec in PRESETS:
         return PRESETS[spec]
     try:
@@ -72,7 +72,6 @@ def load_model(spec: str) -> EnergyModel:
             p_idle_single=float(raw["p_idle_single_mw"]),
             c_in=float(raw["c_in_mw"]),
             c_out=float(raw["c_out_mw"]),
-            v_dd=float(raw.get("v_dd_v", 1.0)),
             f=float(raw.get("f_hz", 500e6)),
         )
     except KeyError as e:
@@ -180,6 +179,8 @@ def gen_synthetic_grid(
         raise CswpError(f"grid generation supports {', '.join(GRID_MNEMONICS)}; got {mnemonic!r}")
     if not 1 <= width <= MAX_GRID_WIDTH:
         raise CswpError(f"grid width {width} outside 1..{MAX_GRID_WIDTH} (full grids only)")
+    if not 0 <= noise_sigma < math.inf:  # also false for NaN
+        raise CswpError(f"noise sigma {noise_sigma} must be finite and >= 0")
     size = 1 << width
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_sigma, size * size) if noise_sigma > 0 else np.zeros(size * size)
@@ -221,23 +222,12 @@ def fit_hamming_model(grid: Grid) -> FitResult:
     )
 
 
-def predict_power(model: EnergyModel, base: float, h_in: int, h_out: int) -> float:
-    return base + model.c_in * h_in + model.c_out * h_out
-
-
-def trace_energy(
-    program: Program,
-    assignment,
-    model: EnergyModel,
-    include_input_term: bool = False,
-) -> float:
+def trace_energy(trace: ExecutionTrace, model: EnergyModel, include_input_term: bool = False) -> float:
     """Energy (nJ) of one execution at one instruction per clock cycle:
     each transition costs (p_idle_single + c_out * output Hamming distance)
     for one period. include_input_term adds c_in times the Hamming distance
     on the operand buses, assuming a bus holds its last driven value until
     the next instruction drives it."""
-    trace = execute(program, assignment)
-    vals = [bv.value for bv in trace.outputs]
     period_s = 1.0 / model.f
 
     bus = [0, 0, 0]
@@ -250,21 +240,12 @@ def trace_energy(
         bus_dist.append(d)
 
     total_mw_cycles = 0.0
-    for i in range(len(vals) - 1):
-        h_out = (vals[i] ^ vals[i + 1]).bit_count()
+    for i, h_out in enumerate(trace.switching().transitions):
         p = model.p_idle_single + model.c_out * h_out
         if include_input_term:
             p += model.c_in * bus_dist[i + 1]
         total_mw_cycles += p
     return total_mw_cycles * period_s * 1e6  # mW*s -> nJ
-
-
-def dynamic_power(alpha: float, c_sw: float, v_dd: float, f: float) -> float:
-    """Switching power in watts: activity factor x switched capacitance (F)
-    x supply squared x frequency."""
-    if not 0 <= alpha <= 1:
-        raise CswpError(f"activity factor {alpha} outside [0, 1]")
-    return alpha * c_sw * v_dd * v_dd * f
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +272,8 @@ def measurements_to_csv(grid: Grid, width: int) -> str:
 
 def measurements_from_csv(text: str) -> Grid:
     """Parse a measurement CSV, converting each field as it streams past:
-    operands accept any int() literal with a base prefix, extra fields are
-    ignored and blank lines skipped."""
+    operands accept any int() literal with a base prefix and blank lines are
+    skipped. Every row has exactly the header's fields and a finite power."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != CSV_HEADER:
@@ -301,7 +282,7 @@ def measurements_from_csv(text: str) -> Grid:
     for row in reader:
         if not row:
             continue
-        if len(row) < len(CSV_HEADER):
+        if len(row) != len(CSV_HEADER):
             raise CswpError(f"CSV line {reader.line_num}: {len(row)} fields, want {len(CSV_HEADER)}")
         try:
             op_a.append(int(row[0], 0))
@@ -312,10 +293,15 @@ def measurements_from_csv(text: str) -> Grid:
         except ValueError as e:
             raise CswpError(f"CSV line {reader.line_num}: {e}") from None
     try:
-        return Grid(*(np.array(c, dtype=np.int64) for c in columns[:4]),
+        grid = Grid(*(np.array(c, dtype=np.int64) for c in columns[:4]),
                     np.array(power, dtype=np.float64))
     except OverflowError:
         raise CswpError("measurement CSV holds an integer outside the int64 range") from None
+    finite = np.isfinite(grid.power)
+    if not finite.all():
+        row = int(finite.argmin())
+        raise CswpError(f"measurement CSV data row {row + 1} has a non-finite power {grid.power[row]}")
+    return grid
 
 
 HEATMAP_STAGES = ("raw", "minus-out", "minus-in", "residual")

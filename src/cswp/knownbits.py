@@ -1,10 +1,10 @@
 """Three-valued per-bit abstract domain for sound switching bounds.
 
 Each bit of a w-bit value is known-0, known-1, or unknown. A value is encoded
-as two masks: `ones` has a bit set where the bit is known 1, `unknowns` where
-it is unknown; the same bit may never be set in both, and no bit outside the
-width may be set in either. A fully known value denotes exactly one integer,
-so the concretization is never empty.
+as two masks, a tristate number (tnum): `ones` has a bit set where the bit is
+known 1, `unknowns` where it is unknown; the same bit may never be set in
+both, and no bit outside the width may be set in either. A fully known value
+denotes exactly one integer, so the concretization is never empty.
 """
 
 from __future__ import annotations
@@ -131,13 +131,21 @@ class KnownBits:
         return KnownBits(ones, self.mask & ~both_known, self.width)
 
     def add(self, other: "KnownBits") -> "KnownBits":
+        # tnum addition (Vishwanathan et al., CGO 2022): v sums the smallest
+        # concretizations, v + unknowns the largest; a bit the two sums
+        # disagree on lies on a carry chain that unknown bits can reach
         _check_widths(self, other)
-        return _ripple(self, other, carry=ZERO)
+        v = self.ones + other.ones
+        u = ((v + self.unknowns + other.unknowns) ^ v) | self.unknowns | other.unknowns
+        return _tnum(v, u, self.width)
 
     def sub(self, other: "KnownBits") -> "KnownBits":
-        # a - b == a + ~b + 1 modulo 2**w
+        # tnum subtraction: v + self.unknowns is the largest difference and
+        # v - other.unknowns the smallest; they disagree on reachable borrows
         _check_widths(self, other)
-        return _ripple(self, other.b_not(), carry=ONE)
+        v = self.ones - other.ones
+        u = ((v + self.unknowns) ^ (v - other.unknowns)) | self.unknowns | other.unknowns
+        return _tnum(v, u, self.width)
 
     def shl(self, amount: "KnownBits") -> "KnownBits":
         """Shift left by a fully known amount (mod width), else all-unknown."""
@@ -179,53 +187,43 @@ def _check_widths(*values: KnownBits):
             raise ValueError(f"width mismatch: {v.width} vs {w}")
 
 
-def _ripple(a: KnownBits, b: KnownBits, carry: str) -> KnownBits:
-    """Three-valued ripple-carry sum. The carry out of a column is known when
-    at least two of its three inputs agree and are known, so known low-order
-    bits survive past positions whose operand bits are both known."""
-    ones = unknowns = 0
-    for i in range(a.width):
-        col = (a.bit_state(i), b.bit_state(i), carry)
-        kn_ones = col.count(ONE)
-        kn_zeros = col.count(ZERO)
-        if UNKNOWN in col:
-            unknowns |= 1 << i
-        elif kn_ones & 1:
-            ones |= 1 << i
-        carry = ONE if kn_ones >= 2 else ZERO if kn_zeros >= 2 else UNKNOWN
-    return KnownBits(ones, unknowns, a.width)
+def _tnum(value: int, unknowns: int, width: int) -> KnownBits:
+    """Known bits of `value` outside `unknowns`, both cut to the width."""
+    mask = (1 << width) - 1
+    unknowns &= mask
+    return KnownBits(value & ~unknowns & mask, unknowns, width)
+
+
+def _copy(a: KnownBits) -> KnownBits:
+    return a
+
+
+# mnemonic -> transfer function; `load` and `store` are copies here, since
+# the abstract executor resolves memory state before calling
+TRANSFER = {
+    "mov": _copy,
+    "store": _copy,
+    "load": _copy,
+    "not": KnownBits.b_not,
+    "eqz": KnownBits.eqz,
+    "and": KnownBits.b_and,
+    "or": KnownBits.b_or,
+    "xor": KnownBits.b_xor,
+    "add": KnownBits.add,
+    "sub": KnownBits.sub,
+    "shl": KnownBits.shl,
+    "shr": KnownBits.shr,
+    "ite": ite,
+}
 
 
 def knownbits_transfer(mnemonic: str, inputs: Sequence[KnownBits]) -> KnownBits:
     """Abstract counterpart of apply_mnemonic: sound for every concretization
-    of the inputs. `load` and `store` behave as mov here; the abstract executor
-    resolves memory state before calling."""
+    of the inputs."""
     from .core import ARITY  # local import keeps this module dependency-free
 
     if mnemonic not in ARITY:
         raise ValueError(f"unknown mnemonic {mnemonic!r}")
     if len(inputs) != ARITY[mnemonic]:
         raise ValueError(f"{mnemonic} takes {ARITY[mnemonic]} input(s), got {len(inputs)}")
-
-    a = inputs[0]
-    if mnemonic in ("mov", "store", "load"):
-        return a
-    if mnemonic == "not":
-        return a.b_not()
-    if mnemonic == "eqz":
-        return a.eqz()
-    if mnemonic == "and":
-        return a.b_and(inputs[1])
-    if mnemonic == "or":
-        return a.b_or(inputs[1])
-    if mnemonic == "xor":
-        return a.b_xor(inputs[1])
-    if mnemonic == "add":
-        return a.add(inputs[1])
-    if mnemonic == "sub":
-        return a.sub(inputs[1])
-    if mnemonic == "shl":
-        return a.shl(inputs[1])
-    if mnemonic == "shr":
-        return a.shr(inputs[1])
-    return ite(a, inputs[1], inputs[2])
+    return TRANSFER[mnemonic](*inputs)

@@ -92,7 +92,7 @@ class GapProgram:
 
 
 def _free_sources(n: int) -> list[Free]:
-    return [Free(str(i), BINARY01) for i in range(n)]
+    return [Free(str(i)) for i in range(n)]
 
 
 def lit_addr(lit: Literal) -> int:

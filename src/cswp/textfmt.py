@@ -9,8 +9,8 @@
 
 Header lines first (width, mem, one free line per input in declaration order),
 then 1-based sequentially numbered instruction lines. `#` starts a comment
-unless immediately followed by `0x` (hex constants). parse(serialize(p)) == p
-for every valid program.
+unless immediately followed by `0x` (hex constants). Free-input names match
+core.NAME_PATTERN. parse(serialize(p)) == p for every valid program.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import re
 
 from .core import (
     ARITY,
+    DOMAINS,
     MNEMONICS,
-    BINARY01,
-    FULL,
+    NAME_PATTERN,
     Const,
     CswpError,
     Free,
@@ -34,7 +34,7 @@ from .core import (
 _SRC_CONST = re.compile(r"#0x([0-9a-fA-F]+)$")
 _SRC_MEM = re.compile(r"m\[(\d+)\]$")
 _SRC_PRIOR = re.compile(r"o(\d+)$")
-_SRC_FREE = re.compile(r"free([A-Za-z0-9_]+)$")
+_SRC_FREE = re.compile(rf"free({NAME_PATTERN})$")
 _INSN = re.compile(r"o(\d+):\s*([a-z]+)\s*(.*)$")
 
 
@@ -76,7 +76,6 @@ def parse_program(text: str) -> Program:
     mem_size = None
     free_inputs: list[tuple[str, str]] = []
     instructions: list[Instruction] = []
-    free_domains: dict[str, str] = {}
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -109,10 +108,9 @@ def parse_program(text: str) -> Program:
             if instructions:
                 raise ParseError(lineno, "free declarations must precede instructions")
             parts = line.split()
-            if len(parts) != 3 or parts[2] not in (BINARY01, FULL):
+            if len(parts) != 3 or parts[2] not in DOMAINS:
                 raise ParseError(lineno, f"bad free line {line!r} (want: free <name> <01|full>)")
             free_inputs.append((parts[1], parts[2]))
-            free_domains[parts[1]] = parts[2]
             continue
 
         m = _INSN.match(line)
@@ -142,11 +140,6 @@ def parse_program(text: str) -> Program:
             raise ParseError(
                 lineno, f"{mnemonic} needs {ARITY[mnemonic]} input(s), got {len(sources)}"
             )
-        # free sources inherit the declared domain so round-trips compare equal
-        sources = tuple(
-            Free(s.name, free_domains.get(s.name, FULL)) if isinstance(s, Free) else s
-            for s in sources
-        )
         instructions.append(Instruction(mnemonic, sources, mem_dest))
 
     if width is None:

@@ -44,8 +44,8 @@ def random_program(
         if kind == "const":
             return Const(rng.randrange(1 << width))
         if kind == "free":
-            name, domain = rng.choice(free_inputs)
-            return Free(name, domain)
+            name, _ = rng.choice(free_inputs)
+            return Free(name)
         if kind == "prior":
             return PriorOutput(rng.randrange(index))
         return MemRead(rng.randrange(mem_size))

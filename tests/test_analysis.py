@@ -172,7 +172,7 @@ class TestVectorizedEngine:
         # binary inputs select extreme operands, so every operation sees a
         # column and none folds to a constant
         top = (1 << width) - 1
-        pick = lambda c, hi, lo: Instruction("ite", (Free(c, BINARY01), Const(hi), Const(lo)))
+        pick = lambda c, hi, lo: Instruction("ite", (Free(c), Const(hi), Const(lo)))
         p = prog(width, [
             pick("a", top, 0),
             pick("b", top, min(width + 1, top)),
@@ -293,7 +293,7 @@ class TestBounds:
     def test_memory_join_covers_both_stores(self):
         # two stores to one cell: a later load must cover both stored values
         p = prog(4, [
-            Instruction("mov", (Free("c", BINARY01),)),
+            Instruction("mov", (Free("c"),)),
             Instruction("store", (Const(0x3),), mem_dest=0),
             Instruction("ite", (PriorOutput(0), Const(0x1), Const(0x2))),
             Instruction("store", (PriorOutput(2),), mem_dest=0),

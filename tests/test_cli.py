@@ -241,6 +241,8 @@ class TestEnergyCommands:
 
 
 GRID_HEADER = "op_a,op_b,h_in,h_out,power_mw\n"
+# three rows of a 2x2 grid that a fourth row, (0x1, 0x1), completes
+GRID_2X2_HEAD = "0x0,0x0,0,0,1.0\n0x0,0x1,1,1,2.0\n0x1,0x0,1,1,2.0\n"
 
 
 class TestMalformedInput:
@@ -264,6 +266,14 @@ class TestMalformedInput:
         ({}, ["checksat-verify", "--vars", "-1"]),
         ({}, ["reduce-maxsat", "--vars", "-1"]),
         ({}, ["reduce-sat-gap", "--vars", "-1"]),
+        ({"p.cswp": "width 2\nfree x-y full\no1: mov #0x0\n"}, ["solve", "p.cswp"]),
+        ({"g.csv": GRID_HEADER + GRID_2X2_HEAD + "0x1,0x1,2,1,nan\n"}, ["fit", "g.csv"]),
+        ({"g.csv": GRID_HEADER + GRID_2X2_HEAD + "0x1,0x1,2,1,inf\n"},
+         ["heatmap", "g.csv", "--stage", "raw"]),
+        ({"g.csv": GRID_HEADER + GRID_2X2_HEAD + "0x1,0x1,2,1,3.0,extra\n"}, ["fit", "g.csv"]),
+        ({}, ["gen-grid", "--op", "add", "--width", "2", "--sigma", "-2"]),
+        ({}, ["gen-grid", "--op", "add", "--width", "2", "--sigma", "nan"]),
+        ({}, ["gen-grid", "--op", "add", "--width", "2", "--sigma", "inf"]),
     ])
     def test_error_line_not_traceback(self, capsys, tmp_path, monkeypatch, files, argv):
         for name, text in files.items():

@@ -39,10 +39,6 @@ class TestBitVector:
         with pytest.raises(ValueError):
             BitVector(0, 65)
 
-    def test_popcount(self):
-        assert bv(0xFF).popcount() == 8
-        assert bv(0).popcount() == 0
-
 
 class TestHammingDistance:
     def test_complement_flips_all_bits(self):
@@ -152,7 +148,7 @@ class TestExecute:
             execute(p, {"ghost": 0})
 
     def test_binary_domain_enforced(self):
-        p = prog(4, [Instruction("mov", (Free("a", BINARY01),))],
+        p = prog(4, [Instruction("mov", (Free("a"),))],
                  free_inputs=[("a", BINARY01)])
         execute(p, {"a": 1})
         with pytest.raises(ExecutionError, match="binary"):
@@ -253,6 +249,11 @@ class TestValidateProgram:
     def test_undeclared_free_input(self):
         p = prog(4, [Instruction("mov", (Free("a"),))])
         assert any("not declared" in v for v in validate_program(p))
+
+    @pytest.mark.parametrize("name", ["x-y", "", "a b", "é", "x\n"])
+    def test_name_outside_text_format_rejected(self, name):
+        p = prog(4, [Instruction("mov", (Free(name),))], free_inputs=[(name, FULL)])
+        assert validate_program(p) == [f"free input name {name!r} does not match [A-Za-z0-9_]+"]
 
     def test_duplicate_free_declaration(self):
         p = prog(4, [Instruction("mov", (Const(0),))],

@@ -4,14 +4,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from cswp.core import Const, CswpError, Instruction, Program, apply_mnemonic
+from cswp.core import Const, CswpError, Instruction, Program, apply_mnemonic, execute
 from cswp.energy import (
     GRID_MNEMONICS,
     PRESETS,
     EnergyModel,
     FitRankError,
     Grid,
-    dynamic_power,
     fit_hamming_model,
     gen_synthetic_grid,
     heatmap_matrix,
@@ -19,7 +18,6 @@ from cswp.energy import (
     load_model,
     measurements_from_csv,
     measurements_to_csv,
-    predict_power,
     summarize_power,
     trace_energy,
 )
@@ -175,16 +173,20 @@ class TestFit:
 
 class TestPredictAndEnergy:
     def test_per_bit_coefficients(self):
-        assert predict_power(PAPER_MODEL, 0.0, 0, 1) == pytest.approx(4.4)
-        assert predict_power(PAPER_MODEL, 0.0, 1, 0) == pytest.approx(1.3)
-        assert predict_power(PAPER_MODEL, 164.0, 2, 8) == pytest.approx(201.8)
+        # a noiseless grid point is the model's prediction for its Hamming units
+        and_grid = gen_synthetic_grid(8, "and", PAPER_MODEL, base=0.0)
+        or_grid = gen_synthetic_grid(8, "or", PAPER_MODEL, base=0.0)
+        assert point(and_grid, 0, 1)[2:] == (1, 0, pytest.approx(1.3))
+        assert point(or_grid, 0, 1)[4] - point(and_grid, 0, 1)[4] == pytest.approx(4.4)
+        sub_grid = gen_synthetic_grid(8, "sub", PAPER_MODEL, base=164.0)
+        assert point(sub_grid, 1, 2)[2:] == (2, 8, pytest.approx(201.8))
 
     def test_two_instruction_trace(self):
         p = Program(width=8, instructions=(
             Instruction("mov", (Const(0x00),)),
             Instruction("mov", (Const(0xFF),)),
         ))
-        nj = trace_energy(p, {}, PAPER_MODEL)
+        nj = trace_energy(execute(p, {}), PAPER_MODEL)
         assert nj == pytest.approx((164.0 + 4.4 * 8) * 2e-9 * 1e6)
         assert nj == pytest.approx(0.3984)
 
@@ -193,7 +195,7 @@ class TestPredictAndEnergy:
         p = Program(width=8, instructions=tuple(
             Instruction("mov", (Const(0x7),)) for _ in range(n)
         ))
-        nj = trace_energy(p, {}, PAPER_MODEL)
+        nj = trace_energy(execute(p, {}), PAPER_MODEL)
         assert nj == pytest.approx((n - 1) * 164.0 * 2e-9 * 1e6)
 
     def test_monotone_in_switching(self):
@@ -202,7 +204,7 @@ class TestPredictAndEnergy:
                 Instruction("mov", (Const(0),)),
                 Instruction("mov", (Const(v),)),
             ))
-        energies = [trace_energy(two_step(v), {}, PAPER_MODEL)
+        energies = [trace_energy(execute(two_step(v), {}), PAPER_MODEL)
                     for v in (0x00, 0x01, 0x03, 0x07, 0xFF)]
         assert energies == sorted(energies)
 
@@ -211,33 +213,17 @@ class TestPredictAndEnergy:
             Instruction("mov", (Const(0x0F),)),
             Instruction("mov", (Const(0x0F),)),
         ))
-        plain = trace_energy(p, {}, PAPER_MODEL)
-        with_inputs = trace_energy(p, {}, PAPER_MODEL, include_input_term=True)
+        plain = trace_energy(execute(p, {}), PAPER_MODEL)
+        with_inputs = trace_energy(execute(p, {}), PAPER_MODEL, include_input_term=True)
         # second mov drives the same bus value: no extra input switching
         assert with_inputs == pytest.approx(plain)
         p2 = Program(width=8, instructions=(
             Instruction("mov", (Const(0x0F),)),
             Instruction("mov", (Const(0xF0),)),
         ))
-        delta = trace_energy(p2, {}, PAPER_MODEL, include_input_term=True) - trace_energy(p2, {}, PAPER_MODEL)
+        trace = execute(p2, {})
+        delta = trace_energy(trace, PAPER_MODEL, include_input_term=True) - trace_energy(trace, PAPER_MODEL)
         assert delta == pytest.approx(1.3 * 8 * 2e-9 * 1e6)
-
-
-class TestDynamicPower:
-    def test_zero_activity(self):
-        assert dynamic_power(0.0, 1e-9, 1.0, 5e8) == 0.0
-
-    def test_quadratic_in_supply(self):
-        p1 = dynamic_power(0.5, 1e-9, 1.0, 5e8)
-        p2 = dynamic_power(0.5, 1e-9, 2.0, 5e8)
-        assert p2 == pytest.approx(4 * p1)
-
-    def test_direct_arithmetic(self):
-        assert dynamic_power(0.5, 1e-9, 1.0, 5e8) == pytest.approx(0.25)
-
-    def test_alpha_range_checked(self):
-        with pytest.raises(CswpError):
-            dynamic_power(1.5, 1e-9, 1.0, 5e8)
 
 
 class TestCsvAndHeatmap:
@@ -295,15 +281,19 @@ class TestCsvAndHeatmap:
             heatmap_matrix(grid, "raw", c_in=1.3, c_out=4.4)
 
     def test_csv_field_syntax(self):
-        # int() with base 0 for operands, underscores, extra fields, blank lines
+        # int() with base 0 for operands, underscores, blank lines
         text = ("op_a,op_b,h_in,h_out,power_mw\n"
-                "0x0,0b1,1,0_1,5.5,extra\n\n"
+                "0x0,0b1,1,0_1,5.5\n\n"
                 "0o2,3,1_0,2,-1e3\n")
         grid = measurements_from_csv(text)
         assert [c.tolist() for c in columns(grid)] == [[0, 2], [1, 3], [1, 10], [1, 2], [5.5, -1000.0]]
 
     @pytest.mark.parametrize("row, message", [
         ("0x0,0x0,1", "CSV line 3: 3 fields, want 5"),
+        ("0x0,0x0,1,1,5.5,extra", "CSV line 3: 6 fields, want 5"),
+        ("0x0,0x0,1,1,nan", "data row 2 has a non-finite power nan"),
+        ("0x0,0x0,1,1,inf", "data row 2 has a non-finite power inf"),
+        ("0x0,0x0,1,1,-Infinity", "data row 2 has a non-finite power -inf"),
         ("0x,0x0,1,1,1.0", "CSV line 3: invalid literal for int"),
         ("0x0,0x0,1,1,watts", "CSV line 3: could not convert string to float"),
         ("0x0,0x0,1,99999999999999999999,1.0", "outside the int64 range"),
@@ -324,7 +314,7 @@ class TestModelLoading:
     def test_preset(self):
         model = load_model("xs1l-paper")
         assert (model.c_in, model.c_out, model.p_idle_single) == (1.3, 4.4, 164.0)
-        assert (model.v_dd, model.f) == (1.0, 500e6)
+        assert model.f == 500e6
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "model.json"

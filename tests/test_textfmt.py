@@ -1,8 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from cswp.core import BINARY01, FULL, Const, Free, Instruction, MemRead, PriorOutput, Program
+from cswp.core import (
+    BINARY01,
+    FULL,
+    Const,
+    Free,
+    Instruction,
+    MemRead,
+    PriorOutput,
+    Program,
+    validate_program,
+)
 from cswp.textfmt import ParseError, parse_program, serialize_program
 
 from randprog import random_program
@@ -30,10 +41,10 @@ class TestParse:
         )
         p = parse_program(text)
         assert p.free_inputs == (("a", BINARY01), ("b", FULL))
-        assert p.instructions[0].inputs == (Free("a", BINARY01),)
+        assert p.instructions[0].inputs == (Free("a"),)
         assert p.instructions[2].mem_dest == 3
         assert p.instructions[3].inputs == (MemRead(3),)
-        assert p.instructions[4].inputs == (PriorOutput(3), Free("b", FULL), Const(0xFF))
+        assert p.instructions[4].inputs == (PriorOutput(3), Free("b"), Const(0xFF))
 
     def test_comments_and_blank_lines_ignored(self):
         text = (
@@ -89,7 +100,7 @@ class TestRoundTrip:
             width=4,
             mem_size=2,
             instructions=(
-                Instruction("mov", (Free("x", BINARY01),)),
+                Instruction("mov", (Free("x"),)),
                 Instruction("store", (PriorOutput(0),), mem_dest=1),
                 Instruction("or", (PriorOutput(0), Const(0x3))),
             ),
@@ -107,3 +118,17 @@ class TestRoundTrip:
         rng = random.Random(5)
         p = random_program(rng)
         assert serialize_program(p) == serialize_program(p)
+
+    # arbitrary text, plus names of the accepted form so both outcomes occur
+    NAMES = st.one_of(st.text(), st.from_regex(r"[A-Za-z0-9_]+", fullmatch=True))
+
+    @given(st.lists(NAMES, max_size=3, unique=True), st.sampled_from([BINARY01, FULL]))
+    def test_every_accepted_name_round_trips(self, names, domain):
+        p = Program(
+            width=4,
+            instructions=(Instruction("mov", (Const(0),)),)
+            + tuple(Instruction("mov", (Free(n),)) for n in names),
+            free_inputs=tuple((n, domain) for n in names),
+        )
+        if validate_program(p) == []:
+            assert parse_program(serialize_program(p)) == p
