@@ -18,7 +18,7 @@ import sys
 import tempfile
 
 from . import analysis, energy, reductions, sat
-from .core import CswpError, ProgramValidationError, execute, validate_program
+from .core import CswpError, check_program, execute
 from .textfmt import parse_program
 
 
@@ -52,10 +52,9 @@ def _render_report(pairs: list[str], fmt: str) -> str:
 
 
 def _load_program(path: str):
+    """The parsed program, validated once here for the whole command."""
     program = parse_program(_read_text(path))
-    violations = validate_program(program)
-    if violations:
-        raise ProgramValidationError(violations)
+    check_program(program)
     return program
 
 
@@ -84,7 +83,7 @@ def _instance_from_args(args, cls):
 
 def _cmd_run(args) -> int:
     program = _load_program(args.program)
-    trace = execute(program, _parse_assignment(args.input))
+    trace = execute(program, _parse_assignment(args.input), validate=False)
     report = trace.switching()
     pairs = [f"o{i + 1}=0x{bv.value:x}" for i, bv in enumerate(trace.outputs)]
     pairs += [f"transition.{i + 1}={t}" for i, t in enumerate(report.transitions)]
@@ -96,7 +95,7 @@ def _cmd_run(args) -> int:
 def _cmd_solve(args) -> int:
     program = _load_program(args.program)
     budget = analysis.DEFAULT_BUDGET if args.budget is None else args.budget
-    result = analysis.brute_force_worst_case(program, budget=budget)
+    result = analysis.brute_force_worst_case(program, budget=budget, validate=False)
     _write_output(args.output, _render_report(result.report_lines(), args.format))
     return 0
 
@@ -106,7 +105,7 @@ def _cmd_bound(args) -> int:
     if args.method == "coarse":
         pairs = [f"coarse={analysis.coarse_upper_bound(program)}"]
     else:
-        pairs = [f"knownbits={analysis.knownbits_upper_bound(program)}"]
+        pairs = [f"knownbits={analysis.knownbits_upper_bound(program, validate=False)}"]
     _write_output(args.output, _render_report(pairs, args.format))
     return 0
 
@@ -141,11 +140,12 @@ def _cmd_checksat_verify(args) -> int:
             [(i >> k) & 1 == 1 for k in range(instance.num_vars)]
             for i in range(1 << instance.num_vars)
         ]
+    check_program(program)
     pairs = []
     ok = True
     for bools in combos:
         assignment = {str(i): int(b) for i, b in enumerate(bools)}
-        got = execute(program, assignment).outputs[result_index].value
+        got = execute(program, assignment, validate=False).outputs[result_index].value
         expected = 1 if sat.all_satisfied(instance, bools) else 0
         ok = ok and got == expected
         key = "".join("1" if b else "0" for b in bools)
@@ -192,7 +192,7 @@ def _cmd_heatmap(args) -> int:
 def _cmd_energy(args) -> int:
     program = _load_program(args.program)
     model = energy.load_model(args.model)
-    trace = execute(program, _parse_assignment(args.input))
+    trace = execute(program, _parse_assignment(args.input), validate=False)
     report = trace.switching()
     nj = energy.trace_energy(trace, model, include_input_term=args.input_term)
     pairs = [

@@ -273,6 +273,13 @@ def validate_program(program: Program) -> list[str]:
     return violations
 
 
+def check_program(program: Program) -> None:
+    """Raise ProgramValidationError unless `validate_program` accepts the program."""
+    violations = validate_program(program)
+    if violations:
+        raise ProgramValidationError(violations)
+
+
 def _check_assignment(program: Program, assignment: Mapping) -> dict[str, int]:
     declared = dict(program.free_inputs)
     values = {}
@@ -322,14 +329,14 @@ def _run_values(program: Program, values: Mapping[str, int]):
     return outputs, memory, input_values
 
 
-def execute(program: Program, assignment: Mapping) -> ExecutionTrace:
+def execute(program: Program, assignment: Mapping, *, validate: bool = True) -> ExecutionTrace:
     """Run the program deterministically; memory cells start at zero.
 
     `assignment` maps each declared free-input name to an int or BitVector.
+    Pass validate=False only for a program that has passed `check_program`.
     """
-    violations = validate_program(program)
-    if violations:
-        raise ProgramValidationError(violations)
+    if validate:
+        check_program(program)
     outputs, memory, input_values = _run_values(program, _check_assignment(program, assignment))
     w = program.width
     return ExecutionTrace(

@@ -254,8 +254,8 @@ def trace_energy(trace: ExecutionTrace, model: EnergyModel, include_input_term: 
 CSV_HEADER = ["op_a", "op_b", "h_in", "h_out", "power_mw"]
 
 
-# Rows formatted per chunk: a chunk's Python objects, not the whole grid's,
-# set the export's peak memory.
+# Rows formatted or parsed per chunk: a chunk's Python objects, not the whole
+# grid's, set the peak memory of export and import.
 CSV_CHUNK_ROWS = 4096
 
 
@@ -271,27 +271,85 @@ def measurements_to_csv(grid: Grid, width: int) -> str:
 
 
 def measurements_from_csv(text: str) -> Grid:
-    """Parse a measurement CSV, converting each field as it streams past:
-    operands accept any int() literal with a base prefix and blank lines are
-    skipped. Every row has exactly the header's fields and a finite power."""
+    """Parse a measurement CSV: operands accept any int() literal with a base
+    prefix and blank lines are skipped. Every row has exactly the header's
+    fields and a finite power.
+
+    Text that the csv module would split exactly as str.split does is read
+    CSV_CHUNK_ROWS rows at a time as columns; any other text, and any text
+    with an error, goes to the row loop, which gives the same grid and
+    reports every error."""
+    grid = _read_chunks(text)
+    return _read_rows(text) if grid is None else grid
+
+
+def _int0(literal: str) -> int:
+    return int(literal, 0)
+
+
+def _read_chunks(text: str) -> Grid | None:
+    """The grid of well-formed text, or None where `_read_rows` must decide.
+
+    A chunk's rows are joined with a "\\n" field between them and split on
+    commas once; every row has five fields exactly when those separator
+    fields fall on every sixth place. Each integer column converts each of
+    its distinct literals once, with the row loop's int() call."""
+    if '"' in text or "\r" in text:  # quotes and \r are csv syntax
+        return None
+    rows = text.split("\n")
+    if rows[0] != ",".join(CSV_HEADER):
+        return None
+    rows = list(filter(None, rows[1:]))  # csv.reader skips blank lines too
+    limit = csv.field_size_limit()
+    stride = len(CSV_HEADER) + 1
+    ints = [np.empty(len(rows), np.int64) for _ in range(4)]
+    power = np.empty(len(rows), np.float64)
+    try:
+        for lo in range(0, len(rows), CSV_CHUNK_ROWS):
+            chunk = rows[lo:lo + CSV_CHUNK_ROWS]
+            n = len(chunk)
+            joined = ",\n,".join(chunk)
+            if len(joined) > limit and max(map(len, chunk)) > limit:
+                return None  # csv.reader rejects a field over the limit
+            fields = joined.split(",")
+            if len(fields) != stride * n - 1 or fields[stride - 1::stride].count("\n") != n - 1:
+                return None
+            for k, (column, convert) in enumerate(zip(ints, (_int0, _int0, int, int))):
+                literals = fields[k::stride]
+                lookup = {s: convert(s) for s in set(literals)}
+                column[lo:lo + n] = np.fromiter(map(lookup.__getitem__, literals), np.int64, n)
+            power[lo:lo + n] = np.fromiter(map(float, fields[stride - 2::stride]), np.float64, n)
+    except (ValueError, OverflowError):  # a bad literal, or an integer beyond int64
+        return None
+    if not np.isfinite(power).all():
+        return None
+    return Grid(*ints, power)
+
+
+def _read_rows(text: str) -> Grid:
+    """The csv module's reading, converting each field as it streams past; it
+    names the line of the first error."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != CSV_HEADER:
-        raise CswpError(f"bad measurement CSV header {header!r}, want {CSV_HEADER!r}")
     op_a, op_b, h_in, h_out, power = columns = ([], [], [], [], [])
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise CswpError(f"CSV line {reader.line_num}: {len(row)} fields, want {len(CSV_HEADER)}")
-        try:
-            op_a.append(int(row[0], 0))
-            op_b.append(int(row[1], 0))
-            h_in.append(int(row[2]))
-            h_out.append(int(row[3]))
-            power.append(float(row[4]))
-        except ValueError as e:
-            raise CswpError(f"CSV line {reader.line_num}: {e}") from None
+    try:
+        header = next(reader, None)
+        if header != CSV_HEADER:
+            raise CswpError(f"bad measurement CSV header {header!r}, want {CSV_HEADER!r}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(CSV_HEADER):
+                raise CswpError(f"CSV line {reader.line_num}: {len(row)} fields, want {len(CSV_HEADER)}")
+            try:
+                op_a.append(int(row[0], 0))
+                op_b.append(int(row[1], 0))
+                h_in.append(int(row[2]))
+                h_out.append(int(row[3]))
+                power.append(float(row[4]))
+            except ValueError as e:
+                raise CswpError(f"CSV line {reader.line_num}: {e}") from None
+    except csv.Error as e:  # e.g. a field over csv.field_size_limit()
+        raise CswpError(f"CSV line {reader.line_num}: {e}") from None
     try:
         grid = Grid(*(np.array(c, dtype=np.int64) for c in columns[:4]),
                     np.array(power, dtype=np.float64))

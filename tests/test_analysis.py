@@ -290,6 +290,18 @@ class TestBounds:
             for abstract, concrete in zip(outs, trace.outputs):
                 assert abstract.contains(concrete.value)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_knownbits_sound_per_transition(self, seed):
+        # each concrete transition, not only their sum, stays within the bits
+        # its two abstract outputs leave possibly different
+        p = random_program(random.Random(seed))
+        outs = knownbits_outputs(p)
+        limits = [analysis._possibly_differing_bits(a, b) for a, b in zip(outs, outs[1:])]
+        for combo in scalar_worst_case(p)[1]:
+            transitions = evaluate_switching(p, combo).transitions
+            assert all(t <= limit for t, limit in zip(transitions, limits)), combo
+
     def test_memory_join_covers_both_stores(self):
         # two stores to one cell: a later load must cover both stored values
         p = prog(4, [

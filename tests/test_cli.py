@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from cswp import analysis, cli
+from cswp import analysis, cli, core
+from cswp.core import validate_program
 from cswp.energy import HEATMAP_STAGES
 from cswp.cli import main
 
@@ -274,6 +275,7 @@ class TestMalformedInput:
         ({}, ["gen-grid", "--op", "add", "--width", "2", "--sigma", "-2"]),
         ({}, ["gen-grid", "--op", "add", "--width", "2", "--sigma", "nan"]),
         ({}, ["gen-grid", "--op", "add", "--width", "2", "--sigma", "inf"]),
+        ({"g.csv": GRID_HEADER + "0x0,0x0,1,1," + "1" * 140_000 + "\n"}, ["fit", "g.csv"]),
     ])
     def test_error_line_not_traceback(self, capsys, tmp_path, monkeypatch, files, argv):
         for name, text in files.items():
@@ -282,6 +284,45 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestValidation:
+    INVALID = "width 4\no1: mov o5\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "p.cswp", "--input", "free0=1"],
+        ["energy", "p.cswp", "--input", "free0=1"],
+        ["solve", "p.cswp"],
+        ["bound", "p.cswp", "--method", "coarse"],
+        ["bound", "p.cswp", "--method", "knownbits"],
+        ["checksat-verify", "--vars", "2", "--clause", "x1 ~x2"],
+    ])
+    def test_each_command_validates_once(self, capsys, tmp_path, monkeypatch, argv):
+        (tmp_path / "p.cswp").write_text(DOUBLING)
+        monkeypatch.chdir(tmp_path)
+        calls = []
+
+        def counted(program):
+            calls.append(program)
+            return validate_program(program)
+
+        for module in (core, cli, analysis):  # every binding of the name
+            monkeypatch.setattr(module, "validate_program", counted, raising=False)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "p.cswp", "--input", "nonsense"],
+        ["energy", "p.cswp", "--input", "free0=zz", "--model", "missing.json"],
+        ["solve", "p.cswp", "--budget", "0"],
+        ["bound", "p.cswp", "--method", "coarse"],
+        ["bound", "p.cswp", "--method", "knownbits"],
+    ])
+    def test_invalid_program_reported_first(self, capsys, tmp_path, monkeypatch, argv):
+        (tmp_path / "p.cswp").write_text(self.INVALID)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *argv) == (
+            1, "", "error: invalid program: instruction 0: forward or self reference to o5\n")
 
 
 class TestParserReuse:

@@ -1,9 +1,13 @@
+import csv
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cswp import energy
 from cswp.core import Const, CswpError, Instruction, Program, apply_mnemonic, execute
 from cswp.energy import (
     GRID_MNEMONICS,
@@ -297,6 +301,9 @@ class TestCsvAndHeatmap:
         ("0x,0x0,1,1,1.0", "CSV line 3: invalid literal for int"),
         ("0x0,0x0,1,1,watts", "CSV line 3: could not convert string to float"),
         ("0x0,0x0,1,99999999999999999999,1.0", "outside the int64 range"),
+        ("0,0,1,1\n0,0,1,1,2,3", "CSV line 3: 4 fields, want 5"),
+        ("0x0,0x0\r,1,1,1.0", "CSV line 3: new-line character seen in unquoted field"),
+        ("0x0,0x0,1,1," + " " * 140_000 + "1", r"CSV line 3: field larger than field limit \(131072\)"),
     ])
     def test_csv_errors_name_line(self, row, message):
         with pytest.raises(CswpError, match=message):
@@ -308,6 +315,125 @@ class TestCsvAndHeatmap:
         rows = [r for r in text.splitlines() if r]
         assert len(rows) == 8
         assert all(len(r.split(",")) == 8 for r in rows)
+
+
+CSV_FIELD_LIMIT = csv.field_size_limit()
+
+
+@st.composite
+def mutated_grid_csv(draw):
+    """(text, mutated): a window of a generated grid's CSV, and whether the
+    rows were then mutated into text the csv module reads differently from
+    str.split, or into text with an error."""
+    width = draw(st.integers(1, 8))
+    grid = gen_synthetic_grid(
+        width,
+        draw(st.sampled_from(GRID_MNEMONICS)),
+        PAPER_MODEL,
+        base=draw(st.sampled_from([-200.0, -1.3, 0.0, 164.0])),
+        noise_sigma=draw(st.sampled_from([0.0, 0.4, 3.0])),
+        seed=draw(st.integers(0, 9)),
+    )
+    header, *body = measurements_to_csv(grid, width).split("\n")[:-1]
+    start = draw(st.integers(0, len(body) - 1))
+    lines = [header] + body[start:start + draw(st.integers(0, 400))]
+    mutations = draw(st.lists(st.sampled_from(CSV_MUTATIONS), max_size=3))
+    for mutate in mutations:
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = mutate(draw, lines[k])
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return text, bool(mutations)
+
+
+def _in_field(mutate, fields=slice(None)):
+    """A line mutation that rewrites one drawn field of the line, out of
+    `fields` (all of them by default)."""
+    def mutation(draw, line):
+        row = line.split(",")
+        k = draw(st.sampled_from(range(len(row))[fields]))
+        row[k] = mutate(draw, row[k])
+        return ",".join(row)
+    return mutation
+
+
+def _drop_field(draw, line):
+    row = line.split(",")
+    del row[draw(st.integers(0, len(row) - 1))]
+    return ",".join(row)
+
+
+def _insert_underscore(draw, literal):
+    i = draw(st.integers(0, len(literal)))
+    return literal[:i] + "_" + literal[i:]
+
+
+def _split_unevenly(draw, line):
+    # two rows of literals every column accepts, one short of five fields and
+    # one over, so that only a per-row count tells them from two good rows
+    short = draw(st.integers(1, 4))
+    return ",".join(["1"] * short) + "\n" + ",".join(["1"] * (10 - short))
+
+
+CSV_MUTATIONS = [
+    lambda draw, line: line + "\n",  # a blank line
+    _in_field(lambda draw, f: f + "\r"),  # CRLF after the last field, a lone CR elsewhere
+    lambda draw, line: line + "," + line.rsplit(",", 1)[-1],
+    _drop_field,
+    _in_field(lambda draw, f: f'"{f}"'),
+    _in_field(_insert_underscore),
+    _in_field(lambda draw, f: draw(st.sampled_from([bin, oct]))(draw(st.integers(0, 300)))),
+    _in_field(lambda draw, f: draw(st.sampled_from([" ", "\t", "\x0c"])) + f + draw(st.sampled_from(["", " "]))),
+    _in_field(lambda draw, f: draw(st.sampled_from(["nan", "inf", "-Infinity"])), fields=slice(-1, None)),
+    _in_field(lambda draw, f: draw(st.sampled_from(["-0.0", "-0.000000", "-0"])), fields=slice(-1, None)),
+    _in_field(lambda draw, f: draw(st.sampled_from([str(2**63 - 1), str(2**63), str(-2**63), hex(-2**63 - 1)])),
+              fields=slice(0, 4)),
+    _in_field(lambda draw, f: re.sub("[0-9]", "\u0663", f, count=1)),  # ARABIC-INDIC DIGIT THREE
+    # a literal every column accepts, at and just over the csv field limit
+    _in_field(lambda draw, f: " " * (CSV_FIELD_LIMIT - 1 + draw(st.integers(0, 1))) + "1"),
+    _split_unevenly,
+]
+
+
+def read_outcome(read, text):
+    try:
+        return read(text)
+    except CswpError as e:
+        return f"CswpError: {e}"
+
+
+def assert_same_outcome(got, want):
+    if isinstance(got, str) or isinstance(want, str):
+        assert got == want
+        return
+    for a, b in zip(columns(got), columns(want), strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestCsvReader:
+    """The chunked column reader against the csv module's row loop: equal
+    columns, dtypes and signs, or the same error message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutated_grid_csv(), st.sampled_from([1, 3, 7, 4096]))
+    def test_matches_row_loop(self, case, rows):
+        text, mutated = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy, "CSV_CHUNK_ROWS", rows)
+            got = read_outcome(measurements_from_csv, text)
+            if not mutated:  # a generated grid always takes the column path
+                assert energy._read_chunks(text) is not None
+        assert_same_outcome(got, read_outcome(energy._read_rows, text))
+
+    @pytest.mark.parametrize("width", [7, 8])
+    def test_full_grid_matches_row_loop(self, width):
+        grid = gen_synthetic_grid(width, "sub", PAPER_MODEL, base=-30.0, noise_sigma=2.0, seed=width)
+        text = measurements_to_csv(grid, width)
+        got = energy._read_chunks(text)
+        assert got is not None and len(got) > energy.CSV_CHUNK_ROWS
+        assert np.signbit(got.power).any() and not np.signbit(got.power).all()
+        assert_same_outcome(got, energy._read_rows(text))
 
 
 class TestModelLoading:
