@@ -179,19 +179,15 @@ def _scan_chunk(lowered: _Lowered, lo: int, hi: int) -> np.ndarray:
     return totals
 
 
-def brute_force_worst_case(
-    program: Program, budget: int = DEFAULT_BUDGET, *, validate: bool = True
-) -> WorstCaseResult:
+def brute_force_worst_case(program: Program, budget: int = DEFAULT_BUDGET) -> WorstCaseResult:
     """Enumerate every free-input assignment and return the exact maximum.
 
     The program is lowered once and evaluated over chunks of CHUNK_ROWS
     consecutive enumeration indices as uint64 columns. Within a chunk argmax
     keeps the first maximum and across chunks only a strictly larger total
     replaces it, so the witness is the first maximum in enumeration order.
-    Pass validate=False only for a program that has passed `check_program`.
     """
-    if validate:
-        check_program(program)
+    check_program(program)
     fields = _input_fields(program)
     total_assignments = prod(mask + 1 for _, mask in fields)
     check_budget(total_assignments, budget)
@@ -292,12 +288,10 @@ def _possibly_differing_bits(a: KnownBits, b: KnownBits) -> int:
     return a.width - both_known_equal.bit_count()
 
 
-def knownbits_upper_bound(program: Program, *, validate: bool = True) -> int:
+def knownbits_upper_bound(program: Program) -> int:
     """Sum over adjacent output pairs of the bits not known equal on both
-    sides; always between the exact maximum and the coarse bound. Pass
-    validate=False only for a program that has passed `check_program`."""
-    if validate:
-        check_program(program)
+    sides; always between the exact maximum and the coarse bound."""
+    check_program(program)
     outs = knownbits_outputs(program)
     return sum(
         _possibly_differing_bits(outs[i], outs[i + 1]) for i in range(len(outs) - 1)

@@ -52,10 +52,9 @@ def _render_report(pairs: list[str], fmt: str) -> str:
 
 
 def _load_program(path: str):
-    """The parsed program, validated once here for the whole command."""
-    program = parse_program(_read_text(path))
-    check_program(program)
-    return program
+    """The parsed program, not yet validated: each command validates it once,
+    before anything else can fail."""
+    return parse_program(_read_text(path))
 
 
 def _parse_assignment(pairs: list[str]) -> dict[str, int]:
@@ -83,6 +82,7 @@ def _instance_from_args(args, cls):
 
 def _cmd_run(args) -> int:
     program = _load_program(args.program)
+    check_program(program)
     trace = execute(program, _parse_assignment(args.input), validate=False)
     report = trace.switching()
     pairs = [f"o{i + 1}=0x{bv.value:x}" for i, bv in enumerate(trace.outputs)]
@@ -95,7 +95,7 @@ def _cmd_run(args) -> int:
 def _cmd_solve(args) -> int:
     program = _load_program(args.program)
     budget = analysis.DEFAULT_BUDGET if args.budget is None else args.budget
-    result = analysis.brute_force_worst_case(program, budget=budget, validate=False)
+    result = analysis.brute_force_worst_case(program, budget=budget)
     _write_output(args.output, _render_report(result.report_lines(), args.format))
     return 0
 
@@ -103,9 +103,10 @@ def _cmd_solve(args) -> int:
 def _cmd_bound(args) -> int:
     program = _load_program(args.program)
     if args.method == "coarse":
+        check_program(program)  # coarse_upper_bound reads only the sizes
         pairs = [f"coarse={analysis.coarse_upper_bound(program)}"]
     else:
-        pairs = [f"knownbits={analysis.knownbits_upper_bound(program, validate=False)}"]
+        pairs = [f"knownbits={analysis.knownbits_upper_bound(program)}"]
     _write_output(args.output, _render_report(pairs, args.format))
     return 0
 
@@ -191,6 +192,7 @@ def _cmd_heatmap(args) -> int:
 
 def _cmd_energy(args) -> int:
     program = _load_program(args.program)
+    check_program(program)
     model = energy.load_model(args.model)
     trace = execute(program, _parse_assignment(args.input), validate=False)
     report = trace.switching()

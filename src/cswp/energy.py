@@ -254,8 +254,8 @@ def trace_energy(trace: ExecutionTrace, model: EnergyModel, include_input_term: 
 CSV_HEADER = ["op_a", "op_b", "h_in", "h_out", "power_mw"]
 
 
-# Rows formatted or parsed per chunk: a chunk's Python objects, not the whole
-# grid's, set the peak memory of export and import.
+# Rows formatted or parsed per chunk. Export holds one chunk's formatted lines
+# at a time; import holds every line of the grid but one chunk's fields.
 CSV_CHUNK_ROWS = 4096
 
 
@@ -294,7 +294,9 @@ def _read_chunks(text: str) -> Grid | None:
     commas once; every row has five fields exactly when those separator
     fields fall on every sixth place. Each integer column converts each of
     its distinct literals once, with the row loop's int() call."""
-    if '"' in text or "\r" in text:  # quotes and \r are csv syntax
+    # int() and float() strip a \r that the csv module reads as a line end. A
+    # quoted field needs no such test: a field holding '"' never converts.
+    if "\r" in text:
         return None
     rows = text.split("\n")
     if rows[0] != ",".join(CSV_HEADER):
