@@ -80,29 +80,31 @@ def _input_fields(program: Program) -> list[tuple[int, int]]:
 
 @dataclass
 class _Lowered:
-    """A program lowered for column evaluation.
+    """A program with every operand resolved to a slot, for any engine.
 
-    Slots 0..len(fields)-1 hold the free-input columns; later slots hold
-    constants (preset in `template`) or instruction results. Each schedule
-    entry is (op or None, dest slot, operand slots, transition slot pair or
-    None, slots dead afterwards); `base` is the switching between adjacent
+    Slots 0..len(fields)-1 hold the free inputs, later slots constants
+    (their values in `constants`, None elsewhere) or instruction results.
+    Each step is (mnemonic or None, dest slot, operand slots, transition
+    slot pair or None, slots dead afterwards); `outputs` holds each
+    instruction's output slot and `base` the switching between adjacent
     constant outputs.
     """
 
     fields: list
-    template: list
-    schedule: list
+    constants: list
+    steps: list
+    outputs: list
     base: int
 
 
-def _lower(program: Program, fields: list) -> _Lowered:
+def _lower(program: Program) -> _Lowered:
     """Resolve every operand to a slot once: a memory read becomes the latest
     earlier value stored to its address (0 if none), copies alias their
     operand, and instructions over constants fold to constants."""
     w = program.width
-    ops = vector_ops(w)
+    fields = _input_fields(program)
     free_slot = {name: k for k, (name, _) in enumerate(program.free_inputs)}
-    value: list = [None] * len(fields)  # per slot: its constant, None for a column
+    value: list = [None] * len(fields)
     const_slot: dict[int, int] = {}
 
     def constant(v: int) -> int:
@@ -128,7 +130,7 @@ def _lower(program: Program, fields: list) -> _Lowered:
             else:  # PriorOutput
                 srcs.append(out_slot[src.index])
         args = [value[s] for s in srcs]
-        op = None
+        mnemonic = None
         if insn.mnemonic in ("mov", "store", "load"):
             dest = srcs[0]
         elif insn.mnemonic == "ite" and args[0] is not None:
@@ -136,7 +138,7 @@ def _lower(program: Program, fields: list) -> _Lowered:
         elif None not in args:
             dest = constant(apply_mnemonic(insn.mnemonic, args, w))
         else:
-            op, dest = ops[insn.mnemonic], len(value)
+            mnemonic, dest = insn.mnemonic, len(value)
             value.append(None)
             for s in srcs:
                 last_use[s] = i
@@ -152,26 +154,26 @@ def _lower(program: Program, fields: list) -> _Lowered:
                 pair = (prev, dest)
                 last_use[prev] = last_use[dest] = i
         out_slot.append(dest)
-        steps.append([op, dest, srcs, pair, []])
+        steps.append([mnemonic, dest, srcs, pair, []])
 
     for s, i in last_use.items():
         if value[s] is None:
             steps[i][4].append(s)
-    template = [None if v is None else np.uint64(v) for v in value]
-    schedule = [step for step in steps if step[0] is not None or step[3] or step[4]]
-    return _Lowered(fields, template, schedule, base)
+    steps = [step for step in steps if step[0] is not None or step[3] or step[4]]
+    return _Lowered(fields, value, steps, out_slot, base)
 
 
-def _scan_chunk(lowered: _Lowered, lo: int, hi: int) -> np.ndarray:
-    """Switching totals (int64) of enumeration indices [lo, hi)."""
+def _scan_chunk(lowered: _Lowered, ops: dict, lo: int, hi: int) -> np.ndarray:
+    """Switching totals (int64) of enumeration indices [lo, hi), with the
+    column op table `ops` of the program's width."""
     index = np.arange(lo, hi, dtype=np.uint64)
-    env = lowered.template.copy()
+    env = [None if v is None else np.uint64(v) for v in lowered.constants]
     for k, (shift, mask) in enumerate(lowered.fields):
         env[k] = (index >> np.uint64(shift)) & np.uint64(mask)
     totals = np.full(hi - lo, lowered.base, dtype=np.int64)
-    for op, dest, srcs, pair, dead in lowered.schedule:
-        if op is not None:
-            env[dest] = op(*[env[s] for s in srcs])
+    for mnemonic, dest, srcs, pair, dead in lowered.steps:
+        if mnemonic is not None:
+            env[dest] = ops[mnemonic](*[env[s] for s in srcs])
         if pair is not None:
             totals += np.bitwise_count(env[pair[0]] ^ env[pair[1]])
         for s in dead:
@@ -188,14 +190,14 @@ def brute_force_worst_case(program: Program, budget: int = DEFAULT_BUDGET) -> Wo
     replaces it, so the witness is the first maximum in enumeration order.
     """
     check_program(program)
-    fields = _input_fields(program)
-    total_assignments = prod(mask + 1 for _, mask in fields)
+    lowered = _lower(program)
+    total_assignments = prod(mask + 1 for _, mask in lowered.fields)
     check_budget(total_assignments, budget)
 
-    lowered = _lower(program, fields)
+    ops = vector_ops(program.width)
     best, best_index = -1, 0
     for lo in range(0, total_assignments, CHUNK_ROWS):
-        totals = _scan_chunk(lowered, lo, min(lo + CHUNK_ROWS, total_assignments))
+        totals = _scan_chunk(lowered, ops, lo, min(lo + CHUNK_ROWS, total_assignments))
         row = int(totals.argmax())
         if totals[row] > best:
             best, best_index = int(totals[row]), lo + row
@@ -204,7 +206,7 @@ def brute_force_worst_case(program: Program, budget: int = DEFAULT_BUDGET) -> Wo
         max_switching=best,
         witness={
             name: (best_index >> shift) & mask
-            for (name, _), (shift, mask) in zip(program.free_inputs, fields)
+            for (name, _), (shift, mask) in zip(program.free_inputs, lowered.fields)
         },
         explored=total_assignments,
     )
@@ -249,38 +251,26 @@ def coarse_upper_bound(program: Program) -> int:
     return max(0, n - 1) * program.width
 
 
+def _knownbits_slots(lowered: _Lowered, w: int) -> list[KnownBits]:
+    """Abstract execution of the lowered program: the known bits of every
+    slot. A free input is unknown within its field's mask."""
+    slots = [KnownBits(0, mask, w) for _, mask in lowered.fields]
+    slots += [None if v is None else KnownBits.from_constant(v, w)
+              for v in lowered.constants[len(slots):]]
+    for mnemonic, dest, srcs, _, _ in lowered.steps:
+        if mnemonic is not None:
+            slots[dest] = knownbits_transfer(mnemonic, [slots[s] for s in srcs])
+    return slots
+
+
 def knownbits_outputs(program: Program) -> list[KnownBits]:
-    """Abstract execution: one KnownBits value per instruction output.
-
-    Free inputs start fully unknown (or {0,1} for binary domains). A memory
-    cell holds the join of everything stored to it so far; loads from
-    never-written cells see the all-zero initial state.
-    """
-    w = program.width
-    domains = dict(program.free_inputs)
-    outputs: list[KnownBits] = []
-    stored: dict[int, KnownBits] = {}
-
-    for insn in program.instructions:
-        args = []
-        for src in insn.inputs:
-            if isinstance(src, Const):
-                args.append(KnownBits.from_constant(src.value, w))
-            elif isinstance(src, Free):
-                if domains[src.name] == BINARY01:
-                    args.append(KnownBits.binary01(w))
-                else:
-                    args.append(KnownBits.top(w))
-            elif isinstance(src, MemRead):
-                args.append(stored.get(src.addr, KnownBits.from_constant(0, w)))
-            else:  # PriorOutput
-                args.append(outputs[src.index])
-        out = knownbits_transfer(insn.mnemonic, args)
-        if insn.mem_dest is not None:
-            prev = stored.get(insn.mem_dest)
-            stored[insn.mem_dest] = out if prev is None else prev.join(out)
-        outputs.append(out)
-    return outputs
+    """One KnownBits value per instruction output, that of its slot in the
+    lowered program: free inputs start unknown within their domain, and a
+    load sees the latest earlier store to its address or zero (a strong
+    update, exact for branch-free programs with static addresses)."""
+    lowered = _lower(program)
+    slots = _knownbits_slots(lowered, program.width)
+    return [slots[s] for s in lowered.outputs]
 
 
 def _possibly_differing_bits(a: KnownBits, b: KnownBits) -> int:
@@ -289,10 +279,13 @@ def _possibly_differing_bits(a: KnownBits, b: KnownBits) -> int:
 
 
 def knownbits_upper_bound(program: Program) -> int:
-    """Sum over adjacent output pairs of the bits not known equal on both
-    sides; always between the exact maximum and the coarse bound."""
+    """`base` plus, per transition between slots that are not both
+    constant, the bits not known equal on both sides (a repeated slot adds
+    0); always between the exact maximum and the coarse bound."""
     check_program(program)
-    outs = knownbits_outputs(program)
-    return sum(
-        _possibly_differing_bits(outs[i], outs[i + 1]) for i in range(len(outs) - 1)
+    lowered = _lower(program)
+    slots = _knownbits_slots(lowered, program.width)
+    return lowered.base + sum(
+        _possibly_differing_bits(slots[pair[0]], slots[pair[1]])
+        for _, _, _, pair, _ in lowered.steps if pair is not None
     )

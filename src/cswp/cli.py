@@ -163,10 +163,16 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_gen_grid(args) -> int:
+def _model_from_args(args) -> energy.EnergyModel:
+    """The --model preset or file with any --c-in/--c-out override; the
+    model's own checks cover the overrides too."""
     model = energy.load_model(args.model)
     overrides = {"c_in": args.c_in, "c_out": args.c_out}
-    model = dataclasses.replace(model, **{k: v for k, v in overrides.items() if v is not None})
+    return dataclasses.replace(model, **{k: v for k, v in overrides.items() if v is not None})
+
+
+def _cmd_gen_grid(args) -> int:
+    model = _model_from_args(args)
     base = args.base if args.base is not None else model.p_idle_single
     grid = energy.gen_synthetic_grid(
         width=args.width,
@@ -182,10 +188,8 @@ def _cmd_gen_grid(args) -> int:
 
 def _cmd_heatmap(args) -> int:
     grid = energy.measurements_from_csv(_read_text(args.grid))
-    model = energy.load_model(args.model)
-    c_in = args.c_in if args.c_in is not None else model.c_in
-    c_out = args.c_out if args.c_out is not None else model.c_out
-    matrix = energy.heatmap_matrix(grid, args.stage, c_in=c_in, c_out=c_out)
+    model = _model_from_args(args)
+    matrix = energy.heatmap_matrix(grid, args.stage, c_in=model.c_in, c_out=model.c_out)
     _write_output(args.output, energy.heatmap_to_csv(matrix))
     return 0
 

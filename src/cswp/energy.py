@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -40,6 +40,10 @@ class EnergyModel:
     f: float = 500e6
 
     def __post_init__(self):
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if not math.isfinite(value):
+                raise CswpError(f"model {item.name} {value} must be finite")
         if self.p_idle_single < 0 or self.c_in < 0 or self.c_out < 0:
             raise CswpError("power coefficients must be non-negative")
         if self.f <= 0:
@@ -139,6 +143,8 @@ def summarize_power(p_tdual: float, test_powers: Sequence[float]) -> PowerSummar
     range as a fraction of single-core power: p_x / (p_tsingle + p_x)."""
     if not test_powers:
         raise CswpError("need at least one test power")
+    if not all(map(math.isfinite, [p_tdual, *test_powers])):
+        raise CswpError("dual-core idle and test powers must be finite")
     if any(p < 0 for p in test_powers):
         raise CswpError("test powers must be non-negative")
     p_tsingle = p_tdual / 2
@@ -181,6 +187,10 @@ def gen_synthetic_grid(
         raise CswpError(f"grid width {width} outside 1..{MAX_GRID_WIDTH} (full grids only)")
     if not 0 <= noise_sigma < math.inf:  # also false for NaN
         raise CswpError(f"noise sigma {noise_sigma} must be finite and >= 0")
+    if not math.isfinite(base):
+        raise CswpError(f"base power {base} must be finite")
+    if seed < 0:
+        raise CswpError(f"seed {seed} must be >= 0")
     size = 1 << width
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_sigma, size * size) if noise_sigma > 0 else np.zeros(size * size)

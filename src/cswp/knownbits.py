@@ -199,7 +199,7 @@ def _copy(a: KnownBits) -> KnownBits:
 
 
 # mnemonic -> transfer function; `load` and `store` are copies here, since
-# the abstract executor resolves memory state before calling
+# the caller resolves memory state before calling
 TRANSFER = {
     "mov": _copy,
     "store": _copy,

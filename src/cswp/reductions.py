@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 
 from .core import (
     BINARY01,
+    MAX_WIDTH,
     Const,
     CswpError,
     Free,
@@ -102,8 +103,8 @@ def lit_addr(lit: Literal) -> int:
 
 def reduce_maxsat2(instance: MaxSat2Instance, width: int = 8) -> ReducedProgram:
     """Embed a maxsat2 instance; see the module docstring for the layout."""
-    if width < 1:
-        raise CswpError(f"width {width} must be >= 1")
+    if not 1 <= width <= MAX_WIDTH:
+        raise CswpError(f"width {width} outside 1..{MAX_WIDTH}")
     n = instance.num_vars
     insns: list[Instruction] = []
     zero = Const(0)
@@ -224,9 +225,12 @@ def build_checksat_program(instance: SatInstance, width: int = 8) -> tuple[Progr
 def reduce_sat_gap(instance: SatInstance, width: int = 8, factor=1) -> GapProgram:
     """Embed a SAT instance with a switching phase ceil(factor*decision_len/2)+1
     pattern/zero pairs long; factor=1 gives a phase at least half the whole."""
-    if width < 1:
-        raise CswpError(f"width {width} must be >= 1")
-    factor = Fraction(factor)
+    if not 1 <= width <= MAX_WIDTH:
+        raise CswpError(f"width {width} outside 1..{MAX_WIDTH}")
+    try:
+        factor = Fraction(factor)
+    except (ValueError, OverflowError):  # NaN or an infinity
+        raise CswpError(f"gap factor {factor} must be finite") from None
     if factor < 1:
         raise CswpError(f"gap factor {factor} must be >= 1")
 

@@ -127,12 +127,11 @@ class TestVectorizedEngine:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 7, 4096]))
     def test_matches_scalar_interpreter(self, seed, rows):
         p = random_program(random.Random(seed))
-        fields = analysis._input_fields(p)
         totals, combos = scalar_worst_case(p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lowered = analysis._lower(p, fields)
-            vector = analysis._scan_chunk(lowered, 0, len(totals))
+            lowered = analysis._lower(p)
+            vector = analysis._scan_chunk(lowered, vector_ops(p.width), 0, len(totals))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(analysis, "CHUNK_ROWS", rows)
                 result = brute_force_worst_case(p)
@@ -187,7 +186,7 @@ class TestVectorizedEngine:
         result = brute_force_worst_case(p)
         assert result.max_switching == max(totals)
         assert result.witness == combos[totals.index(max(totals))]
-        vector = analysis._scan_chunk(analysis._lower(p, analysis._input_fields(p)), 0, 4)
+        vector = analysis._scan_chunk(analysis._lower(p), vector_ops(width), 0, 4)
         assert list(vector) == totals
 
 
@@ -302,11 +301,12 @@ class TestBounds:
             transitions = evaluate_switching(p, combo).transitions
             assert all(t <= limit for t, limit in zip(transitions, limits)), combo
 
-    def test_memory_join_covers_both_stores(self):
-        # two stores to one cell: a later load must cover both stored values
+    def test_load_sees_only_latest_store(self):
+        # two stores to one cell: a later load sees exactly the second stored
+        # value (strong update), with nothing of the first one joined in
         p = prog(4, [
             Instruction("mov", (Free("c"),)),
-            Instruction("store", (Const(0x3),), mem_dest=0),
+            Instruction("store", (Const(0xc),), mem_dest=0),
             Instruction("ite", (PriorOutput(0), Const(0x1), Const(0x2))),
             Instruction("store", (PriorOutput(2),), mem_dest=0),
             Instruction("load", (MemRead(0),)),
@@ -314,3 +314,16 @@ class TestBounds:
         outs = knownbits_outputs(p)
         final = outs[-1]
         assert final.contains(0x1) and final.contains(0x2)
+        assert final == outs[2]
+
+    def test_copies_of_one_value_switch_nothing(self):
+        # mov, store and load of a full-width input repeat one value, so
+        # none of their transitions can switch a bit
+        p = prog(8, [
+            Instruction("mov", (Free("x"),)),
+            Instruction("store", (PriorOutput(0),), mem_dest=0),
+            Instruction("load", (MemRead(0),)),
+            Instruction("mov", (PriorOutput(2),)),
+        ], free_inputs=[("x", FULL)], mem_size=1)
+        assert brute_force_worst_case(p).max_switching == 0
+        assert knownbits_upper_bound(p) == 0

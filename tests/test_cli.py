@@ -244,6 +244,8 @@ class TestEnergyCommands:
 GRID_HEADER = "op_a,op_b,h_in,h_out,power_mw\n"
 # three rows of a 2x2 grid that a fourth row, (0x1, 0x1), completes
 GRID_2X2_HEAD = "0x0,0x0,0,0,1.0\n0x0,0x1,1,1,2.0\n0x1,0x0,1,1,2.0\n"
+GRID_2X2 = GRID_2X2_HEAD + "0x1,0x1,2,1,3.0\n"
+NAN_MODEL = '{"p_idle_single_mw": 164, "c_in_mw": "nan", "c_out_mw": 4.4}'
 
 
 class TestMalformedInput:
@@ -276,6 +278,21 @@ class TestMalformedInput:
         ({}, ["gen-grid", "--op", "add", "--width", "2", "--sigma", "nan"]),
         ({}, ["gen-grid", "--op", "add", "--width", "2", "--sigma", "inf"]),
         ({"g.csv": GRID_HEADER + "0x0,0x0,1,1," + "1" * 140_000 + "\n"}, ["fit", "g.csv"]),
+        ({"p.cswp": DOUBLING, "nan.json": NAN_MODEL},
+         ["energy", "p.cswp", "--input", "free0=1", "--model", "nan.json", "--input-term"]),
+        ({"g.csv": GRID_HEADER + GRID_2X2}, ["heatmap", "g.csv", "--stage", "residual", "--c-in", "nan"]),
+        ({"g.csv": GRID_HEADER + GRID_2X2}, ["heatmap", "g.csv", "--stage", "residual", "--c-out", "inf"]),
+        ({}, ["gen-grid", "--op", "add", "--width", "2", "--c-in", "nan"]),
+        ({}, ["gen-grid", "--op", "add", "--width", "2", "--base", "nan"]),
+        ({}, ["gen-grid", "--op", "add", "--width", "2", "--base=-inf"]),
+        ({}, ["summarize-power", "--tdual", "nan", "5"]),
+        ({}, ["summarize-power", "--tdual", "2", "5", "inf"]),
+        ({"powers.txt": "5 nan\n"}, ["summarize-power", "--tdual", "2", "--powers-file", "powers.txt"]),
+        ({}, ["reduce-sat-gap", "--vars", "1", "--clause", "x1", "--factor", "nan"]),
+        ({}, ["reduce-sat-gap", "--vars", "1", "--clause", "x1", "--factor", "inf"]),
+        ({}, ["gen-grid", "--op", "add", "--width", "2", "--seed", "-1"]),
+        ({}, ["reduce-maxsat", "--vars", "1", "--clause", "x1", "--width", "70"]),
+        ({}, ["reduce-sat-gap", "--vars", "1", "--clause", "x1", "--width", "70"]),
     ])
     def test_error_line_not_traceback(self, capsys, tmp_path, monkeypatch, files, argv):
         for name, text in files.items():

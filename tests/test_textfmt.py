@@ -1,11 +1,14 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cswp.core import (
+    ARITY,
     BINARY01,
     FULL,
+    MNEMONICS,
+    NAME_PATTERN,
     Const,
     Free,
     Instruction,
@@ -132,3 +135,66 @@ class TestRoundTrip:
         )
         if validate_program(p) == []:
             assert parse_program(serialize_program(p)) == p
+
+
+# line ends that str.splitlines splits on, as the parser does
+SEPARATORS = ("\n", "\r\n", "\x0b", "\x85")
+
+
+@st.composite
+def program_text(draw):
+    """Valid header and instruction lines joined by any line end. In a noisy
+    text any number, name, operand, mnemonic, operand count or memory
+    destination may instead be arbitrary or near-valid, headers may follow
+    instructions, and arbitrary lines are mixed in."""
+    noisy = draw(st.booleans())
+
+    def pick(valid, odd):
+        return draw(st.one_of(valid, odd) if noisy else valid)
+
+    def number(valid=st.integers(0, 9)):
+        return pick(valid.map(str), st.one_of(st.integers(-2, 70).map(str), st.text(max_size=3),
+                                              st.sampled_from(["\u0663", "1_0", "+4", "0x4"])))
+
+    def operand():
+        kind = draw(st.sampled_from(["const", "mem", "prior", "free"]))
+        if kind == "const":
+            token = f"#0x{draw(st.integers(0, 300)):x}"
+        elif kind == "mem":
+            token = f"m[{number()}]"
+        elif kind == "prior":
+            token = f"o{number()}"
+        else:
+            token = f"free{name()}"
+        return pick(st.just(token), st.text(max_size=4))
+
+    def name():
+        return pick(st.from_regex(NAME_PATTERN, fullmatch=True), st.text(max_size=4))
+
+    lines = [f"width {number(st.integers(1, 64))}"]
+    for index in range(1, draw(st.integers(0, 6)) + 1):
+        mnemonic = pick(st.sampled_from(sorted(MNEMONICS)), st.sampled_from(["frob", "ADD", ""]))
+        count = pick(st.just(ARITY.get(mnemonic, 1)), st.integers(0, 4))
+        operands = ", ".join(operand() for _ in range(count))
+        dest = pick(st.sampled_from(["", "", " -> m[0]", " -> m[2]"]), st.just(" -> x"))
+        lines.append(f"o{number(st.just(index))}: {mnemonic} {operands}{dest}")
+    for _ in range(draw(st.integers(0, 3))):  # headers, right after width unless noisy
+        if draw(st.booleans()):
+            line = f"mem {number()}"
+        else:
+            line = f"free {name()} {pick(st.sampled_from([BINARY01, FULL]), st.just('2'))}"
+        lines.insert(draw(st.integers(1, 1 + noisy * (len(lines) - 1))), line)
+    for _ in range(noisy * draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
+    lines = [pick(st.just(line), st.just(f" {line}\t# c")) for line in lines]
+    return "".join(line + draw(st.sampled_from(SEPARATORS)) for line in lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(program_text())
+def test_any_text_raises_parse_error_or_round_trips(text):
+    try:
+        p = parse_program(text)
+    except ParseError:
+        return
+    assert parse_program(serialize_program(p)) == p
