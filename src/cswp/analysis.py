@@ -22,7 +22,6 @@ from .core import (
     MemRead,
     Program,
     apply_mnemonic,
-    check_program,
     vector_ops,
 )
 from .knownbits import KnownBits, knownbits_transfer
@@ -189,7 +188,6 @@ def brute_force_worst_case(program: Program, budget: int = DEFAULT_BUDGET) -> Wo
     keeps the first maximum and across chunks only a strictly larger total
     replaces it, so the witness is the first maximum in enumeration order.
     """
-    check_program(program)
     lowered = _lower(program)
     total_assignments = prod(mask + 1 for _, mask in lowered.fields)
     check_budget(total_assignments, budget)
@@ -282,7 +280,6 @@ def knownbits_upper_bound(program: Program) -> int:
     """`base` plus, per transition between slots that are not both
     constant, the bits not known equal on both sides (a repeated slot adds
     0); always between the exact maximum and the coarse bound."""
-    check_program(program)
     lowered = _lower(program)
     slots = _knownbits_slots(lowered, program.width)
     return lowered.base + sum(

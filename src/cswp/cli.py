@@ -18,15 +18,15 @@ import sys
 import tempfile
 
 from . import analysis, energy, reductions, sat
-from .core import CswpError, check_program, execute
+from .core import CswpError, execute
 from .textfmt import parse_program
 
 
 def _read_text(path: str) -> str:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CswpError(f"cannot read {path}: {e}") from None
 
 
@@ -35,26 +35,23 @@ def _write_output(path: str | None, text: str):
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cswp-tmp-")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cswp-tmp-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:  # strerror only: str(e) names the random temp file
+        raise CswpError(f"cannot write {path}: {e.strerror}") from None
 
 
 def _render_report(pairs: list[str], fmt: str) -> str:
     if fmt == "csv":
         return "key,value\n" + "".join(p.replace("=", ",", 1) + "\n" for p in pairs)
     return "".join(p + "\n" for p in pairs)
-
-
-def _load_program(path: str):
-    """The parsed program, not yet validated: each command validates it once,
-    before anything else can fail."""
-    return parse_program(_read_text(path))
 
 
 def _parse_assignment(pairs: list[str]) -> dict[str, int]:
@@ -81,9 +78,8 @@ def _instance_from_args(args, cls):
 # subcommand bodies
 
 def _cmd_run(args) -> int:
-    program = _load_program(args.program)
-    check_program(program)
-    trace = execute(program, _parse_assignment(args.input), validate=False)
+    program = parse_program(_read_text(args.program))
+    trace = execute(program, _parse_assignment(args.input))
     report = trace.switching()
     pairs = [f"o{i + 1}=0x{bv.value:x}" for i, bv in enumerate(trace.outputs)]
     pairs += [f"transition.{i + 1}={t}" for i, t in enumerate(report.transitions)]
@@ -93,7 +89,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    program = _load_program(args.program)
+    program = parse_program(_read_text(args.program))
     budget = analysis.DEFAULT_BUDGET if args.budget is None else args.budget
     result = analysis.brute_force_worst_case(program, budget=budget)
     _write_output(args.output, _render_report(result.report_lines(), args.format))
@@ -101,9 +97,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    program = _load_program(args.program)
+    program = parse_program(_read_text(args.program))
     if args.method == "coarse":
-        check_program(program)  # coarse_upper_bound reads only the sizes
         pairs = [f"coarse={analysis.coarse_upper_bound(program)}"]
     else:
         pairs = [f"knownbits={analysis.knownbits_upper_bound(program)}"]
@@ -141,12 +136,11 @@ def _cmd_checksat_verify(args) -> int:
             [(i >> k) & 1 == 1 for k in range(instance.num_vars)]
             for i in range(1 << instance.num_vars)
         ]
-    check_program(program)
     pairs = []
     ok = True
     for bools in combos:
         assignment = {str(i): int(b) for i, b in enumerate(bools)}
-        got = execute(program, assignment, validate=False).outputs[result_index].value
+        got = execute(program, assignment).outputs[result_index].value
         expected = 1 if sat.all_satisfied(instance, bools) else 0
         ok = ok and got == expected
         key = "".join("1" if b else "0" for b in bools)
@@ -195,10 +189,9 @@ def _cmd_heatmap(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    program = _load_program(args.program)
-    check_program(program)
+    program = parse_program(_read_text(args.program))
     model = energy.load_model(args.model)
-    trace = execute(program, _parse_assignment(args.input), validate=False)
+    trace = execute(program, _parse_assignment(args.input))
     report = trace.switching()
     nj = energy.trace_energy(trace, model, include_input_term=args.input_term)
     pairs = [

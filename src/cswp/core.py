@@ -124,12 +124,14 @@ class Instruction:
         self.inputs = tuple(self.inputs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Program:
     """Straight-line program: width, memory size, instructions, declared free inputs.
 
     free_inputs is an ordered tuple of (name, domain) pairs; declaration order
-    defines enumeration and witness ordering everywhere downstream.
+    defines enumeration and witness ordering everywhere downstream. A Program
+    is valid by construction: building one that `validate_program` rejects
+    raises ProgramValidationError, and its fields cannot be reassigned.
     """
 
     width: int
@@ -138,8 +140,11 @@ class Program:
     free_inputs: tuple = ()
 
     def __post_init__(self):
-        self.instructions = tuple(self.instructions)
-        self.free_inputs = tuple((str(n), d) for n, d in self.free_inputs)
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+        object.__setattr__(self, "free_inputs", tuple((str(n), d) for n, d in self.free_inputs))
+        violations = validate_program(self)
+        if violations:
+            raise ProgramValidationError(violations)
 
     @property
     def mask(self) -> int:
@@ -221,7 +226,8 @@ def vector_ops(width: int) -> dict:
 
 
 def validate_program(program: Program) -> list[str]:
-    """Check every structural invariant; returns [] when the program is valid."""
+    """Check every structural invariant; returns [] when the program is valid.
+    `Program.__post_init__` calls it on every Program built."""
     violations = []
     if not 1 <= program.width <= MAX_WIDTH:
         violations.append(f"width {program.width} outside 1..{MAX_WIDTH}")
@@ -273,13 +279,6 @@ def validate_program(program: Program) -> list[str]:
     return violations
 
 
-def check_program(program: Program) -> None:
-    """Raise ProgramValidationError unless `validate_program` accepts the program."""
-    violations = validate_program(program)
-    if violations:
-        raise ProgramValidationError(violations)
-
-
 def _check_assignment(program: Program, assignment: Mapping) -> dict[str, int]:
     declared = dict(program.free_inputs)
     values = {}
@@ -329,14 +328,11 @@ def _run_values(program: Program, values: Mapping[str, int]):
     return outputs, memory, input_values
 
 
-def execute(program: Program, assignment: Mapping, *, validate: bool = True) -> ExecutionTrace:
+def execute(program: Program, assignment: Mapping) -> ExecutionTrace:
     """Run the program deterministically; memory cells start at zero.
 
     `assignment` maps each declared free-input name to an int or BitVector.
-    Pass validate=False only for a program that has passed `check_program`.
     """
-    if validate:
-        check_program(program)
     outputs, memory, input_values = _run_values(program, _check_assignment(program, assignment))
     w = program.width
     return ExecutionTrace(

@@ -10,7 +10,9 @@
 Header lines first (width, mem, one free line per input in declaration order),
 then 1-based sequentially numbered instruction lines. `#` starts a comment
 unless immediately followed by `0x` (hex constants). Free-input names match
-core.NAME_PATTERN. parse(serialize(p)) == p for every valid program.
+core.NAME_PATTERN. Text that is well-formed line by line but describes an
+invalid program raises core.ProgramValidationError from the Program it builds.
+parse(serialize(p)) == p for every valid program.
 """
 
 from __future__ import annotations
@@ -56,14 +58,21 @@ def _strip_comment(line: str) -> str:
         return line[:i]
 
 
+def _decimal(digits: str, lineno: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than Python's int-string conversion limit
+        raise ParseError(lineno, f"number of {len(digits)} digits is too long") from None
+
+
 def _parse_source(token: str, lineno: int):
     token = token.strip()
     if m := _SRC_CONST.match(token):
         return Const(int(m.group(1), 16))
     if m := _SRC_MEM.match(token):
-        return MemRead(int(m.group(1)))
+        return MemRead(_decimal(m.group(1), lineno))
     if m := _SRC_PRIOR.match(token):
-        return PriorOutput(int(m.group(1)) - 1)
+        return PriorOutput(_decimal(m.group(1), lineno) - 1)
     if m := _SRC_FREE.match(token):
         return Free(m.group(1))
     raise ParseError(lineno, f"unrecognized operand source {token!r}")
@@ -71,7 +80,8 @@ def _parse_source(token: str, lineno: int):
 
 def parse_program(text: str) -> Program:
     """Parse the canonical text format. Raises ParseError with a line number on
-    syntax problems; structural checks beyond arity are validate_program's job."""
+    syntax problems, and ProgramValidationError when the program the text
+    describes breaks a structural invariant (see core.validate_program)."""
     width = None
     mem_size = None
     free_inputs: list[tuple[str, str]] = []
@@ -116,7 +126,7 @@ def parse_program(text: str) -> Program:
         m = _INSN.match(line)
         if not m:
             raise ParseError(lineno, f"unrecognized line {line!r}")
-        index = int(m.group(1))
+        index = _decimal(m.group(1), lineno)
         if index != len(instructions) + 1:
             raise ParseError(lineno, f"instruction numbered o{index}, expected o{len(instructions) + 1}")
         mnemonic = m.group(2)
@@ -131,7 +141,7 @@ def parse_program(text: str) -> Program:
             dm = _SRC_MEM.match(dest)
             if not dm:
                 raise ParseError(lineno, f"bad memory destination {dest!r}")
-            mem_dest = int(dm.group(1))
+            mem_dest = _decimal(dm.group(1), lineno)
             rest = rest.strip()
         if not rest:
             raise ParseError(lineno, f"{mnemonic} needs {ARITY[mnemonic]} input(s), got 0")

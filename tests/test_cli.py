@@ -246,6 +246,7 @@ GRID_HEADER = "op_a,op_b,h_in,h_out,power_mw\n"
 GRID_2X2_HEAD = "0x0,0x0,0,0,1.0\n0x0,0x1,1,1,2.0\n0x1,0x0,1,1,2.0\n"
 GRID_2X2 = GRID_2X2_HEAD + "0x1,0x1,2,1,3.0\n"
 NAN_MODEL = '{"p_idle_single_mw": 164, "c_in_mw": "nan", "c_out_mw": 4.4}'
+LONG = "1" * 5000  # past Python's 4,300-digit int-string conversion limit
 
 
 class TestMalformedInput:
@@ -293,6 +294,10 @@ class TestMalformedInput:
         ({}, ["gen-grid", "--op", "add", "--width", "2", "--seed", "-1"]),
         ({}, ["reduce-maxsat", "--vars", "1", "--clause", "x1", "--width", "70"]),
         ({}, ["reduce-sat-gap", "--vars", "1", "--clause", "x1", "--width", "70"]),
+        ({"p.cswp": f"width 4\no{LONG}: mov #0x0\n"}, ["solve", "p.cswp"]),
+        ({"p.cswp": f"width 4\nmem 1\no1: mov m[{LONG}]\n"}, ["solve", "p.cswp"]),
+        ({"p.cswp": f"width 4\no1: mov #0x0\no2: mov o{LONG}\n"}, ["solve", "p.cswp"]),
+        ({"p.cswp": f"width 4\nmem 1\no1: store #0x0 -> m[{LONG}]\n"}, ["solve", "p.cswp"]),
     ])
     def test_error_line_not_traceback(self, capsys, tmp_path, monkeypatch, files, argv):
         for name, text in files.items():
@@ -301,6 +306,34 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "x"],
+        ["run", "x"],
+        ["energy", "x"],
+        ["bound", "x", "--method", "knownbits"],
+        ["fit", "x"],
+        ["heatmap", "x", "--stage", "raw"],
+        ["summarize-power", "--tdual", "2", "--powers-file", "x"],
+    ])
+    def test_undecodable_file(self, capsys, tmp_path, monkeypatch, argv):
+        (tmp_path / "x").write_bytes(b"width 4\n\xff\n")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *argv) == (
+            1, "", "error: cannot read x: 'utf-8' codec can't decode byte 0xff in position 8: "
+                   "invalid start byte\n")
+
+    @pytest.mark.parametrize("output, reason", [
+        ("missing/out.txt", "No such file or directory"),
+        ("adir", "Is a directory"),
+    ])
+    def test_unwritable_output(self, capsys, tmp_path, monkeypatch, output, reason):
+        (tmp_path / "p.cswp").write_text(DOUBLING)
+        (tmp_path / "adir").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "solve", "p.cswp", "-o", output) == (
+            1, "", f"error: cannot write {output}: {reason}\n")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "p.cswp"]
 
 
 class TestValidation:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from concurrent.futures import ThreadPoolExecutor
 
@@ -70,6 +71,13 @@ class TestHammingDistance:
 def prog(width, instructions, free_inputs=(), mem_size=0):
     return Program(width=width, mem_size=mem_size, instructions=instructions,
                    free_inputs=free_inputs)
+
+
+def rejected(width, instructions, free_inputs=(), mem_size=0):
+    """The violations that building this program raises."""
+    with pytest.raises(ProgramValidationError) as excinfo:
+        prog(width, instructions, free_inputs, mem_size)
+    return excinfo.value.violations
 
 
 class TestExecute:
@@ -155,9 +163,7 @@ class TestExecute:
             execute(p, {"a": 2})
 
     def test_invalid_program_rejected(self):
-        p = prog(4, [Instruction("mov", (PriorOutput(3),))])
-        with pytest.raises(ProgramValidationError):
-            execute(p, {})
+        rejected(4, [Instruction("mov", (PriorOutput(3),))])
 
     def test_deterministic_across_calls_and_threads(self):
         rng = random.Random(7)
@@ -220,49 +226,50 @@ class TestValidateProgram:
         assert validate_program(p) == []
 
     def test_forward_reference_reported_with_index(self):
-        p = prog(4, [
+        violations = rejected(4, [
             Instruction("mov", (Const(0),)),
             Instruction("mov", (Const(0),)),
             Instruction("mov", (PriorOutput(4),)),
         ])
-        violations = validate_program(p)
         assert len(violations) == 1
         assert "instruction 2" in violations[0]
         assert "o5" in violations[0]
 
     def test_store_without_destination(self):
-        p = prog(4, [Instruction("store", (Const(0),))], mem_size=1)
-        assert any("memory destination" in v for v in validate_program(p))
+        violations = rejected(4, [Instruction("store", (Const(0),))], mem_size=1)
+        assert any("memory destination" in v for v in violations)
 
     def test_wrong_arity(self):
-        p = prog(4, [Instruction("add", (Const(0),))])
-        assert any("takes 2" in v for v in validate_program(p))
+        assert any("takes 2" in v for v in rejected(4, [Instruction("add", (Const(0),))]))
 
     def test_load_requires_memory_source(self):
-        p = prog(4, [Instruction("load", (Const(0),))], mem_size=1)
-        assert any("memory read" in v for v in validate_program(p))
+        violations = rejected(4, [Instruction("load", (Const(0),))], mem_size=1)
+        assert any("memory read" in v for v in violations)
 
     def test_address_out_of_range(self):
-        p = prog(4, [Instruction("load", (MemRead(3),))], mem_size=2)
-        assert any("address 3" in v for v in validate_program(p))
+        violations = rejected(4, [Instruction("load", (MemRead(3),))], mem_size=2)
+        assert any("address 3" in v for v in violations)
 
     def test_undeclared_free_input(self):
-        p = prog(4, [Instruction("mov", (Free("a"),))])
-        assert any("not declared" in v for v in validate_program(p))
+        assert any("not declared" in v for v in rejected(4, [Instruction("mov", (Free("a"),))]))
 
     @pytest.mark.parametrize("name", ["x-y", "", "a b", "é", "x\n"])
     def test_name_outside_text_format_rejected(self, name):
-        p = prog(4, [Instruction("mov", (Free(name),))], free_inputs=[(name, FULL)])
-        assert validate_program(p) == [f"free input name {name!r} does not match [A-Za-z0-9_]+"]
+        violations = rejected(4, [Instruction("mov", (Free(name),))], free_inputs=[(name, FULL)])
+        assert violations == [f"free input name {name!r} does not match [A-Za-z0-9_]+"]
 
     def test_duplicate_free_declaration(self):
-        p = prog(4, [Instruction("mov", (Const(0),))],
-                 free_inputs=[("a", FULL), ("a", BINARY01)])
-        assert any("more than once" in v for v in validate_program(p))
+        violations = rejected(4, [Instruction("mov", (Const(0),))],
+                              free_inputs=[("a", FULL), ("a", BINARY01)])
+        assert any("more than once" in v for v in violations)
 
     def test_oversized_constant(self):
-        p = prog(4, [Instruction("mov", (Const(16),))])
-        assert any("does not fit" in v for v in validate_program(p))
+        assert any("does not fit" in v for v in rejected(4, [Instruction("mov", (Const(16),))]))
+
+    def test_fields_cannot_be_reassigned(self):
+        p = prog(4, [Instruction("mov", (Const(0),))])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.instructions = (Instruction("mov", (PriorOutput(4),)),)
 
     def test_random_programs_are_valid(self):
         rng = random.Random(3)

@@ -15,7 +15,7 @@ from cswp.core import (
     MemRead,
     PriorOutput,
     Program,
-    validate_program,
+    ProgramValidationError,
 )
 from cswp.textfmt import ParseError, parse_program, serialize_program
 
@@ -87,6 +87,11 @@ class TestParse:
         with pytest.raises(ParseError, match="precede"):
             parse_program("width 4\no1: mov #0x0\nmem 2\n")
 
+    def test_structural_fault_is_a_validation_error(self):
+        with pytest.raises(ProgramValidationError) as excinfo:
+            parse_program("width 4\no1: mov o5\n")
+        assert str(excinfo.value) == "invalid program: instruction 0: forward or self reference to o5"
+
     @pytest.mark.parametrize("header, message", [
         ("width 4\nwidth 4\n", "line 2: duplicate width line"),
         ("width 4\nmem 2\nmem 3\n", "line 3: duplicate mem line"),
@@ -127,14 +132,16 @@ class TestRoundTrip:
 
     @given(st.lists(NAMES, max_size=3, unique=True), st.sampled_from([BINARY01, FULL]))
     def test_every_accepted_name_round_trips(self, names, domain):
-        p = Program(
-            width=4,
-            instructions=(Instruction("mov", (Const(0),)),)
-            + tuple(Instruction("mov", (Free(n),)) for n in names),
-            free_inputs=tuple((n, domain) for n in names),
-        )
-        if validate_program(p) == []:
-            assert parse_program(serialize_program(p)) == p
+        try:
+            p = Program(
+                width=4,
+                instructions=(Instruction("mov", (Const(0),)),)
+                + tuple(Instruction("mov", (Free(n),)) for n in names),
+                free_inputs=tuple((n, domain) for n in names),
+            )
+        except ProgramValidationError:
+            return
+        assert parse_program(serialize_program(p)) == p
 
 
 # line ends that str.splitlines splits on, as the parser does
@@ -195,6 +202,6 @@ def program_text(draw):
 def test_any_text_raises_parse_error_or_round_trips(text):
     try:
         p = parse_program(text)
-    except ParseError:
+    except (ParseError, ProgramValidationError):
         return
     assert parse_program(serialize_program(p)) == p
