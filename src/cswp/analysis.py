@@ -59,9 +59,16 @@ class WorstCaseResult:
         return lines
 
 
-# Rows per chunk of the vectorized scan: the live columns of a chunk, not the
-# whole assignment space, set the scan's memory.
+# Rows per chunk of the vectorized scan at uint64: the live columns of a
+# chunk, not the whole assignment space, set the scan's memory. A narrower
+# dtype takes more rows, as many as keep a column within the bytes of a
+# CHUNK_ROWS uint64 column, but at most 4 * CHUNK_ROWS, since the uint64
+# enumeration index grows with the rows too.
 CHUNK_ROWS = 4096
+
+
+def _chunk_rows(dtype: np.dtype) -> int:
+    return CHUNK_ROWS * min(8 // dtype.itemsize, 4)
 
 
 def check_budget(required: int, budget: int = DEFAULT_BUDGET):
@@ -86,9 +93,11 @@ class _Lowered:
     Each step is (mnemonic or None, dest slot, operand slots, transition
     slot pair or None, slots dead afterwards); `outputs` holds each
     instruction's output slot and `base` the switching between adjacent
-    constant outputs.
+    constant outputs. `dtype` is the narrowest unsigned dtype that holds
+    the width, the one the scan's columns take.
     """
 
+    dtype: np.dtype
     fields: list
     constants: list
     steps: list
@@ -159,16 +168,17 @@ def _lower(program: Program) -> _Lowered:
         if value[s] is None:
             steps[i][4].append(s)
     steps = [step for step in steps if step[0] is not None or step[3] or step[4]]
-    return _Lowered(fields, value, steps, out_slot, base)
+    return _Lowered(np.min_scalar_type(program.mask), fields, value, steps, out_slot, base)
 
 
 def _scan_chunk(lowered: _Lowered, ops: dict, lo: int, hi: int) -> np.ndarray:
     """Switching totals (int64) of enumeration indices [lo, hi), with the
-    column op table `ops` of the program's width."""
+    column op table `ops` of the program's width, in `lowered.dtype`."""
+    dtype = lowered.dtype
     index = np.arange(lo, hi, dtype=np.uint64)
-    env = [None if v is None else np.uint64(v) for v in lowered.constants]
+    env = [None if v is None else dtype.type(v) for v in lowered.constants]
     for k, (shift, mask) in enumerate(lowered.fields):
-        env[k] = (index >> np.uint64(shift)) & np.uint64(mask)
+        env[k] = ((index >> np.uint64(shift)) & np.uint64(mask)).astype(dtype, copy=False)
     totals = np.full(hi - lo, lowered.base, dtype=np.int64)
     for mnemonic, dest, srcs, pair, dead in lowered.steps:
         if mnemonic is not None:
@@ -183,8 +193,9 @@ def _scan_chunk(lowered: _Lowered, ops: dict, lo: int, hi: int) -> np.ndarray:
 def brute_force_worst_case(program: Program, budget: int = DEFAULT_BUDGET) -> WorstCaseResult:
     """Enumerate every free-input assignment and return the exact maximum.
 
-    The program is lowered once and evaluated over chunks of CHUNK_ROWS
-    consecutive enumeration indices as uint64 columns. Within a chunk argmax
+    The program is lowered once and evaluated over chunks of consecutive
+    enumeration indices as columns of the narrowest unsigned dtype that
+    holds the width (see `_chunk_rows` for the chunk size). Within a chunk argmax
     keeps the first maximum and across chunks only a strictly larger total
     replaces it, so the witness is the first maximum in enumeration order.
     """
@@ -193,9 +204,10 @@ def brute_force_worst_case(program: Program, budget: int = DEFAULT_BUDGET) -> Wo
     check_budget(total_assignments, budget)
 
     ops = vector_ops(program.width)
+    rows = _chunk_rows(lowered.dtype)
     best, best_index = -1, 0
-    for lo in range(0, total_assignments, CHUNK_ROWS):
-        totals = _scan_chunk(lowered, ops, lo, min(lo + CHUNK_ROWS, total_assignments))
+    for lo in range(0, total_assignments, rows):
+        totals = _scan_chunk(lowered, ops, lo, min(lo + rows, total_assignments))
         row = int(totals.argmax())
         if totals[row] > best:
             best, best_index = int(totals[row]), lo + row

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import stat
 import sys
 import tempfile
 
@@ -31,16 +32,34 @@ def _read_text(path: str) -> str:
 
 
 def _write_output(path: str | None, text: str):
+    """Write `text` to stdout for no path or `-`, else to the file `path`
+    names, through any symlinks. A new or regular file is replaced atomically
+    and keeps its permission bits, but not setuid, setgid or sticky (a new
+    one gets 0o666 less the umask); any other file,
+    such as a device or a pipe, is written in place."""
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
+    target = os.path.realpath(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cswp-tmp-")
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is not None and not stat.S_ISREG(mode):
+            with open(target, "w") as fh:
+                fh.write(text)
+            return
+        if mode is None:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".cswp-tmp-")
         try:
             with os.fdopen(fd, "w") as fh:
+                os.fchmod(fh.fileno(), mode & 0o777)
                 fh.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             os.unlink(tmp)
             raise

@@ -24,6 +24,7 @@ DOMAINS = (BINARY01, FULL)
 
 # the free-input names the text format can carry
 NAME_PATTERN = "[A-Za-z0-9_]+"
+_NAME = re.compile(NAME_PATTERN)
 
 # arity per mnemonic; store additionally requires mem_dest
 ARITY = {
@@ -207,10 +208,11 @@ def apply_mnemonic(mnemonic: str, args: Sequence[int], width: int) -> int:
 
 @functools.cache  # one table per width, at most MAX_WIDTH of them
 def vector_ops(width: int) -> dict:
-    """Column forms of `apply_mnemonic` over uint64 arrays (mov, store and
-    load are copies and have none)."""
-    mask = np.uint64((1 << width) - 1)
-    w = np.uint64(width)
+    """Column forms of `apply_mnemonic` over unsigned integer arrays of any
+    dtype that holds `width` bits (mov, store and load are copies and have
+    none). The masks and shift widths are Python ints, which NumPy 2 casts
+    to the column's dtype, so every result keeps its operands' dtype."""
+    mask = (1 << width) - 1
     return {
         "add": lambda a, b: (a + b) & mask,
         "sub": lambda a, b: (a - b) & mask,
@@ -218,10 +220,10 @@ def vector_ops(width: int) -> dict:
         "or": np.bitwise_or,
         "xor": np.bitwise_xor,
         "not": lambda a: ~a & mask,
-        "shl": lambda a, b: (a << (b % w)) & mask,
-        "shr": lambda a, b: a >> (b % w),
+        "shl": lambda a, b: (a << (b % width)) & mask,
+        "shr": lambda a, b: a >> (b % width),
         "ite": lambda c, a, b: np.where(c != 0, a, b),
-        "eqz": lambda a: (a == 0).astype(np.uint64),
+        "eqz": lambda a: (a == 0).astype(a.dtype),
     }
 
 
@@ -229,54 +231,55 @@ def validate_program(program: Program) -> list[str]:
     """Check every structural invariant; returns [] when the program is valid.
     `Program.__post_init__` calls it on every Program built."""
     violations = []
-    if not 1 <= program.width <= MAX_WIDTH:
-        violations.append(f"width {program.width} outside 1..{MAX_WIDTH}")
-    if program.mem_size < 0:
-        violations.append(f"mem_size {program.mem_size} is negative")
+    width, mem_size = program.width, program.mem_size
+    if not 1 <= width <= MAX_WIDTH:
+        violations.append(f"width {width} outside 1..{MAX_WIDTH}")
+    if mem_size < 0:
+        violations.append(f"mem_size {mem_size} is negative")
 
     declared = set()
     for name, domain in program.free_inputs:
         if name in declared:
             violations.append(f"free input {name!r} declared more than once")
         declared.add(name)
-        if not re.fullmatch(NAME_PATTERN, name):
+        if not _NAME.fullmatch(name):
             violations.append(f"free input name {name!r} does not match {NAME_PATTERN}")
         if domain not in DOMAINS:
             violations.append(f"free input {name!r} has unknown domain {domain!r}")
 
     # bit_length, not a mask: a mask of a huge rejected width is a huge integer
-    value_bits = max(program.width, 1)
+    value_bits = max(width, 1)
     for idx, insn in enumerate(program.instructions):
-        where = f"instruction {idx}"
-        if insn.mnemonic not in MNEMONICS:
-            violations.append(f"{where}: unknown mnemonic {insn.mnemonic!r}")
+        mnemonic, inputs, mem_dest = insn.mnemonic, insn.inputs, insn.mem_dest
+        if mnemonic not in MNEMONICS:
+            violations.append(f"instruction {idx}: unknown mnemonic {mnemonic!r}")
             continue
-        if len(insn.inputs) != ARITY[insn.mnemonic]:
-            violations.append(
-                f"{where}: {insn.mnemonic} takes {ARITY[insn.mnemonic]} input(s), "
-                f"got {len(insn.inputs)}"
-            )
-        if insn.mnemonic == "store" and insn.mem_dest is None:
-            violations.append(f"{where}: store requires a memory destination")
-        if insn.mnemonic == "load" and insn.inputs and not isinstance(insn.inputs[0], MemRead):
-            violations.append(f"{where}: load input must be a memory read")
-        if insn.mem_dest is not None and not 0 <= insn.mem_dest < program.mem_size:
-            violations.append(f"{where}: mem_dest {insn.mem_dest} outside 0..{program.mem_size - 1}")
-        for src in insn.inputs:
+        first = len(violations)  # this instruction's violations get its prefix below
+        if len(inputs) != ARITY[mnemonic]:
+            violations.append(f"{mnemonic} takes {ARITY[mnemonic]} input(s), got {len(inputs)}")
+        if mnemonic == "store" and mem_dest is None:
+            violations.append("store requires a memory destination")
+        if mnemonic == "load" and inputs and not isinstance(inputs[0], MemRead):
+            violations.append("load input must be a memory read")
+        if mem_dest is not None and not 0 <= mem_dest < mem_size:
+            violations.append(f"mem_dest {mem_dest} outside 0..{mem_size - 1}")
+        for src in inputs:
             if isinstance(src, Free):
                 if src.name not in declared:
-                    violations.append(f"{where}: free input {src.name!r} not declared")
+                    violations.append(f"free input {src.name!r} not declared")
             elif isinstance(src, Const):
                 if src.value < 0 or src.value.bit_length() > value_bits:
-                    violations.append(f"{where}: constant {src.value:#x} does not fit in {program.width} bits")
+                    violations.append(f"constant {src.value:#x} does not fit in {width} bits")
             elif isinstance(src, MemRead):
-                if not 0 <= src.addr < program.mem_size:
-                    violations.append(f"{where}: memory address {src.addr} outside 0..{program.mem_size - 1}")
+                if not 0 <= src.addr < mem_size:
+                    violations.append(f"memory address {src.addr} outside 0..{mem_size - 1}")
             elif isinstance(src, PriorOutput):
                 if not 0 <= src.index < idx:
-                    violations.append(f"{where}: forward or self reference to o{src.index + 1}")
+                    violations.append(f"forward or self reference to o{src.index + 1}")
             else:
-                violations.append(f"{where}: unknown operand source {src!r}")
+                violations.append(f"unknown operand source {src!r}")
+        if len(violations) > first:
+            violations[first:] = [f"instruction {idx}: {v}" for v in violations[first:]]
     return violations
 
 

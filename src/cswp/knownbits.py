@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from .core import ARITY
+
 ZERO = "0"
 ONE = "1"
 UNKNOWN = "?"
@@ -194,8 +196,6 @@ TRANSFER = {
 def knownbits_transfer(mnemonic: str, inputs: Sequence[KnownBits]) -> KnownBits:
     """Abstract counterpart of apply_mnemonic: sound for every concretization
     of the inputs."""
-    from .core import ARITY  # local import keeps this module dependency-free
-
     if mnemonic not in ARITY:
         raise ValueError(f"unknown mnemonic {mnemonic!r}")
     if len(inputs) != ARITY[mnemonic]:

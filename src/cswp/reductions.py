@@ -54,6 +54,12 @@ K_SAT = 2
 # instructions; a larger factor is rejected before any of the phase is built
 MAX_SWITCHING_LEN = 1 << 20
 
+# the maxsat2 program and the clause evaluation (on its own, or as the gap
+# construction's decision phase) may hold at most this many instructions;
+# a bound on the length, from the instance's size, is checked before any of
+# the program is built
+MAX_PROGRAM_LEN = 1 << 20
+
 
 @dataclass
 class ReducedProgram:
@@ -97,6 +103,12 @@ class GapProgram:
         return len(self.program.free_inputs)
 
 
+def _check_length(length: int, what: str):
+    if length > MAX_PROGRAM_LEN:
+        raise CswpError(f"instance too large: the {what} would hold up to {length} instructions, "
+                        f"more than {MAX_PROGRAM_LEN}")
+
+
 def lit_addr(lit: Literal) -> int:
     """Literal array layout: x_i at 2(i-1), ~x_i at 2(i-1)+1."""
     return 2 * (lit.var_index - 1) + (1 if lit.negated else 0)
@@ -119,6 +131,8 @@ def reduce_maxsat2(instance: MaxSat2Instance, width: int = 8) -> ReducedProgram:
     if not 1 <= width <= MAX_WIDTH:
         raise CswpError(f"width {width} outside 1..{MAX_WIDTH}")
     n = instance.num_vars
+    # the preamble, 5 per variable gadget and 8 per clause gadget
+    _check_length(1 + 5 * n + 8 * len(instance.clauses), "maxsat2 program")
     insns: list[Instruction] = []
     zero = Const(0)
     one = Const(1)
@@ -172,6 +186,11 @@ def emit_checksat(instance: SatInstance, insns: list[Instruction]) -> PriorOutpu
 
 def _checksat_phase(instance: SatInstance) -> tuple[list[Instruction], PriorOutput]:
     """Read and store every variable, then evaluate the clauses."""
+    # at most 2 per variable, 3 per literal (load, xor, or), 1 per clause
+    # (and) and 1 more (the mov for no clauses)
+    literals = sum(len(clause) for clause in instance.clauses)
+    _check_length(2 * instance.num_vars + 3 * literals + len(instance.clauses) + 1,
+                  "clause evaluation")
     insns: list[Instruction] = []
     for i in range(instance.num_vars):
         value = _emit(insns, "mov", Free(str(i)))

@@ -33,29 +33,22 @@ from .core import (
     Program,
 )
 
-_SRC_CONST = re.compile(r"#0x([0-9a-fA-F]+)$")
 _SRC_MEM = re.compile(r"m\[(\d+)\]$")
-_SRC_PRIOR = re.compile(r"o(\d+)$")
-_SRC_FREE = re.compile(rf"free({NAME_PATTERN})$")
+# one group per operand class: a constant, a memory read, a prior output or
+# a free input; the four start with distinct characters
+_SOURCE = re.compile(rf"(?:#0x([0-9a-fA-F]+)|m\[(\d+)\]|o(\d+)|free({NAME_PATTERN}))$")
 _INSN = re.compile(r"o(\d+):\s*([a-z]+)\s*(.*)$")
+# a comment: a `#` not starting a hex constant, up to the next line break
+# that str.splitlines knows, so stripping every comment at once keeps the
+# line numbers; a space stands in for it, so that a `\r` before a comment
+# line never meets the `\n` after it as one `\r\n` break
+_COMMENT = re.compile(r"#(?!0x)[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
 
 
 class ParseError(CswpError):
     def __init__(self, lineno: int, message: str):
         self.lineno = lineno
         super().__init__(f"line {lineno}: {message}")
-
-
-def _strip_comment(line: str) -> str:
-    i = 0
-    while True:
-        i = line.find("#", i)
-        if i < 0:
-            return line
-        if line.startswith("0x", i + 1):
-            i += 3  # hex constant, keep scanning
-            continue
-        return line[:i]
 
 
 def _decimal(digits: str, lineno: int) -> int:
@@ -67,15 +60,17 @@ def _decimal(digits: str, lineno: int) -> int:
 
 def _parse_source(token: str, lineno: int):
     token = token.strip()
-    if m := _SRC_CONST.match(token):
-        return Const(int(m.group(1), 16))
-    if m := _SRC_MEM.match(token):
-        return MemRead(_decimal(m.group(1), lineno))
-    if m := _SRC_PRIOR.match(token):
-        return PriorOutput(_decimal(m.group(1), lineno) - 1)
-    if m := _SRC_FREE.match(token):
-        return Free(m.group(1))
-    raise ParseError(lineno, f"unrecognized operand source {token!r}")
+    m = _SOURCE.match(token)
+    if m is None:
+        raise ParseError(lineno, f"unrecognized operand source {token!r}")
+    const, addr, prior, name = m.groups()
+    if const is not None:
+        return Const(int(const, 16))
+    if addr is not None:
+        return MemRead(_decimal(addr, lineno))
+    if prior is not None:
+        return PriorOutput(_decimal(prior, lineno) - 1)
+    return Free(name)
 
 
 def parse_program(text: str) -> Program:
@@ -87,8 +82,45 @@ def parse_program(text: str) -> Program:
     free_inputs: list[tuple[str, str]] = []
     instructions: list[Instruction] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+    # operand token -> source, for this call only: operand classes are
+    # frozen, so instructions may share one, and only successes are kept,
+    # so each error still names its own line
+    known_sources: dict = {}
+
+    for lineno, line in enumerate(_COMMENT.sub(" ", text).splitlines(), start=1):
+        line = line.strip()
+        if m := _INSN.match(line):  # almost every line is an instruction
+            digits, mnemonic, rest = m.groups()
+            index = _decimal(digits, lineno)
+            if index != len(instructions) + 1:
+                raise ParseError(lineno, f"instruction numbered o{index}, expected o{len(instructions) + 1}")
+            if mnemonic not in MNEMONICS:
+                raise ParseError(lineno, f"unknown mnemonic {mnemonic!r}")
+
+            mem_dest = None  # `rest` has no outer whitespace: the line is stripped
+            if "->" in rest:
+                rest, _, dest = rest.partition("->")
+                dest = dest.strip()
+                dm = _SRC_MEM.match(dest)
+                if not dm:
+                    raise ParseError(lineno, f"bad memory destination {dest!r}")
+                mem_dest = _decimal(dm.group(1), lineno)
+                rest = rest.strip()
+            if not rest:
+                raise ParseError(lineno, f"{mnemonic} needs {ARITY[mnemonic]} input(s), got 0")
+            sources = []
+            for token in rest.split(","):
+                source = known_sources.get(token)
+                if source is None:
+                    source = known_sources[token] = _parse_source(token, lineno)
+                sources.append(source)
+            if len(sources) != ARITY[mnemonic]:
+                raise ParseError(
+                    lineno, f"{mnemonic} needs {ARITY[mnemonic]} input(s), got {len(sources)}"
+                )
+            instructions.append(Instruction(mnemonic, sources, mem_dest))
+            continue
+
         if not line:
             continue
 
@@ -123,34 +155,7 @@ def parse_program(text: str) -> Program:
             free_inputs.append((parts[1], parts[2]))
             continue
 
-        m = _INSN.match(line)
-        if not m:
-            raise ParseError(lineno, f"unrecognized line {line!r}")
-        index = _decimal(m.group(1), lineno)
-        if index != len(instructions) + 1:
-            raise ParseError(lineno, f"instruction numbered o{index}, expected o{len(instructions) + 1}")
-        mnemonic = m.group(2)
-        if mnemonic not in MNEMONICS:
-            raise ParseError(lineno, f"unknown mnemonic {mnemonic!r}")
-
-        rest = m.group(3).strip()
-        mem_dest = None
-        if "->" in rest:
-            rest, _, dest = rest.partition("->")
-            dest = dest.strip()
-            dm = _SRC_MEM.match(dest)
-            if not dm:
-                raise ParseError(lineno, f"bad memory destination {dest!r}")
-            mem_dest = _decimal(dm.group(1), lineno)
-            rest = rest.strip()
-        if not rest:
-            raise ParseError(lineno, f"{mnemonic} needs {ARITY[mnemonic]} input(s), got 0")
-        sources = tuple(_parse_source(tok, lineno) for tok in rest.split(","))
-        if len(sources) != ARITY[mnemonic]:
-            raise ParseError(
-                lineno, f"{mnemonic} needs {ARITY[mnemonic]} input(s), got {len(sources)}"
-            )
-        instructions.append(Instruction(mnemonic, sources, mem_dest))
+        raise ParseError(lineno, f"unrecognized line {line!r}")
 
     if width is None:
         raise ParseError(1, "missing width header")

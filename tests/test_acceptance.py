@@ -243,5 +243,5 @@ def test_criterion_8_witness_validity(monkeypatch):
         assert evaluate_switching(program, result.witness).total == result.max_switching
         one_chunk.append(result)
     for rows in (1, 3, 7):
-        monkeypatch.setattr(analysis, "CHUNK_ROWS", rows)
+        monkeypatch.setattr(analysis, "_chunk_rows", lambda dtype: rows)
         assert [brute_force_worst_case(p) for p in programs] == one_chunk

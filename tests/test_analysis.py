@@ -96,9 +96,14 @@ class TestBruteForce:
             Instruction("mov", (Free("0"),)),
             Instruction("xor", (PriorOutput(0), Const(0x3))),
         ], free_inputs=[("0", FULL)]))
+        # and as many programs whose columns are uint64, over binary inputs
+        wide = (random_program(rng, max_width=64, max_full_inputs=0, max_binary_inputs=4)
+                for _ in range(100))
+        programs += [p for p in wide if p.width > 32 and len(p.free_inputs) > 2][:11]
+        assert {analysis._lower(p).dtype for p in programs} == {np.dtype(np.uint8), np.dtype(np.uint64)}
         one_chunk = [brute_force_worst_case(p) for p in programs]
         for rows in (1, 3, 7):
-            monkeypatch.setattr(analysis, "CHUNK_ROWS", rows)
+            monkeypatch.setattr(analysis, "_chunk_rows", lambda dtype: rows)
             assert [brute_force_worst_case(p) for p in programs] == one_chunk
 
     def test_report_lines(self):
@@ -122,18 +127,25 @@ def scalar_worst_case(p):
     return totals, combos
 
 
+# widths at both ends of each column dtype's range
+COLUMN_WIDTHS = [1, 8, 9, 16, 17, 32, 33, 64]
+COLUMN_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64]
+
+
 class TestVectorizedEngine:
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 7, 4096]))
-    def test_matches_scalar_interpreter(self, seed, rows):
-        p = random_program(random.Random(seed))
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 3, 7, 4096]), st.booleans())
+    def test_matches_scalar_interpreter(self, seed, rows, wide):
+        # a wide program takes any width, so any column dtype, over binary inputs
+        shape = dict(max_width=64, max_full_inputs=0, max_binary_inputs=4) if wide else {}
+        p = random_program(random.Random(seed), **shape)
         totals, combos = scalar_worst_case(p)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lowered = analysis._lower(p)
             vector = analysis._scan_chunk(lowered, vector_ops(p.width), 0, len(totals))
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(analysis, "CHUNK_ROWS", rows)
+                mp.setattr(analysis, "_chunk_rows", lambda dtype: rows)
                 result = brute_force_worst_case(p)
         for index, combo in enumerate(combos):
             assert vector[index] == evaluate_switching(p, combo).total == totals[index]
@@ -143,30 +155,46 @@ class TestVectorizedEngine:
         assert result.explored == len(totals)
         assert all(type(v) is int for v in result.witness.values())
 
-    @pytest.mark.parametrize("width", [1, 64])
+    @pytest.mark.parametrize("width", COLUMN_WIDTHS)
     def test_edge_semantics(self, width):
+        # every dtype that holds the width: the engine takes the narrowest,
+        # the grid generator uint64 at any width
+        for dtype in COLUMN_DTYPES:
+            if np.iinfo(dtype).bits >= width:
+                self.check_edge_semantics(width, dtype)
+
+    def check_edge_semantics(self, width, dtype):
         top = (1 << width) - 1
         cases = [
             ("shl", top, width), ("shl", 1, width + 1), ("shl", top, top),
             ("shr", top, width), ("shr", top, width + 1), ("shr", top, top),
             ("sub", 0, 1), ("sub", 0, top), ("sub", 1, top),
-            ("not", 0), ("not", top),
+            ("add", top, top), ("add", top, 1),
+            ("not", 0), ("not", top), ("eqz", 0), ("eqz", top),
+            ("ite", 0, top, 1), ("ite", top, 1, top),
         ]
         ops = vector_ops(width)
         for mnemonic, *args in cases:
             if width == 1 and any(a > top for a in args):
                 continue
             expected = apply_mnemonic(mnemonic, args, width)
-            column = [np.array([a], dtype=np.uint64) for a in args]
-            assert int(ops[mnemonic](*column)[0]) == expected, (mnemonic, args)
+            column = [np.array([a], dtype=dtype) for a in args]
+            got = ops[mnemonic](*column)
+            assert got.dtype == dtype and int(got[0]) == expected, (mnemonic, args)
             # the engine pairs columns with scalar constants on either side
-            mixed = [column[0], *(np.uint64(a) for a in args[1:])]
-            assert int(ops[mnemonic](*mixed)[0]) == expected, (mnemonic, args)
-            if len(args) == 2:
-                mixed = [np.uint64(args[0]), column[1]]
-                assert int(ops[mnemonic](*mixed)[0]) == expected, (mnemonic, args)
+            scalars = [dtype(a) for a in args]
+            for k in range(1, len(args)):
+                for mixed in (column[:k] + scalars[k:], scalars[:k] + column[k:]):
+                    got = ops[mnemonic](*mixed)
+                    assert got.dtype == dtype and int(got[0]) == expected, (mnemonic, args)
 
-    @pytest.mark.parametrize("width", [1, 64])
+    def test_chunk_rows_per_dtype(self):
+        # no column above a CHUNK_ROWS uint64 column's bytes, no chunk above
+        # 4 * CHUNK_ROWS rows
+        rows = analysis.CHUNK_ROWS
+        assert [analysis._chunk_rows(np.dtype(t)) for t in COLUMN_DTYPES] == [4 * rows, 4 * rows, 2 * rows, rows]
+
+    @pytest.mark.parametrize("width", COLUMN_WIDTHS)
     def test_edge_semantics_end_to_end(self, width):
         # binary inputs select extreme operands, so every operation sees a
         # column and none folds to a constant

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import stat
 
 import pytest
 
@@ -16,6 +17,10 @@ def run_cli(capsys, *argv):
 
 
 DOUBLING = "width 2\nfree 0 full\no1: mov free0\no2: add o1, o1\n"
+# uint64 columns, and few enough assignments to enumerate
+WIDE = ("width 64\nfree a 01\nfree b 01\nfree c 01\nfree d 01\n"
+        "o1: ite freea, #0xf0f0f0f0f0f0f0f0, #0xffffffffffffffff\no2: shl o1, freeb\n"
+        "o3: sub o2, freec\no4: xor o3, freed\n")
 
 
 @pytest.fixture
@@ -70,11 +75,15 @@ class TestRunSolveBound:
         assert code == 1
         assert "budget" in err
 
-    def test_chunk_size_does_not_change_output(self, capsys, monkeypatch, doubling_path):
-        _, one_chunk, _ = run_cli(capsys, "solve", doubling_path)
-        for rows in (1, 3, 7):
-            monkeypatch.setattr(analysis, "CHUNK_ROWS", rows)
-            assert run_cli(capsys, "solve", doubling_path) == (0, one_chunk, "")
+    def test_chunk_size_does_not_change_output(self, capsys, monkeypatch, tmp_path):
+        for text in (DOUBLING, WIDE):  # uint8 and uint64 columns
+            path = tmp_path / "prog.cswp"
+            path.write_text(text)
+            _, one_chunk, _ = run_cli(capsys, "solve", str(path))
+            for rows in (1, 3, 7):
+                monkeypatch.setattr(analysis, "_chunk_rows", lambda dtype: rows)
+                assert run_cli(capsys, "solve", str(path)) == (0, one_chunk, "")
+            monkeypatch.undo()
 
     def test_workers_flag_is_gone(self, doubling_path):
         with pytest.raises(SystemExit) as exc:
@@ -330,6 +339,10 @@ class TestMalformedInput:
         ({}, ["reduce-sat-gap", "--vars", "1", "--clause", "x1", "--factor", "262144"]),
         ({"p.cswp": DOUBLING}, ["run", "p.cswp", "--input", "free0=1", "--input", "free0=2"]),
         ({"p.cswp": DOUBLING}, ["energy", "p.cswp", "--input", "free0=1", "--input", "0=2"]),
+        ({}, ["reduce-maxsat", "--vars", "10000000"]),
+        ({}, ["reduce-sat-gap", "--vars", "10000000"]),
+        ({}, ["checksat-verify", "--vars", "10000000"]),
+        ({}, ["checksat-verify", "--vars", "1000000000000", "--assign", "1"]),
     ])
     def test_error_line_not_traceback(self, capsys, tmp_path, monkeypatch, files, argv):
         for name, text in files.items():
@@ -440,6 +453,53 @@ class TestOutputHandling:
         run_cli(capsys, "reduce-maxsat", "--vars", "1", "-o", str(out_path))
         assert out_path.exists()
         assert [p for p in os.listdir(tmp_path) if p.startswith(".cswp-tmp-")] == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=oct)
+    def test_new_file_mode_follows_umask(self, capsys, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            run_cli(capsys, "reduce-maxsat", "--vars", "1", "-o", str(tmp_path / "x.cswp"))
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(os.stat(tmp_path / "x.cswp").st_mode) == 0o666 & ~umask
+
+    # the replacement is a new file of whoever runs cswp, so it takes only
+    # the old file's permission bits, never its setuid, setgid or sticky bit
+    @pytest.mark.parametrize("old_mode, new_mode", [
+        (0o640, 0o640), (0o4755, 0o755), (0o2750, 0o750), (0o1644, 0o644), (0o7777, 0o777),
+    ])
+    def test_replaced_file_keeps_its_mode(self, capsys, tmp_path, old_mode, new_mode):
+        out_path = tmp_path / "x.cswp"
+        out_path.write_text("old\n")
+        out_path.chmod(old_mode)
+        run_cli(capsys, "reduce-maxsat", "--vars", "1", "-o", str(out_path))
+        assert out_path.read_text().startswith("# meta kind=maxsat2")
+        assert stat.S_IMODE(os.stat(out_path).st_mode) == new_mode
+
+    def test_writes_through_symlink(self, capsys, tmp_path):
+        target = tmp_path / "sub" / "target.cswp"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        link = tmp_path / "link.cswp"
+        link.symlink_to(target)
+        _, expected, _ = run_cli(capsys, "reduce-maxsat", "--vars", "1")
+        assert run_cli(capsys, "reduce-maxsat", "--vars", "1", "-o", str(link)) == (0, "", "")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_text() == expected
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["link.cswp", "sub", "target.cswp"]
+
+    def test_writes_pipe_in_place(self, capsys, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # a reader opened first lets the writer open the pipe without blocking
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            _, expected, _ = run_cli(capsys, "reduce-maxsat", "--vars", "1")
+            assert run_cli(capsys, "reduce-maxsat", "--vars", "1", "-o", str(fifo)) == (0, "", "")
+            assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+            assert os.read(reader, 1 << 16).decode() == expected
+        finally:
+            os.close(reader)
 
     def test_failed_command_writes_nothing(self, capsys, tmp_path):
         out_path = tmp_path / "never.txt"

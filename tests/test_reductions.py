@@ -117,6 +117,39 @@ class TestReduceMaxsat2:
             reduce_maxsat2(MaxSat2Instance(1, [[1]]), width=0)
 
 
+class TestProgramLengthLimit:
+    """MAX_PROGRAM_LEN admits a program whose length bound is exactly that
+    and rejects one whose bound is one more; the bound is the exact length
+    for maxsat2 and at least the length built for the clause evaluation."""
+
+    def test_maxsat2(self, monkeypatch):
+        rng = random.Random(211)
+        for _ in range(30):
+            inst = random_maxsat2(rng)
+            length = len(reduce_maxsat2(inst).program.instructions)
+            monkeypatch.setattr(reductions, "MAX_PROGRAM_LEN", length)
+            reduce_maxsat2(inst)
+            monkeypatch.setattr(reductions, "MAX_PROGRAM_LEN", length - 1)
+            with pytest.raises(CswpError, match=f"maxsat2 program would hold up to {length} instructions"):
+                reduce_maxsat2(inst)
+            monkeypatch.undo()
+
+    def test_clause_evaluation(self, monkeypatch):
+        rng = random.Random(223)
+        for inst in [SatInstance(2, [])] + [random_sat(rng, max_vars=5) for _ in range(30)]:
+            literals = sum(len(clause) for clause in inst.clauses)
+            bound = 2 * inst.num_vars + 3 * literals + len(inst.clauses) + 1
+            assert bound >= len(build_checksat_program(inst)[0].instructions)
+            monkeypatch.setattr(reductions, "MAX_PROGRAM_LEN", bound)
+            build_checksat_program(inst)
+            reduce_sat_gap(inst)  # its decision phase is the clause evaluation and an ite
+            monkeypatch.setattr(reductions, "MAX_PROGRAM_LEN", bound - 1)
+            for build in (build_checksat_program, reduce_sat_gap):
+                with pytest.raises(CswpError, match=f"clause evaluation would hold up to {bound} instructions"):
+                    build(inst)
+            monkeypatch.undo()
+
+
 class TestEmitChecksat:
     def run_checksat(self, instance, bools, width=4):
         program, result_index = build_checksat_program(instance, width=width)

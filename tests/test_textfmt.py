@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cswp.core import (
     ARITY,
@@ -19,6 +19,7 @@ from cswp.core import (
 )
 from cswp.textfmt import ParseError, parse_program, serialize_program
 
+import refparse
 from randprog import random_program
 
 
@@ -205,3 +206,48 @@ def test_any_text_raises_parse_error_or_round_trips(text):
     except (ParseError, ProgramValidationError):
         return
     assert parse_program(serialize_program(p)) == p
+
+
+# every line break str.splitlines knows
+LINE_BREAKS = ("\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# what a mutation writes: line breaks, whole-line and trailing comments (one
+# between a `\r` and a `\n` among them), hex constants beside comments, and
+# operand syntax
+PIECES = st.one_of(
+    st.sampled_from([*LINE_BREAKS, "#", "# c", "#0x", "#0x1 # c", "\r# c\n", "\x85#\r", " ", "\t",
+                     ",", "->", "o1", "m[0]", "free", "7"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def mutated_program_text(draw):
+    """Program text with up to four pieces written over it, each either at
+    any place or right at a line break."""
+    text = draw(st.one_of(
+        program_text(),
+        st.integers(0, 2**32 - 1).map(lambda seed: serialize_program(random_program(random.Random(seed)))),
+    ))
+    for _ in range(draw(st.integers(0, 4))):
+        breaks = [i for i, c in enumerate(text) if c in "".join(LINE_BREAKS)]
+        if breaks and draw(st.booleans()):
+            i = breaks[draw(st.integers(0, len(breaks) - 1))]
+        else:
+            i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(PIECES) + text[i + draw(st.integers(0, 3)):]
+    return text
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as e:  # both parsers must fail alike, whatever the error
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_program_text())
+@example("width 4\r# a comment line between \\r and \\n\nfree a 2\n")  # the error is on line 3
+@example("".join(f"# {i}{b}" for i, b in enumerate(LINE_BREAKS)) + "width 4\no1: mov #0x1# c\no2: frob\n")
+def test_parser_matches_reference_parser(text):
+    assert parse_outcome(parse_program, text) == parse_outcome(refparse.parse_program, text)
