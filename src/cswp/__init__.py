@@ -6,7 +6,6 @@ sound upper bounds, and a Hamming-weight instruction power model."""
 from .core import (
     BINARY01,
     FULL,
-    BitVector,
     Const,
     CswpError,
     ExecutionError,
@@ -17,8 +16,6 @@ from .core import (
     PriorOutput,
     Program,
     ProgramValidationError,
-    SwitchingReport,
-    evaluate_switching,
     execute,
     hamming_distance,
     validate_program,
@@ -28,7 +25,6 @@ from .textfmt import ParseError, parse_program, serialize_program
 __all__ = [
     "BINARY01",
     "FULL",
-    "BitVector",
     "Const",
     "CswpError",
     "ExecutionError",
@@ -40,8 +36,6 @@ __all__ = [
     "PriorOutput",
     "Program",
     "ProgramValidationError",
-    "SwitchingReport",
-    "evaluate_switching",
     "execute",
     "hamming_distance",
     "parse_program",

@@ -101,10 +101,9 @@ def _instance_from_args(args, cls):
 def _cmd_run(args) -> int:
     program = parse_program(_read_text(args.program))
     trace = execute(program, _parse_assignment(args.input))
-    report = trace.switching()
-    pairs = [f"o{i + 1}=0x{bv.value:x}" for i, bv in enumerate(trace.outputs)]
-    pairs += [f"transition.{i + 1}={t}" for i, t in enumerate(report.transitions)]
-    pairs.append(f"total={report.total}")
+    pairs = [f"o{i + 1}=0x{v:x}" for i, v in enumerate(trace.outputs)]
+    pairs += [f"transition.{i + 1}={t}" for i, t in enumerate(trace.transitions)]
+    pairs.append(f"total={sum(trace.transitions)}")
     _write_output(args.output, _render_report(pairs, args.format))
     return 0
 
@@ -153,15 +152,15 @@ def _cmd_checksat_verify(args) -> int:
             raise CswpError(f"--assign covers {len(combos[0])} of {instance.num_vars} variables")
     else:
         analysis.check_budget(1 << instance.num_vars, analysis.DEFAULT_BUDGET)
-        combos = [
+        combos = (
             [(i >> k) & 1 == 1 for k in range(instance.num_vars)]
             for i in range(1 << instance.num_vars)
-        ]
+        )
     pairs = []
     ok = True
     for bools in combos:
         assignment = {str(i): int(b) for i, b in enumerate(bools)}
-        got = execute(program, assignment).outputs[result_index].value
+        got = execute(program, assignment).outputs[result_index]
         expected = 1 if sat.all_satisfied(instance, bools) else 0
         ok = ok and got == expected
         key = "".join("1" if b else "0" for b in bools)
@@ -213,11 +212,10 @@ def _cmd_energy(args) -> int:
     program = parse_program(_read_text(args.program))
     model = energy.load_model(args.model)
     trace = execute(program, _parse_assignment(args.input))
-    report = trace.switching()
     nj = energy.trace_energy(trace, model, include_input_term=args.input_term)
     pairs = [
-        f"switching={report.total}",
-        f"transitions={len(report.transitions)}",
+        f"switching={sum(trace.transitions)}",
+        f"transitions={len(trace.transitions)}",
         f"energy_nj={nj:.6f}",
     ]
     _write_output(args.output, _render_report(pairs, args.format))
@@ -250,11 +248,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, report=True):
+        """A subcommand; a report (key=value lines) also takes --format, the
+        others write their one file format."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=("text", "csv"), default="text")
+        if report:
+            p.add_argument("--format", choices=("text", "csv"), default="text")
         return p
 
     p = add("run", _cmd_run, "execute a program and report its switching")
@@ -270,13 +271,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.add_argument("--method", choices=("coarse", "knownbits"), required=True)
 
-    p = add("reduce-maxsat", _cmd_reduce_maxsat, "embed a maxsat2 instance as a program")
+    p = add("reduce-maxsat", _cmd_reduce_maxsat, "embed a maxsat2 instance as a program", report=False)
     p.add_argument("--vars", type=int, required=True)
     p.add_argument("--clause", action="append", default=[], metavar="LITS",
                    help="clause literals, e.g. 'x1 ~x2' (repeatable)")
     p.add_argument("--width", type=int, default=8)
 
-    p = add("reduce-sat-gap", _cmd_reduce_sat_gap, "embed a SAT instance with a switching gap")
+    p = add("reduce-sat-gap", _cmd_reduce_sat_gap, "embed a SAT instance with a switching gap", report=False)
     p.add_argument("--vars", type=int, required=True)
     p.add_argument("--clause", action="append", default=[], metavar="LITS")
     p.add_argument("--width", type=int, default=8)
@@ -291,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("fit", _cmd_fit, "least-squares fit of the Hamming power model")
     p.add_argument("grid", help="measurement CSV")
 
-    p = add("gen-grid", _cmd_gen_grid, "generate a synthetic measurement grid")
+    p = add("gen-grid", _cmd_gen_grid, "generate a synthetic measurement grid", report=False)
     p.add_argument("--op", required=True, choices=energy.GRID_MNEMONICS)
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--sigma", type=float, default=0.0, help="noise std dev in mW")
@@ -301,7 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c-in", type=float, default=None, dest="c_in", help="override model c_in")
     p.add_argument("--c-out", type=float, default=None, dest="c_out", help="override model c_out")
 
-    p = add("heatmap", _cmd_heatmap, "export a power decomposition matrix as CSV")
+    p = add("heatmap", _cmd_heatmap, "export a power decomposition matrix as CSV", report=False)
     p.add_argument("grid")
     p.add_argument("--stage", choices=energy.HEATMAP_STAGES, required=True)
     p.add_argument("--model", default="xs1l-paper")

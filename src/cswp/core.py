@@ -61,28 +61,9 @@ class ExecutionError(CswpError):
     """Bad assignment: missing/extra free inputs or a domain violation."""
 
 
-@dataclass(frozen=True)
-class BitVector:
-    """Unsigned value of a fixed bit width; all arithmetic is modulo 2**width."""
-
-    value: int
-    width: int
-
-    def __post_init__(self):
-        if not 1 <= self.width <= MAX_WIDTH:
-            raise ValueError(f"width {self.width} outside 1..{MAX_WIDTH}")
-        if not 0 <= self.value < (1 << self.width):
-            raise ValueError(f"value {self.value:#x} does not fit in {self.width} bits")
-
-    def __str__(self):
-        return f"0x{self.value:x}"
-
-
-def hamming_distance(a: BitVector, b: BitVector) -> int:
-    """Number of bit positions where `a` and `b` differ."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    return (a.value ^ b.value).bit_count()
+def hamming_distance(a: int, b: int) -> int:
+    """Number of bit positions where the unsigned values `a` and `b` differ."""
+    return (a ^ b).bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -154,25 +135,15 @@ class Program:
 
 @dataclass
 class ExecutionTrace:
-    """Per-instruction output values, final memory, and resolved input operands."""
+    """One run: each instruction's output value, the Hamming distance of
+    each pair of consecutive outputs (no transition precedes o_1), the cells
+    the program stored with their final values, and each instruction's
+    resolved operand values. Every value is a plain unsigned int."""
 
     outputs: tuple
-    final_memory: tuple
-    input_values: tuple = ()
-
-    def switching(self) -> SwitchingReport:
-        """Hamming distance between each pair of consecutive outputs."""
-        values = [bv.value for bv in self.outputs]
-        transitions = tuple((a ^ b).bit_count() for a, b in zip(values, values[1:]))
-        return SwitchingReport(transitions=transitions, total=sum(transitions))
-
-
-@dataclass
-class SwitchingReport:
-    """Hamming distances between consecutive outputs; no transition precedes o_1."""
-
     transitions: tuple
-    total: int
+    final_memory: dict
+    input_values: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +260,7 @@ def _check_assignment(program: Program, assignment: Mapping) -> dict[str, int]:
     for name, raw in assignment.items():
         if name not in declared:
             raise ExecutionError(f"assignment names undeclared free input {name!r}")
-        if isinstance(raw, BitVector):
-            if raw.width != program.width:
-                raise ExecutionError(f"free input {name!r}: width {raw.width} != program width {program.width}")
-            val = raw.value
-        else:
-            val = int(raw)
+        val = int(raw)
         if not 0 <= val < (1 << program.width):
             raise ExecutionError(f"free input {name!r}: value {val:#x} does not fit in {program.width} bits")
         if declared[name] == BINARY01 and val not in (0, 1):
@@ -306,10 +272,15 @@ def _check_assignment(program: Program, assignment: Mapping) -> dict[str, int]:
     return values
 
 
-def _run_values(program: Program, values: Mapping[str, int]):
-    """Inner interpreter: raw output ints, final memory ints, input tuples."""
+def execute(program: Program, assignment: Mapping) -> ExecutionTrace:
+    """Run the program deterministically; a cell reads zero until stored.
+
+    `assignment` maps each declared free-input name to an int. This operand
+    walk is the scalar reference that the engines are tested against.
+    """
+    values = _check_assignment(program, assignment)
     w = program.width
-    memory = [0] * program.mem_size
+    memory = {}  # only stored cells: the declared size costs nothing
     outputs = []
     input_values = []
 
@@ -323,29 +294,15 @@ def _run_values(program: Program, values: Mapping[str, int]):
             elif isinstance(src, Free):
                 args.append(values[src.name])
             else:  # MemRead
-                args.append(memory[src.addr])
+                args.append(memory.get(src.addr, 0))
         out = apply_mnemonic(insn.mnemonic, args, w)
         if insn.mem_dest is not None:
             memory[insn.mem_dest] = out
         outputs.append(out)
         input_values.append(tuple(args))
-    return outputs, memory, input_values
-
-
-def execute(program: Program, assignment: Mapping) -> ExecutionTrace:
-    """Run the program deterministically; memory cells start at zero.
-
-    `assignment` maps each declared free-input name to an int or BitVector.
-    """
-    outputs, memory, input_values = _run_values(program, _check_assignment(program, assignment))
-    w = program.width
     return ExecutionTrace(
-        outputs=tuple(BitVector(v, w) for v in outputs),
-        final_memory=tuple(BitVector(v, w) for v in memory),
+        outputs=tuple(outputs),
+        transitions=tuple(map(hamming_distance, outputs, outputs[1:])),
+        final_memory=memory,
         input_values=tuple(input_values),
     )
-
-
-def evaluate_switching(program: Program, assignment: Mapping) -> SwitchingReport:
-    """Total output-datapath switching: sum of h(o_i, o_{i+1}) over consecutive pairs."""
-    return execute(program, assignment).switching()

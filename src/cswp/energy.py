@@ -250,7 +250,7 @@ def trace_energy(trace: ExecutionTrace, model: EnergyModel, include_input_term: 
         bus_dist.append(d)
 
     total_mw_cycles = 0.0
-    for i, h_out in enumerate(trace.switching().transitions):
+    for i, h_out in enumerate(trace.transitions):
         p = model.p_idle_single + model.c_out * h_out
         if include_input_term:
             p += model.c_in * bus_dist[i + 1]

@@ -27,7 +27,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .core import (
     BINARY01,
@@ -236,17 +236,10 @@ def reduce_sat_gap(instance: SatInstance, width: int = 8, factor=1) -> GapProgra
 
 
 # ---------------------------------------------------------------------------
-# Assignment embedding
-
-def embed_assignment(reduced, bools: Sequence[bool]) -> dict[str, int]:
-    """Truth values, variable-index order, to the program's free inputs."""
-    if len(bools) != reduced.num_vars:
-        raise CswpError(f"got {len(bools)} truth values for {reduced.num_vars} variables")
-    return {str(i): int(bool(b)) for i, b in enumerate(bools)}
-
+# Witness read-back
 
 def recover_assignment(reduced, witness: Mapping[str, int]) -> list[bool]:
-    """Inverse of embed_assignment; witness values must be 0 or 1."""
+    """Truth values, variable-index order, of a witness whose values must be 0 or 1."""
     out = []
     for i in range(reduced.num_vars):
         try:

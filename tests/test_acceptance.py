@@ -20,19 +20,12 @@ from cswp.analysis import (
     maxsat_oracle,
     sat_oracle,
 )
-from cswp.core import (
-    BINARY01,
-    BitVector,
-    evaluate_switching,
-    execute,
-    hamming_distance,
-)
+from cswp.core import BINARY01, execute, hamming_distance
 from cswp.energy import PRESETS, fit_hamming_model, gen_synthetic_grid, summarize_power
 from cswp.reductions import (
     K_CLAUSE,
     K_SAT,
     K_VAR,
-    embed_assignment,
     recover_assignment,
     reduce_maxsat2,
     reduce_sat_gap,
@@ -92,6 +85,11 @@ def maxsat2_switching(inst, sat_count):
     return K_VAR * inst.num_vars + K_CLAUSE * len(inst.clauses) + K_SAT * sat_count
 
 
+def embed(bools):
+    """Truth values, variable-index order, as the embeddings' free inputs."""
+    return {str(i): int(b) for i, b in enumerate(bools)}
+
+
 def program_pool(count=200, seed=3003):
     rng = random.Random(seed)
     return [random_program(rng, max_instructions=8, max_width=4,
@@ -118,7 +116,7 @@ def test_criterion_2_per_assignment_constancy():
     for inst in maxsat2_pool():
         red = reduce_maxsat2(inst, width=4)
         for bools in itertools.product((False, True), repeat=inst.num_vars):
-            total = evaluate_switching(red.program, embed_assignment(red, bools)).total
+            total = sum(execute(red.program, embed(bools)).transitions)
             assert total - maxsat2_switching(inst, count_satisfied(inst, bools)) == 0
 
 
@@ -132,14 +130,13 @@ def test_criterion_3_gap_property():
         satisfiable, model = sat_oracle(inst)
         if satisfiable:
             n_sat += 1
-            report = evaluate_switching(gap.program, embed_assignment(gap, model))
-            phase = report.transitions[gap.decision_len:]
+            phase = execute(gap.program, embed(model)).transitions[gap.decision_len:]
             assert phase == (gap.program.width,) * len(phase)
         else:
             n_unsat += 1
             for bools in itertools.product((False, True), repeat=inst.num_vars):
-                report = evaluate_switching(gap.program, embed_assignment(gap, bools))
-                assert set(report.transitions[gap.decision_len:]) == {0}
+                transitions = execute(gap.program, embed(bools)).transitions
+                assert set(transitions[gap.decision_len:]) == {0}
     assert n_sat >= 5 and n_unsat >= 5, f"poor mix: {n_sat} sat / {n_unsat} unsat"
 
 
@@ -192,7 +189,7 @@ def test_criterion_7_core_properties():
     # the implementation agrees with the oracle table
     for a in range(0, 256, 17):
         for b in range(256):
-            assert hamming_distance(BitVector(a, 8), BitVector(b, 8)) == dist[a, b]
+            assert hamming_distance(a, b) == dist[a, b]
 
     rng = random.Random(4004)
 
@@ -225,7 +222,7 @@ def test_criterion_7_core_properties():
             }
             trace = execute(program, assignment)
             for abstract, concrete in zip(outs, trace.outputs):
-                assert abstract.contains(concrete.value)
+                assert abstract.contains(concrete)
             pairs += 1
 
 
@@ -240,7 +237,7 @@ def test_criterion_8_witness_validity(monkeypatch):
     one_chunk = []
     for program in programs:
         result = brute_force_worst_case(program)
-        assert evaluate_switching(program, result.witness).total == result.max_switching
+        assert sum(execute(program, result.witness).transitions) == result.max_switching
         one_chunk.append(result)
     for rows in (1, 3, 7):
         monkeypatch.setattr(analysis, "_chunk_rows", lambda dtype: rows)

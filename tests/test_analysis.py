@@ -25,9 +25,7 @@ from cswp.core import (
     MemRead,
     PriorOutput,
     Program,
-    _run_values,
     apply_mnemonic,
-    evaluate_switching,
     execute,
     vector_ops,
 )
@@ -85,7 +83,7 @@ class TestBruteForce:
         for _ in range(30):
             p = random_program(rng)
             result = brute_force_worst_case(p)
-            assert evaluate_switching(p, result.witness).total == result.max_switching
+            assert sum(execute(p, result.witness).transitions) == result.max_switching
 
     def test_any_chunk_size_matches_one_chunk(self, monkeypatch):
         # maxima recur across chunks, so this checks that a later chunk
@@ -121,7 +119,7 @@ def scalar_worst_case(p):
     domains = [range(2) if d == BINARY01 else range(1 << p.width) for _, d in p.free_inputs]
     totals, combos = [], []
     for combo in itertools.product(*domains):
-        outputs, _, _ = _run_values(p, dict(zip(names, combo)))
+        outputs = execute(p, dict(zip(names, combo))).outputs
         totals.append(sum((a ^ b).bit_count() for a, b in zip(outputs, outputs[1:])))
         combos.append(dict(zip(names, combo)))
     return totals, combos
@@ -148,7 +146,7 @@ class TestVectorizedEngine:
                 mp.setattr(analysis, "_chunk_rows", lambda dtype: rows)
                 result = brute_force_worst_case(p)
         for index, combo in enumerate(combos):
-            assert vector[index] == evaluate_switching(p, combo).total == totals[index]
+            assert vector[index] == sum(execute(p, combo).transitions) == totals[index]
         best = max(totals)
         assert result.max_switching == best
         assert result.witness == combos[totals.index(best)]
@@ -315,7 +313,7 @@ class TestBounds:
             assignment = random_assignment(rng, p)
             trace = execute(p, assignment)
             for abstract, concrete in zip(outs, trace.outputs):
-                assert abstract.contains(concrete.value)
+                assert abstract.contains(concrete)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -326,7 +324,7 @@ class TestBounds:
         outs = knownbits_outputs(p)
         limits = [analysis._possibly_differing_bits(a, b) for a, b in zip(outs, outs[1:])]
         for combo in scalar_worst_case(p)[1]:
-            transitions = evaluate_switching(p, combo).transitions
+            transitions = execute(p, combo).transitions
             assert all(t <= limit for t, limit in zip(transitions, limits)), combo
 
     def test_load_sees_only_latest_store(self):

@@ -90,6 +90,18 @@ class TestRunSolveBound:
             main(["solve", doubling_path, "--workers", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-grid", "--op", "add"],
+        ["heatmap", "grid.csv", "--stage", HEATMAP_STAGES[0]],
+        ["reduce-maxsat", "--vars", "1"],
+        ["reduce-sat-gap", "--vars", "1"],
+    ])
+    def test_format_only_on_reports(self, argv):
+        # these write one file format each, so --format is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
+
     def test_repeat_invocation_is_byte_identical(self, capsys, doubling_path):
         _, first, _ = run_cli(capsys, "solve", doubling_path)
         _, second, _ = run_cli(capsys, "solve", doubling_path)

@@ -8,7 +8,6 @@ import pytest
 from cswp.core import (
     BINARY01,
     FULL,
-    BitVector,
     Const,
     ExecutionError,
     Free,
@@ -17,7 +16,6 @@ from cswp.core import (
     PriorOutput,
     Program,
     ProgramValidationError,
-    evaluate_switching,
     execute,
     hamming_distance,
     validate_program,
@@ -26,43 +24,23 @@ from cswp.core import (
 from randprog import random_program
 
 
-def bv(value, width=8):
-    return BitVector(value, width)
-
-
-class TestBitVector:
-    def test_rejects_out_of_range_value(self):
-        with pytest.raises(ValueError):
-            BitVector(16, 4)
-
-    def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            BitVector(0, 0)
-        with pytest.raises(ValueError):
-            BitVector(0, 65)
-
-
 class TestHammingDistance:
     def test_complement_flips_all_bits(self):
-        assert hamming_distance(bv(0x00), bv(0xFF)) == 8
+        assert hamming_distance(0x00, 0xFF) == 8
 
     def test_identity(self):
         for v in (0, 1, 0x5A, 0xFF):
-            assert hamming_distance(bv(v), bv(v)) == 0
+            assert hamming_distance(v, v) == 0
 
     def test_simple_pair(self):
-        assert hamming_distance(BitVector(0b0110, 4), BitVector(0b0011, 4)) == 2
-
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            hamming_distance(BitVector(0, 4), BitVector(0, 8))
+        assert hamming_distance(0b0110, 0b0011) == 2
 
     def test_metric_axioms_small_width(self):
         # exhaustive w=4 here; w=8 runs in the acceptance suite
-        vals = [BitVector(v, 4) for v in range(16)]
+        vals = range(16)
         for a in vals:
             assert hamming_distance(a, a) == 0
-            assert hamming_distance(a, BitVector(a.value ^ 0xF, 4)) == 4
+            assert hamming_distance(a, a ^ 0xF) == 4
             for b in vals:
                 assert hamming_distance(a, b) == hamming_distance(b, a)
                 for c in vals:
@@ -89,7 +67,7 @@ class TestExecute:
             Instruction("mov", (Const(0x0),)),
         ])
         trace = execute(p, {})
-        assert [o.value for o in trace.outputs] == [0, 15, 0]
+        assert trace.outputs == (0, 15, 0)
 
     def test_xor_with_constant(self):
         p = prog(8, [
@@ -97,7 +75,7 @@ class TestExecute:
             Instruction("xor", (PriorOutput(0), Const(0x1))),
         ], free_inputs=[("0", FULL)])
         trace = execute(p, {"0": 1})
-        assert [o.value for o in trace.outputs] == [1, 0]
+        assert trace.outputs == (1, 0)
 
     def test_add_wraps_modulo_width(self):
         p = prog(2, [
@@ -105,7 +83,7 @@ class TestExecute:
             Instruction("add", (PriorOutput(0), PriorOutput(0))),
         ], free_inputs=[("0", FULL)])
         trace = execute(p, {"0": 3})
-        assert [o.value for o in trace.outputs] == [3, 2]
+        assert trace.outputs == (3, 2)
 
     def test_store_value_appears_on_datapath_and_in_memory(self):
         p = prog(4, [
@@ -114,12 +92,12 @@ class TestExecute:
             Instruction("load", (MemRead(1),)),
         ], mem_size=2)
         trace = execute(p, {})
-        assert [o.value for o in trace.outputs] == [9, 9, 9]
-        assert [m.value for m in trace.final_memory] == [0, 9]
+        assert trace.outputs == (9, 9, 9)
+        assert trace.final_memory == {1: 9}
 
     def test_load_unwritten_cell_is_zero(self):
         p = prog(4, [Instruction("load", (MemRead(0),))], mem_size=1)
-        assert execute(p, {}).outputs[0].value == 0
+        assert execute(p, {}).outputs[0] == 0
 
     def test_ite_and_eqz(self):
         p = prog(4, [
@@ -127,8 +105,8 @@ class TestExecute:
             Instruction("ite", (PriorOutput(0), Const(0xA), Const(0x5))),
             Instruction("eqz", (PriorOutput(0),)),
         ], free_inputs=[("c", FULL)])
-        assert [o.value for o in execute(p, {"c": 2}).outputs] == [2, 0xA, 0]
-        assert [o.value for o in execute(p, {"c": 0}).outputs] == [0, 0x5, 1]
+        assert execute(p, {"c": 2}).outputs == (2, 0xA, 0)
+        assert execute(p, {"c": 0}).outputs == (0, 0x5, 1)
 
     def test_shifts_mod_width(self):
         p = prog(4, [
@@ -136,7 +114,7 @@ class TestExecute:
             Instruction("shl", (PriorOutput(0), Const(0x5))),  # 5 mod 4 == 1
             Instruction("shr", (PriorOutput(0), Const(0x1))),
         ])
-        assert [o.value for o in execute(p, {}).outputs] == [3, 6, 1]
+        assert execute(p, {}).outputs == (3, 6, 1)
 
     def test_sub_and_not(self):
         p = prog(8, [
@@ -144,7 +122,7 @@ class TestExecute:
             Instruction("sub", (PriorOutput(0), Const(1))),
             Instruction("not", (PriorOutput(1),)),
         ])
-        assert [o.value for o in execute(p, {}).outputs] == [0, 0xFF, 0]
+        assert execute(p, {}).outputs == (0, 0xFF, 0)
 
     def test_missing_assignment_rejected(self):
         p = prog(4, [Instruction("mov", (Free("a"),))], free_inputs=[("a", FULL)])
@@ -155,6 +133,25 @@ class TestExecute:
         p = prog(4, [Instruction("mov", (Const(0),))])
         with pytest.raises(ExecutionError, match="undeclared"):
             execute(p, {"ghost": 0})
+
+    def test_value_wider_than_program_rejected(self):
+        p = prog(4, [Instruction("mov", (Free("a"),))], free_inputs=[("a", FULL)])
+        execute(p, {"a": 15})
+        for value in (16, -1):
+            with pytest.raises(ExecutionError, match="does not fit"):
+                execute(p, {"a": value})
+
+    def test_cost_independent_of_declared_memory(self):
+        # memory holds the stored cells only, never one per declared cell
+        p = prog(8, [Instruction("store", (Const(7),), mem_dest=10**6 - 1)], mem_size=10**6)
+        tracemalloc.start()
+        try:
+            trace = execute(p, {})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.final_memory == {10**6 - 1: 7}
+        assert peak < 1 << 20
 
     def test_binary_domain_enforced(self):
         p = prog(4, [Instruction("mov", (Free("a"),))],
@@ -185,9 +182,7 @@ class TestEvaluateSwitching:
             Instruction("mov", (Const(0xF),)),
             Instruction("mov", (Const(0x0),)),
         ])
-        report = evaluate_switching(p, {})
-        assert report.transitions == (4, 4)
-        assert report.total == 8
+        assert execute(p, {}).transitions == (4, 4)
 
     def test_repeated_output_is_a_nop(self):
         p = prog(8, [
@@ -195,14 +190,14 @@ class TestEvaluateSwitching:
             Instruction("mov", (PriorOutput(0),)),
         ], free_inputs=[("0", FULL)])
         for v in (0, 1, 0xAB, 0xFF):
-            assert evaluate_switching(p, {"0": v}).total == 0
+            assert execute(p, {"0": v}).transitions == (0,)
 
     def test_hand_simulated_add(self):
         p = prog(2, [
             Instruction("mov", (Free("0"),)),
             Instruction("add", (PriorOutput(0), PriorOutput(0))),
         ], free_inputs=[("0", FULL)])
-        assert evaluate_switching(p, {"0": 1}).total == 2
+        assert execute(p, {"0": 1}).transitions == (2,)
 
     def test_total_bounded_by_coarse_limit(self):
         rng = random.Random(11)
@@ -210,11 +205,13 @@ class TestEvaluateSwitching:
             p = random_program(rng)
             assignment = {name: (rng.randrange(2) if d == BINARY01 else rng.randrange(1 << p.width))
                           for name, d in p.free_inputs}
-            report = evaluate_switching(p, assignment)
+            trace = execute(p, assignment)
             n = len(p.instructions)
-            assert 0 <= report.total <= max(0, n - 1) * p.width
-            assert all(0 <= t <= p.width for t in report.transitions)
-            assert report.total == sum(report.transitions)
+            assert len(trace.transitions) == max(0, n - 1)
+            assert 0 <= sum(trace.transitions) <= max(0, n - 1) * p.width
+            assert all(0 <= t <= p.width for t in trace.transitions)
+            assert list(trace.transitions) == [bin(a ^ b).count("1") for a, b in
+                                               zip(trace.outputs, trace.outputs[1:])]
 
 
 class TestValidateProgram:

@@ -6,14 +6,13 @@ import pytest
 
 from cswp.analysis import brute_force_worst_case, maxsat_oracle
 from cswp import reductions
-from cswp.core import CswpError, evaluate_switching, execute, validate_program
+from cswp.core import BINARY01, CswpError, execute, validate_program
 from cswp.reductions import (
     K_CLAUSE,
     K_SAT,
     K_VAR,
     MAX_SWITCHING_LEN,
     build_checksat_program,
-    embed_assignment,
     emit_checksat,
     lit_addr,
     load_gap,
@@ -30,6 +29,15 @@ from cswp.textfmt import serialize_program
 
 def all_assignments(n):
     return itertools.product((False, True), repeat=n)
+
+
+def embed(bools):
+    """Truth values, variable-index order, as the embeddings' free inputs."""
+    return {str(i): int(b) for i, b in enumerate(bools)}
+
+
+def switching(program, bools):
+    return sum(execute(program, embed(bools)).transitions)
 
 
 def random_maxsat2(rng, max_vars=4, max_clauses=6):
@@ -66,7 +74,7 @@ class TestReduceMaxsat2:
     def test_no_clauses_gives_constant_switching(self):
         red = reduce_maxsat2(MaxSat2Instance(1, []), width=4)
         totals = {
-            evaluate_switching(red.program, embed_assignment(red, [b])).total
+            switching(red.program, [b])
             for b in (False, True)
         }
         assert totals == {K_VAR}
@@ -80,8 +88,7 @@ class TestReduceMaxsat2:
         assert result.max_switching == 2 * K_VAR + 2 * K_CLAUSE + 2
         # every assignment satisfies exactly one of the two clauses
         for bools in all_assignments(2):
-            total = evaluate_switching(red.program, embed_assignment(red, bools)).total
-            assert total == result.max_switching
+            assert switching(red.program, bools) == result.max_switching
 
     def test_identity_on_random_instances(self):
         rng = random.Random(101)
@@ -89,7 +96,7 @@ class TestReduceMaxsat2:
             inst = random_maxsat2(rng)
             red = reduce_maxsat2(inst, width=rng.randint(1, 8))
             for bools in all_assignments(inst.num_vars):
-                total = evaluate_switching(red.program, embed_assignment(red, bools)).total
+                total = switching(red.program, bools)
                 sat = count_satisfied(inst, bools)
                 assert total == K_VAR * inst.num_vars + K_CLAUSE * len(inst.clauses) + K_SAT * sat
 
@@ -100,10 +107,10 @@ class TestReduceMaxsat2:
             assert lit_addr(Literal(i, True)) == 2 * (i - 1) + 1
         # the program stores each literal's truth value at its address
         for bools in all_assignments(3):
-            memory = execute(red.program, embed_assignment(red, bools)).final_memory
+            memory = execute(red.program, embed(bools)).final_memory
             for i, b in enumerate(bools, 1):
-                assert memory[lit_addr(Literal(i, False))].value == b
-                assert memory[lit_addr(Literal(i, True))].value == (not b)
+                assert memory[lit_addr(Literal(i, False))] == b
+                assert memory[lit_addr(Literal(i, True))] == (not b)
 
     def test_program_length_is_instance_sized(self):
         # a*n + b*|C| + 1 instructions, independent of any assignment
@@ -154,7 +161,7 @@ class TestEmitChecksat:
     def run_checksat(self, instance, bools, width=4):
         program, result_index = build_checksat_program(instance, width=width)
         assignment = {str(i): int(b) for i, b in enumerate(bools)}
-        return execute(program, assignment).outputs[result_index].value
+        return execute(program, assignment).outputs[result_index]
 
     def test_positive_unit(self):
         assert self.run_checksat(SatInstance(1, [[1]]), [True]) == 1
@@ -204,16 +211,15 @@ class TestReduceSatGap:
     def test_satisfiable_unit(self):
         gap = reduce_sat_gap(SatInstance(1, [[1]]), width=4)
         assert validate_program(gap.program) == []
-        report = evaluate_switching(gap.program, {"0": 1})
-        phase = report.transitions[gap.decision_len:]
+        phase = execute(gap.program, {"0": 1}).transitions[gap.decision_len:]
         assert phase == (4,) * (gap.switching_len - 1)
         assert brute_force_worst_case(gap.program).max_switching >= gap.gap_bits
 
     def test_unsatisfiable_phase_is_silent(self):
         gap = reduce_sat_gap(SatInstance(1, [[1], [-1]]), width=4)
         for v in (0, 1):
-            report = evaluate_switching(gap.program, {"0": v})
-            assert report.transitions[gap.decision_len:] == (0,) * (gap.switching_len - 1)
+            transitions = execute(gap.program, {"0": v}).transitions
+            assert transitions[gap.decision_len:] == (0,) * (gap.switching_len - 1)
 
     def test_phase_length_rule(self):
         for n_clauses in (1, 3, 6):
@@ -280,22 +286,23 @@ class TestReduceSatGap:
             gap = reduce_sat_gap(inst, width=2)
             lengths = set()
             for bools in all_assignments(inst.num_vars):
-                trace = execute(gap.program, {str(i): int(b) for i, b in enumerate(bools)})
+                trace = execute(gap.program, embed(bools))
                 lengths.add(len(trace.outputs))
             assert len(lengths) == 1
 
 
 class TestEmbedRecover:
     def test_embed_examples(self):
+        # variable x_i is the binary free input str(i - 1), in variable order
         red = reduce_maxsat2(MaxSat2Instance(1, [[1]]), width=4)
-        assert embed_assignment(red, [True]) == {"0": 1}
-        red2 = reduce_maxsat2(MaxSat2Instance(2, []), width=4)
-        assert embed_assignment(red2, [False, True]) == {"0": 0, "1": 1}
+        assert red.program.free_inputs == (("0", BINARY01),)
+        gap = reduce_sat_gap(SatInstance(2, [[1, -2]]), width=4)
+        assert gap.program.free_inputs == (("0", BINARY01), ("1", BINARY01))
 
     def test_round_trip(self):
         red = reduce_maxsat2(MaxSat2Instance(3, [[1, 2]]), width=4)
         for bools in all_assignments(3):
-            assert recover_assignment(red, embed_assignment(red, list(bools))) == list(bools)
+            assert recover_assignment(red, embed(bools)) == list(bools)
 
     def test_recover_from_witness_attains_oracle(self):
         inst = MaxSat2Instance(2, [[1], [2]])
@@ -310,8 +317,8 @@ class TestEmbedRecover:
 
     def test_arity_mismatch_rejected(self):
         red = reduce_maxsat2(MaxSat2Instance(2, []), width=4)
-        with pytest.raises(CswpError):
-            embed_assignment(red, [True])
+        with pytest.raises(CswpError, match="missing free input 1"):
+            recover_assignment(red, {"0": 1})
 
     def test_non_binary_witness_rejected(self):
         red = reduce_maxsat2(MaxSat2Instance(1, []), width=4)

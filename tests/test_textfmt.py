@@ -149,6 +149,33 @@ class TestRoundTrip:
 SEPARATORS = ("\n", "\r\n", "\x0b", "\x85")
 
 
+def _or_keep(odd):
+    """A field's noisy choice: None keeps the valid value, else an odd one."""
+    return st.one_of(st.none(), odd)
+
+
+# program_text's strategies, built once: rebuilding them on every draw, the
+# regex strategy above all, took about a third of its two properties' time
+_DIGIT = st.integers(0, 9).map(str)
+_WIDTH = st.integers(1, 64).map(str)
+_ODD_NUMBER = _or_keep(st.one_of(st.integers(-2, 70).map(str), st.text(max_size=3),
+                                 st.sampled_from(["\u0663", "1_0", "+4", "0x4"])))
+_ODD_TOKEN = _or_keep(st.text(max_size=4))
+_NAME = st.from_regex(NAME_PATTERN, fullmatch=True)
+_OPERAND_KIND = st.sampled_from(["const", "mem", "prior", "free"])
+_CONST = st.integers(0, 300)
+_MNEMONIC = st.sampled_from(sorted(MNEMONICS))
+_ODD_MNEMONIC = _or_keep(st.sampled_from(["frob", "ADD", ""]))
+_ODD_COUNT = _or_keep(st.integers(0, 4))
+_DEST = st.sampled_from(["", "", " -> m[0]", " -> m[2]"])
+_ODD_DEST = _or_keep(st.just(" -> x"))
+_DOMAIN = st.sampled_from([BINARY01, FULL])
+_ODD_DOMAIN = _or_keep(st.just("2"))
+_COMMENTED = _or_keep(st.just(True))
+_ODD_LINE = st.text(max_size=12)
+_SEPARATOR = st.sampled_from(SEPARATORS)
+
+
 @st.composite
 def program_text(draw):
     """Valid header and instruction lines joined by any line end. In a noisy
@@ -158,44 +185,48 @@ def program_text(draw):
     noisy = draw(st.booleans())
 
     def pick(valid, odd):
-        return draw(st.one_of(valid, odd) if noisy else valid)
+        """`valid` (a value, or a strategy drawn only when kept), or in a
+        noisy text possibly a draw from the prebuilt `odd`."""
+        got = draw(odd) if noisy else None
+        if got is not None:
+            return got
+        return draw(valid) if isinstance(valid, st.SearchStrategy) else valid
 
-    def number(valid=st.integers(0, 9)):
-        return pick(valid.map(str), st.one_of(st.integers(-2, 70).map(str), st.text(max_size=3),
-                                              st.sampled_from(["\u0663", "1_0", "+4", "0x4"])))
+    def number(valid=_DIGIT):
+        return pick(valid, _ODD_NUMBER)
 
     def operand():
-        kind = draw(st.sampled_from(["const", "mem", "prior", "free"]))
+        kind = draw(_OPERAND_KIND)
         if kind == "const":
-            token = f"#0x{draw(st.integers(0, 300)):x}"
+            token = f"#0x{draw(_CONST):x}"
         elif kind == "mem":
             token = f"m[{number()}]"
         elif kind == "prior":
             token = f"o{number()}"
         else:
             token = f"free{name()}"
-        return pick(st.just(token), st.text(max_size=4))
+        return pick(token, _ODD_TOKEN)
 
     def name():
-        return pick(st.from_regex(NAME_PATTERN, fullmatch=True), st.text(max_size=4))
+        return pick(_NAME, _ODD_TOKEN)
 
-    lines = [f"width {number(st.integers(1, 64))}"]
+    lines = [f"width {number(_WIDTH)}"]
     for index in range(1, draw(st.integers(0, 6)) + 1):
-        mnemonic = pick(st.sampled_from(sorted(MNEMONICS)), st.sampled_from(["frob", "ADD", ""]))
-        count = pick(st.just(ARITY.get(mnemonic, 1)), st.integers(0, 4))
+        mnemonic = pick(_MNEMONIC, _ODD_MNEMONIC)
+        count = pick(ARITY.get(mnemonic, 1), _ODD_COUNT)
         operands = ", ".join(operand() for _ in range(count))
-        dest = pick(st.sampled_from(["", "", " -> m[0]", " -> m[2]"]), st.just(" -> x"))
-        lines.append(f"o{number(st.just(index))}: {mnemonic} {operands}{dest}")
+        dest = pick(_DEST, _ODD_DEST)
+        lines.append(f"o{number(str(index))}: {mnemonic} {operands}{dest}")
     for _ in range(draw(st.integers(0, 3))):  # headers, right after width unless noisy
         if draw(st.booleans()):
             line = f"mem {number()}"
         else:
-            line = f"free {name()} {pick(st.sampled_from([BINARY01, FULL]), st.just('2'))}"
+            line = f"free {name()} {pick(_DOMAIN, _ODD_DOMAIN)}"
         lines.insert(draw(st.integers(1, 1 + noisy * (len(lines) - 1))), line)
     for _ in range(noisy * draw(st.integers(0, 2))):
-        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
-    lines = [pick(st.just(line), st.just(f" {line}\t# c")) for line in lines]
-    return "".join(line + draw(st.sampled_from(SEPARATORS)) for line in lines)
+        lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINE))
+    lines = [f" {line}\t# c" if pick(False, _COMMENTED) else line for line in lines]
+    return "".join(line + draw(_SEPARATOR) for line in lines)
 
 
 @settings(max_examples=300, deadline=None)
