@@ -1,5 +1,5 @@
-"""Exact worst-case switching by exhaustive enumeration, Boolean-side oracles,
-and the two sound upper bounds (coarse max-activity and known-bits).
+"""Exact worst-case switching by exhaustive enumeration and the two sound
+upper bounds (coarse max-activity and known-bits).
 
 Enumeration is the only exact method on offer: the worst case over free inputs
 is exponential in the input bits, and the budget guard turns that wall into an
@@ -8,7 +8,6 @@ explicit error instead of a silently truncated "maximum".
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import prod
 
@@ -24,8 +23,7 @@ from .core import (
     apply_mnemonic,
     vector_ops,
 )
-from .knownbits import KnownBits, knownbits_transfer
-from .sat import MaxSat2Instance, SatInstance, all_satisfied, count_satisfied
+from .knownbits import TRANSFER, KnownBits
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -91,13 +89,18 @@ class _Lowered:
     Slots 0..len(fields)-1 hold the free inputs, later slots constants
     (their values in `constants`, None elsewhere) or instruction results.
     Each step is (mnemonic or None, dest slot, operand slots, transition
-    slot pair or None, slots dead afterwards); `outputs` holds each
-    instruction's output slot and `base` the switching between adjacent
-    constant outputs. `dtype` is the narrowest unsigned dtype that holds
-    the width, the one the scan's columns take.
+    or None, slots dead afterwards). A transition is (slot, slot,
+    multiplicity): each distinct unordered slot pair that adjacent outputs
+    switch between appears once, at the last step where it occurs, with the
+    number of times it occurs. `outputs` holds each instruction's output
+    slot and `base` the switching between adjacent constant outputs.
+    `dtype` is the narrowest unsigned dtype that holds the width, the one
+    the scan's columns take, and `acc_dtype` the narrowest that holds the
+    coarse bound, which no total exceeds.
     """
 
     dtype: np.dtype
+    acc_dtype: np.dtype
     fields: list
     constants: list
     steps: list
@@ -125,6 +128,8 @@ def _lower(program: Program) -> _Lowered:
     out_slot: list[int] = []
     steps = []
     last_use: dict[int, int] = {}
+    last_step: dict[tuple, int] = {}  # distinct slot pair -> its last step
+    count: dict[tuple, int] = {}  # and its multiplicity
     base = 0
     for i, insn in enumerate(program.instructions):
         srcs = []
@@ -153,40 +158,53 @@ def _lower(program: Program) -> _Lowered:
         if insn.mem_dest is not None:
             stored[insn.mem_dest] = dest
 
-        pair = None
         if out_slot and out_slot[-1] != dest:
             prev = out_slot[-1]
             if value[prev] is not None and value[dest] is not None:
                 base += (value[prev] ^ value[dest]).bit_count()
             else:
-                pair = (prev, dest)
                 last_use[prev] = last_use[dest] = i
+                pair = (prev, dest) if prev < dest else (dest, prev)
+                last_step[pair] = i
+                count[pair] = count.get(pair, 0) + 1
         out_slot.append(dest)
-        steps.append([mnemonic, dest, srcs, pair, []])
+        steps.append([mnemonic, dest, srcs, None, []])
 
+    for pair, i in last_step.items():
+        steps[i][3] = (*pair, count[pair])
     for s, i in last_use.items():
         if value[s] is None:
             steps[i][4].append(s)
     steps = [step for step in steps if step[0] is not None or step[3] or step[4]]
-    return _Lowered(np.min_scalar_type(program.mask), fields, value, steps, out_slot, base)
+    return _Lowered(np.min_scalar_type(program.mask), np.min_scalar_type(coarse_upper_bound(program)),
+                    fields, value, steps, out_slot, base)
 
 
 def _scan_chunk(lowered: _Lowered, ops: dict, lo: int, hi: int) -> np.ndarray:
     """Switching totals (int64) of enumeration indices [lo, hi), with the
-    column op table `ops` of the program's width, in `lowered.dtype`."""
-    dtype = lowered.dtype
+    column op table `ops` of the program's width, in `lowered.dtype`.
+
+    Each distinct transition is counted once, times its multiplicity, in a
+    `lowered.acc_dtype` accumulator; `np.bitwise_count` gives uint8, so a
+    count is widened to that dtype before the multiplication, which would
+    otherwise wrap at 256."""
+    dtype, acc_type = lowered.dtype, lowered.acc_dtype.type
     index = np.arange(lo, hi, dtype=np.uint64)
     env = [None if v is None else dtype.type(v) for v in lowered.constants]
     for k, (shift, mask) in enumerate(lowered.fields):
         env[k] = ((index >> np.uint64(shift)) & np.uint64(mask)).astype(dtype, copy=False)
-    totals = np.full(hi - lo, lowered.base, dtype=np.int64)
+    acc = np.zeros(hi - lo, dtype=lowered.acc_dtype)
     for mnemonic, dest, srcs, pair, dead in lowered.steps:
         if mnemonic is not None:
             env[dest] = ops[mnemonic](*[env[s] for s in srcs])
         if pair is not None:
-            totals += np.bitwise_count(env[pair[0]] ^ env[pair[1]])
+            a, b, count = pair
+            flips = np.bitwise_count(env[a] ^ env[b])
+            acc += flips if count == 1 else flips * acc_type(count)
         for s in dead:
             env[s] = None
+    totals = acc.astype(np.int64)
+    totals += lowered.base
     return totals
 
 
@@ -223,36 +241,6 @@ def brute_force_worst_case(program: Program, budget: int = DEFAULT_BUDGET) -> Wo
 
 
 # ---------------------------------------------------------------------------
-# Boolean-side oracles (independent of program execution)
-
-def maxsat_oracle(
-    instance: MaxSat2Instance, budget: int = DEFAULT_BUDGET
-) -> tuple[int, tuple[bool, ...]]:
-    """Exact maximum satisfied-clause count and the lexicographically smallest
-    maximizing assignment (False < True, variables in index order)."""
-    check_budget(1 << instance.num_vars, budget)
-    best = -1
-    best_assignment = None
-    for assignment in itertools.product((False, True), repeat=instance.num_vars):
-        score = count_satisfied(instance, assignment)
-        if score > best:
-            best = score
-            best_assignment = assignment
-    return best, best_assignment
-
-
-def sat_oracle(
-    instance: SatInstance, budget: int = DEFAULT_BUDGET
-) -> tuple[bool, tuple[bool, ...] | None]:
-    """Decision form: (satisfiable, first satisfying model or None)."""
-    check_budget(1 << instance.num_vars, budget)
-    for assignment in itertools.product((False, True), repeat=instance.num_vars):
-        if all_satisfied(instance, assignment):
-            return True, assignment
-    return False, None
-
-
-# ---------------------------------------------------------------------------
 # Sound upper bounds
 
 def coarse_upper_bound(program: Program) -> int:
@@ -261,15 +249,15 @@ def coarse_upper_bound(program: Program) -> int:
     return max(0, n - 1) * program.width
 
 
-def _knownbits_slots(lowered: _Lowered, w: int) -> list[KnownBits]:
-    """Abstract execution of the lowered program: the known bits of every
-    slot. A free input is unknown within its field's mask."""
-    slots = [KnownBits(0, mask, w) for _, mask in lowered.fields]
-    slots += [None if v is None else KnownBits.from_constant(v, w)
-              for v in lowered.constants[len(slots):]]
+def _knownbits_slots(lowered: _Lowered, w: int) -> list[tuple]:
+    """Abstract execution of the lowered program over the masks of
+    `knownbits.TRANSFER`: the (ones, unknowns) pair of every slot. A free
+    input is unknown within its field's mask."""
+    slots = [(0, mask) for _, mask in lowered.fields]
+    slots += [None if v is None else (v, 0) for v in lowered.constants[len(slots):]]
     for mnemonic, dest, srcs, _, _ in lowered.steps:
         if mnemonic is not None:
-            slots[dest] = knownbits_transfer(mnemonic, [slots[s] for s in srcs])
+            slots[dest] = TRANSFER[mnemonic](w, *[slots[s] for s in srcs])
     return slots
 
 
@@ -280,21 +268,22 @@ def knownbits_outputs(program: Program) -> list[KnownBits]:
     update, exact for branch-free programs with static addresses)."""
     lowered = _lower(program)
     slots = _knownbits_slots(lowered, program.width)
-    return [slots[s] for s in lowered.outputs]
+    return [KnownBits(*slots[s], program.width) for s in lowered.outputs]
 
 
-def _possibly_differing_bits(a: KnownBits, b: KnownBits) -> int:
-    both_known_equal = a.knowns & b.knowns & ~(a.ones ^ b.ones)
-    return a.width - both_known_equal.bit_count()
+def _possibly_differing_bits(a: tuple, b: tuple) -> int:
+    """Bits not known equal on both sides of two (ones, unknowns) pairs."""
+    return (a[1] | b[1] | (a[0] ^ b[0])).bit_count()
 
 
 def knownbits_upper_bound(program: Program) -> int:
     """`base` plus, per transition between slots that are not both
-    constant, the bits not known equal on both sides (a repeated slot adds
-    0); always between the exact maximum and the coarse bound."""
+    constant, the bits not known equal on both sides times the transition's
+    multiplicity (a repeated slot adds 0); always between the exact maximum
+    and the coarse bound."""
     lowered = _lower(program)
     slots = _knownbits_slots(lowered, program.width)
+    transitions = [step[3] for step in lowered.steps if step[3] is not None]
     return lowered.base + sum(
-        _possibly_differing_bits(slots[pair[0]], slots[pair[1]])
-        for _, _, _, pair, _ in lowered.steps if pair is not None
+        count * _possibly_differing_bits(slots[a], slots[b]) for a, b, count in transitions
     )

@@ -193,7 +193,9 @@ def vector_ops(width: int) -> dict:
         "not": lambda a: ~a & mask,
         "shl": lambda a, b: (a << (b % width)) & mask,
         "shr": lambda a, b: a >> (b % width),
-        "ite": lambda c, a, b: np.where(c != 0, a, b),
+        # a branch-free blend, several times faster than np.where on
+        # narrow columns: the rows where c is nonzero take all of a ^ b
+        "ite": lambda c, a, b: b ^ ((a ^ b) & ((c != 0).astype(c.dtype) * mask)),
         "eqz": lambda a: (a == 0).astype(a.dtype),
     }
 

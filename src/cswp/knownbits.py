@@ -53,10 +53,6 @@ class KnownBits:
     def knowns(self) -> int:
         return self.mask & ~self.unknowns
 
-    @property
-    def zeros(self) -> int:
-        return self.knowns & ~self.ones
-
     def bit_state(self, i: int) -> str:
         if self.unknowns >> i & 1:
             return UNKNOWN
@@ -78,118 +74,127 @@ class KnownBits:
 
     def join(self, other: "KnownBits") -> "KnownBits":
         """Smallest abstract value covering both operands' concretizations."""
-        _check_widths(self, other)
-        ones = self.ones & other.ones
-        zeros = self.zeros & other.zeros
-        return KnownBits(ones, self.mask & ~(ones | zeros), self.width)
-
-    # -- transfer functions ---------------------------------------------------
-
-    def b_not(self) -> "KnownBits":
-        return KnownBits(self.zeros, self.unknowns, self.width)
-
-    def b_and(self, other: "KnownBits") -> "KnownBits":
-        _check_widths(self, other)
-        ones = self.ones & other.ones
-        zeros = self.zeros | other.zeros
-        return KnownBits(ones, self.mask & ~(ones | zeros), self.width)
-
-    def b_or(self, other: "KnownBits") -> "KnownBits":
-        _check_widths(self, other)
-        ones = self.ones | other.ones
-        zeros = self.zeros & other.zeros
-        return KnownBits(ones, self.mask & ~(ones | zeros), self.width)
-
-    def b_xor(self, other: "KnownBits") -> "KnownBits":
-        _check_widths(self, other)
-        both_known = self.knowns & other.knowns
-        ones = (self.ones ^ other.ones) & both_known
-        return KnownBits(ones, self.mask & ~both_known, self.width)
-
-    def add(self, other: "KnownBits") -> "KnownBits":
-        # tnum addition (Vishwanathan et al., CGO 2022): v sums the smallest
-        # concretizations, v + unknowns the largest; a bit the two sums
-        # disagree on lies on a carry chain that unknown bits can reach
-        _check_widths(self, other)
-        v = self.ones + other.ones
-        u = ((v + self.unknowns + other.unknowns) ^ v) | self.unknowns | other.unknowns
-        return _tnum(v, u, self.width)
-
-    def sub(self, other: "KnownBits") -> "KnownBits":
-        # tnum subtraction: v + self.unknowns is the largest difference and
-        # v - other.unknowns the smallest; they disagree on reachable borrows
-        _check_widths(self, other)
-        v = self.ones - other.ones
-        u = ((v + self.unknowns) ^ (v - other.unknowns)) | self.unknowns | other.unknowns
-        return _tnum(v, u, self.width)
-
-    def shl(self, amount: "KnownBits") -> "KnownBits":
-        """Shift left by a fully known amount (mod width), else all-unknown."""
-        _check_widths(self, amount)
-        if not amount.is_constant():
-            return KnownBits.top(self.width)
-        s = amount.ones % self.width
-        return KnownBits((self.ones << s) & self.mask, (self.unknowns << s) & self.mask, self.width)
-
-    def shr(self, amount: "KnownBits") -> "KnownBits":
-        _check_widths(self, amount)
-        if not amount.is_constant():
-            return KnownBits.top(self.width)
-        s = amount.ones % self.width
-        return KnownBits(self.ones >> s, self.unknowns >> s, self.width)
-
-    def eqz(self) -> "KnownBits":
-        if self.ones:
-            return KnownBits.from_constant(0, self.width)
-        if self.is_constant():
-            return KnownBits.from_constant(1, self.width)
-        return KnownBits(0, 1, self.width)
+        return _apply(_join, (self, other))
 
 
 def ite(cond: KnownBits, then: KnownBits, orelse: KnownBits) -> KnownBits:
     """then if cond is certainly nonzero, orelse if certainly zero, else the join."""
-    _check_widths(cond, then, orelse)
-    if cond.ones:
-        return then
-    if cond.is_constant():
-        return orelse
-    return then.join(orelse)
+    return _apply(TRANSFER["ite"], (cond, then, orelse))
 
 
-def _check_widths(*values: KnownBits):
+def _apply(transfer, values: Sequence[KnownBits]) -> KnownBits:
+    """A mask-level transfer function over KnownBits of one width."""
     w = values[0].width
     for v in values[1:]:
         if v.width != w:
             raise ValueError(f"width mismatch: {v.width} vs {w}")
+    return KnownBits(*transfer(w, *[(v.ones, v.unknowns) for v in values]), w)
 
 
-def _tnum(value: int, unknowns: int, width: int) -> KnownBits:
+# ---------------------------------------------------------------------------
+# Transfer functions over plain masks: each takes the width and one
+# (ones, unknowns) pair per operand, all within the width, and returns the
+# result's pair. These state the semantics once; KnownBits wraps them with
+# its checks, and analysis runs them directly.
+
+def _join(w, a, b):
+    # unknown where either side is, or both are known but differ
+    return a[0] & b[0], a[1] | b[1] | (a[0] ^ b[0])
+
+
+def _not(w, a):
+    return ((1 << w) - 1) & ~(a[0] | a[1]), a[1]
+
+
+def _and(w, a, b):
+    # known 1 where both are, known 0 where either is
+    ones = a[0] & b[0]
+    return ones, (a[0] | a[1]) & (b[0] | b[1]) & ~ones
+
+
+def _or(w, a, b):
+    # known 1 where either is, known 0 where both are
+    ones = a[0] | b[0]
+    return ones, (a[1] | b[1]) & ~ones
+
+
+def _xor(w, a, b):
+    unknowns = a[1] | b[1]
+    return (a[0] ^ b[0]) & ~unknowns, unknowns
+
+
+def _add(w, a, b):
+    # tnum addition (Vishwanathan et al., CGO 2022): v sums the smallest
+    # concretizations, v + unknowns the largest; a bit the two sums
+    # disagree on lies on a carry chain that unknown bits can reach
+    v = a[0] + b[0]
+    return _tnum(w, v, ((v + a[1] + b[1]) ^ v) | a[1] | b[1])
+
+
+def _sub(w, a, b):
+    # tnum subtraction: v + a.unknowns is the largest difference and
+    # v - b.unknowns the smallest; they disagree on reachable borrows
+    v = a[0] - b[0]
+    return _tnum(w, v, ((v + a[1]) ^ (v - b[1])) | a[1] | b[1])
+
+
+def _tnum(w, value, unknowns):
     """Known bits of `value` outside `unknowns`, both cut to the width."""
-    mask = (1 << width) - 1
+    mask = (1 << w) - 1
     unknowns &= mask
-    return KnownBits(value & ~unknowns & mask, unknowns, width)
+    return value & ~unknowns & mask, unknowns
 
 
-def _copy(a: KnownBits) -> KnownBits:
+def _shl(w, a, amount):
+    """Shift by a fully known amount (mod width), else all-unknown."""
+    mask = (1 << w) - 1
+    if amount[1]:
+        return 0, mask
+    s = amount[0] % w
+    return (a[0] << s) & mask, (a[1] << s) & mask
+
+
+def _shr(w, a, amount):
+    if amount[1]:
+        return 0, (1 << w) - 1
+    s = amount[0] % w
+    return a[0] >> s, a[1] >> s
+
+
+def _eqz(w, a):
+    if a[0]:
+        return 0, 0
+    return (0, 1) if a[1] else (1, 0)
+
+
+def _ite(w, cond, then, orelse):
+    if cond[0]:
+        return then
+    if not cond[1]:
+        return orelse
+    return _join(w, then, orelse)
+
+
+def _copy(w, a):
     return a
 
 
-# mnemonic -> transfer function; `load` and `store` are copies here, since
-# the caller resolves memory state before calling
+# mnemonic -> transfer function over masks; `load` and `store` are copies
+# here, since the caller resolves memory state before calling
 TRANSFER = {
     "mov": _copy,
     "store": _copy,
     "load": _copy,
-    "not": KnownBits.b_not,
-    "eqz": KnownBits.eqz,
-    "and": KnownBits.b_and,
-    "or": KnownBits.b_or,
-    "xor": KnownBits.b_xor,
-    "add": KnownBits.add,
-    "sub": KnownBits.sub,
-    "shl": KnownBits.shl,
-    "shr": KnownBits.shr,
-    "ite": ite,
+    "not": _not,
+    "eqz": _eqz,
+    "and": _and,
+    "or": _or,
+    "xor": _xor,
+    "add": _add,
+    "sub": _sub,
+    "shl": _shl,
+    "shr": _shr,
+    "ite": _ite,
 }
 
 
@@ -200,4 +205,4 @@ def knownbits_transfer(mnemonic: str, inputs: Sequence[KnownBits]) -> KnownBits:
         raise ValueError(f"unknown mnemonic {mnemonic!r}")
     if len(inputs) != ARITY[mnemonic]:
         raise ValueError(f"{mnemonic} takes {ARITY[mnemonic]} input(s), got {len(inputs)}")
-    return TRANSFER[mnemonic](*inputs)
+    return _apply(TRANSFER[mnemonic], inputs)

@@ -17,8 +17,6 @@ from cswp.analysis import (
     coarse_upper_bound,
     knownbits_outputs,
     knownbits_upper_bound,
-    maxsat_oracle,
-    sat_oracle,
 )
 from cswp.core import BINARY01, execute, hamming_distance
 from cswp.energy import PRESETS, fit_hamming_model, gen_synthetic_grid, summarize_power
@@ -33,6 +31,7 @@ from cswp.reductions import (
 from cswp.sat import MaxSat2Instance, SatInstance, count_satisfied
 from cswp.textfmt import parse_program, serialize_program
 
+from oracles import maxsat_oracle, sat_oracle
 from randprog import random_program
 
 

@@ -13,8 +13,6 @@ from cswp.analysis import (
     coarse_upper_bound,
     knownbits_outputs,
     knownbits_upper_bound,
-    maxsat_oracle,
-    sat_oracle,
 )
 from cswp.core import (
     BINARY01,
@@ -29,8 +27,10 @@ from cswp.core import (
     execute,
     vector_ops,
 )
+from cswp.reductions import reduce_maxsat2, reduce_sat_gap
 from cswp.sat import MaxSat2Instance, SatInstance
 
+from oracles import maxsat_oracle, sat_oracle
 from randprog import random_program
 
 
@@ -215,6 +215,19 @@ class TestVectorizedEngine:
         vector = analysis._scan_chunk(analysis._lower(p), vector_ops(width), 0, 4)
         assert list(vector) == totals
 
+    def test_pair_recurring_past_uint8(self):
+        # the gap phase alternates one pattern with zero, so one slot pair
+        # recurs hundreds of times: its uint8 popcount must widen before it
+        # is multiplied by the multiplicity
+        p = reduce_sat_gap(SatInstance(2, [[1, 2], [-1, 2]]), width=8, factor=40).program
+        lowered = analysis._lower(p)
+        assert max(pair[2] for _, _, _, pair, _ in lowered.steps if pair) > 255
+        totals, combos = scalar_worst_case(p)
+        vector = analysis._scan_chunk(lowered, vector_ops(p.width), 0, len(totals))
+        assert list(vector) == totals
+        assert [sum(execute(p, combo).transitions) for combo in combos] == totals
+        assert brute_force_worst_case(p).max_switching == max(totals)
+
 
 class TestMaxsatOracle:
     def test_complementary_units(self):
@@ -295,7 +308,6 @@ class TestBounds:
             assert exact <= kb <= coarse
 
     def test_bounds_dominate_reduced_programs(self):
-        from cswp.reductions import reduce_maxsat2
         rng = random.Random(61)
         for _ in range(10):
             n = rng.randint(1, 3)
@@ -304,6 +316,23 @@ class TestBounds:
             p = reduce_maxsat2(MaxSat2Instance(n, clauses), width=4).program
             exact = brute_force_worst_case(p).max_switching
             assert exact <= knownbits_upper_bound(p) <= coarse_upper_bound(p)
+
+    def test_bound_sums_adjacent_outputs(self):
+        # counting each distinct transition once, times its multiplicity,
+        # gives the sum over every adjacent pair of abstract outputs, a
+        # repeated slot adding 0
+        rng = random.Random(67)
+        programs = [random_program(rng) for _ in range(100)]
+        programs += [reduce_maxsat2(MaxSat2Instance(3, [[1, -2], [2, 3], [-1], [-3, 1]]), width=4).program,
+                     reduce_sat_gap(SatInstance(3, [[1, -2], [2, 3], [-1, -3]]), width=8).program]
+        for p in programs:
+            outs = knownbits_outputs(p)
+            slots = analysis._lower(p).outputs
+            expected = sum(
+                0 if s == t else p.width - (a.knowns & b.knowns & ~(a.ones ^ b.ones)).bit_count()
+                for s, t, a, b in zip(slots, slots[1:], outs, outs[1:])
+            )
+            assert knownbits_upper_bound(p) == expected
 
     def test_abstract_outputs_sound_at_random_inputs(self):
         rng = random.Random(59)
@@ -322,7 +351,8 @@ class TestBounds:
         # its two abstract outputs leave possibly different
         p = random_program(random.Random(seed))
         outs = knownbits_outputs(p)
-        limits = [analysis._possibly_differing_bits(a, b) for a, b in zip(outs, outs[1:])]
+        limits = [analysis._possibly_differing_bits((a.ones, a.unknowns), (b.ones, b.unknowns))
+                  for a, b in zip(outs, outs[1:])]
         for combo in scalar_worst_case(p)[1]:
             transitions = execute(p, combo).transitions
             assert all(t <= limit for t, limit in zip(transitions, limits)), combo

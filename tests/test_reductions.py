@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from cswp.analysis import brute_force_worst_case, maxsat_oracle
+from cswp.analysis import brute_force_worst_case
 from cswp import reductions
 from cswp.core import BINARY01, CswpError, execute, validate_program
 from cswp.reductions import (
@@ -25,6 +25,8 @@ from cswp.reductions import (
 )
 from cswp.sat import Literal, MaxSat2Instance, SatInstance, count_satisfied
 from cswp.textfmt import serialize_program
+
+from oracles import maxsat_oracle
 
 
 def all_assignments(n):
