@@ -23,7 +23,7 @@ from .core import (
     apply_mnemonic,
     vector_ops,
 )
-from .knownbits import TRANSFER, KnownBits
+from .knownbits import TRANSFER
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -259,16 +259,6 @@ def _knownbits_slots(lowered: _Lowered, w: int) -> list[tuple]:
         if mnemonic is not None:
             slots[dest] = TRANSFER[mnemonic](w, *[slots[s] for s in srcs])
     return slots
-
-
-def knownbits_outputs(program: Program) -> list[KnownBits]:
-    """One KnownBits value per instruction output, that of its slot in the
-    lowered program: free inputs start unknown within their domain, and a
-    load sees the latest earlier store to its address or zero (a strong
-    update, exact for branch-free programs with static addresses)."""
-    lowered = _lower(program)
-    slots = _knownbits_slots(lowered, program.width)
-    return [KnownBits(*slots[s], program.width) for s in lowered.outputs]
 
 
 def _possibly_differing_bits(a: tuple, b: tuple) -> int:

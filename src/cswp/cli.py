@@ -143,7 +143,7 @@ def _cmd_reduce_sat_gap(args) -> int:
 def _cmd_checksat_verify(args) -> int:
     instance = _instance_from_args(args, sat.SatInstance)
     program, result_index = reductions.build_checksat_program(instance, width=args.width)
-    if args.assign:
+    if args.assign is not None:
         bits = args.assign.replace(",", "")
         if set(bits) - {"0", "1"}:
             raise CswpError(f"bad --assign {args.assign!r}: each value must be 0 or 1")

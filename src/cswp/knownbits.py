@@ -3,99 +3,16 @@
 Each bit of a w-bit value is known-0, known-1, or unknown. A value is encoded
 as two masks, a tristate number (tnum): `ones` has a bit set where the bit is
 known 1, `unknowns` where it is unknown; the same bit may never be set in
-both, and no bit outside the width may be set in either. A fully known value
-denotes exactly one integer, so the concretization is never empty.
+both (`ones & unknowns == 0`), and no bit outside the width may be set in
+either. A fully known value denotes exactly one integer, so the
+concretization is never empty.
+
+`TRANSFER` states the domain's semantics once: each entry takes the width and
+one (ones, unknowns) pair per operand, all valid tnums of that width, and
+returns the result's pair, itself a valid tnum of that width and sound for
+every concretization of the operands.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence
-
-from .core import ARITY
-
-ZERO = "0"
-ONE = "1"
-UNKNOWN = "?"
-
-
-@dataclass(frozen=True)
-class KnownBits:
-    ones: int
-    unknowns: int
-    width: int
-
-    def __post_init__(self):
-        mask = (1 << self.width) - 1
-        if self.ones & self.unknowns:
-            raise ValueError("a bit cannot be both known-1 and unknown")
-        if (self.ones | self.unknowns) & ~mask:
-            raise ValueError(f"bits set outside width {self.width}")
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def from_constant(value: int, width: int) -> "KnownBits":
-        return KnownBits(value & ((1 << width) - 1), 0, width)
-
-    @staticmethod
-    def top(width: int) -> "KnownBits":
-        """All bits unknown."""
-        return KnownBits(0, (1 << width) - 1, width)
-
-    # -- views ---------------------------------------------------------------
-
-    @property
-    def mask(self) -> int:
-        return (1 << self.width) - 1
-
-    @property
-    def knowns(self) -> int:
-        return self.mask & ~self.unknowns
-
-    def bit_state(self, i: int) -> str:
-        if self.unknowns >> i & 1:
-            return UNKNOWN
-        return ONE if self.ones >> i & 1 else ZERO
-
-    def is_constant(self) -> bool:
-        return self.unknowns == 0
-
-    def contains(self, value: int) -> bool:
-        """True when `value` is one of the concrete values this abstracts."""
-        if not 0 <= value <= self.mask:
-            return False
-        return value & self.knowns == self.ones
-
-    def __str__(self):
-        return "".join(self.bit_state(i) for i in reversed(range(self.width)))
-
-    # -- lattice -------------------------------------------------------------
-
-    def join(self, other: "KnownBits") -> "KnownBits":
-        """Smallest abstract value covering both operands' concretizations."""
-        return _apply(_join, (self, other))
-
-
-def ite(cond: KnownBits, then: KnownBits, orelse: KnownBits) -> KnownBits:
-    """then if cond is certainly nonzero, orelse if certainly zero, else the join."""
-    return _apply(TRANSFER["ite"], (cond, then, orelse))
-
-
-def _apply(transfer, values: Sequence[KnownBits]) -> KnownBits:
-    """A mask-level transfer function over KnownBits of one width."""
-    w = values[0].width
-    for v in values[1:]:
-        if v.width != w:
-            raise ValueError(f"width mismatch: {v.width} vs {w}")
-    return KnownBits(*transfer(w, *[(v.ones, v.unknowns) for v in values]), w)
-
-
-# ---------------------------------------------------------------------------
-# Transfer functions over plain masks: each takes the width and one
-# (ones, unknowns) pair per operand, all within the width, and returns the
-# result's pair. These state the semantics once; KnownBits wraps them with
-# its checks, and analysis runs them directly.
 
 def _join(w, a, b):
     # unknown where either side is, or both are known but differ
@@ -196,13 +113,3 @@ TRANSFER = {
     "shr": _shr,
     "ite": _ite,
 }
-
-
-def knownbits_transfer(mnemonic: str, inputs: Sequence[KnownBits]) -> KnownBits:
-    """Abstract counterpart of apply_mnemonic: sound for every concretization
-    of the inputs."""
-    if mnemonic not in ARITY:
-        raise ValueError(f"unknown mnemonic {mnemonic!r}")
-    if len(inputs) != ARITY[mnemonic]:
-        raise ValueError(f"{mnemonic} takes {ARITY[mnemonic]} input(s), got {len(inputs)}")
-    return _apply(TRANSFER[mnemonic], inputs)

@@ -130,8 +130,9 @@ def parse_program(text: str) -> Program:
             if instructions:
                 raise ParseError(lineno, "width must precede instructions")
             try:
-                width = int(line.split()[1])
-            except (IndexError, ValueError):
+                _, value = line.split()
+                width = int(value)
+            except ValueError:
                 raise ParseError(lineno, f"bad width line {line!r}") from None
             continue
 
@@ -141,8 +142,9 @@ def parse_program(text: str) -> Program:
             if instructions:
                 raise ParseError(lineno, "mem must precede instructions")
             try:
-                mem_size = int(line.split()[1])
-            except (IndexError, ValueError):
+                _, value = line.split()
+                mem_size = int(value)
+            except ValueError:
                 raise ParseError(lineno, f"bad mem line {line!r}") from None
             continue
 

@@ -1,6 +1,8 @@
 """The parser as it stood before comments were stripped in one pass and
 operand tokens were parsed once per call: the reference that
-tests/test_textfmt.py compares `cswp.textfmt.parse_program` against."""
+tests/test_textfmt.py compares `cswp.textfmt.parse_program` against. Like
+`parse_program`, it rejects a `width` or `mem` line with more than one value,
+a rule both parsers gained together."""
 
 import re
 
@@ -77,8 +79,9 @@ def parse_program(text: str) -> Program:
             if instructions:
                 raise ParseError(lineno, "width must precede instructions")
             try:
-                width = int(line.split()[1])
-            except (IndexError, ValueError):
+                _, value = line.split()
+                width = int(value)
+            except ValueError:
                 raise ParseError(lineno, f"bad width line {line!r}") from None
             continue
 
@@ -88,8 +91,9 @@ def parse_program(text: str) -> Program:
             if instructions:
                 raise ParseError(lineno, "mem must precede instructions")
             try:
-                mem_size = int(line.split()[1])
-            except (IndexError, ValueError):
+                _, value = line.split()
+                mem_size = int(value)
+            except ValueError:
                 raise ParseError(lineno, f"bad mem line {line!r}") from None
             continue
 

@@ -11,7 +11,6 @@ from cswp.analysis import (
     EnumerationBudgetError,
     brute_force_worst_case,
     coarse_upper_bound,
-    knownbits_outputs,
     knownbits_upper_bound,
 )
 from cswp.core import (
@@ -32,6 +31,7 @@ from cswp.sat import MaxSat2Instance, SatInstance
 
 from oracles import maxsat_oracle, sat_oracle
 from randprog import random_program
+from tnum import abstract_outputs, contains
 
 
 def prog(width, instructions, free_inputs=(), mem_size=0):
@@ -326,10 +326,11 @@ class TestBounds:
         programs += [reduce_maxsat2(MaxSat2Instance(3, [[1, -2], [2, 3], [-1], [-3, 1]]), width=4).program,
                      reduce_sat_gap(SatInstance(3, [[1, -2], [2, 3], [-1, -3]]), width=8).program]
         for p in programs:
-            outs = knownbits_outputs(p)
+            outs = abstract_outputs(p)
             slots = analysis._lower(p).outputs
+            # every bit but those known on both sides and equal can differ
             expected = sum(
-                0 if s == t else p.width - (a.knowns & b.knowns & ~(a.ones ^ b.ones)).bit_count()
+                0 if s == t else p.width - (p.mask & ~a[1] & ~b[1] & ~(a[0] ^ b[0])).bit_count()
                 for s, t, a, b in zip(slots, slots[1:], outs, outs[1:])
             )
             assert knownbits_upper_bound(p) == expected
@@ -338,11 +339,11 @@ class TestBounds:
         rng = random.Random(59)
         for _ in range(100):
             p = random_program(rng)
-            outs = knownbits_outputs(p)
+            outs = abstract_outputs(p)
             assignment = random_assignment(rng, p)
             trace = execute(p, assignment)
             for abstract, concrete in zip(outs, trace.outputs):
-                assert abstract.contains(concrete)
+                assert contains(abstract, concrete, p.width)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 2**32 - 1))
@@ -350,9 +351,8 @@ class TestBounds:
         # each concrete transition, not only their sum, stays within the bits
         # its two abstract outputs leave possibly different
         p = random_program(random.Random(seed))
-        outs = knownbits_outputs(p)
-        limits = [analysis._possibly_differing_bits((a.ones, a.unknowns), (b.ones, b.unknowns))
-                  for a, b in zip(outs, outs[1:])]
+        outs = abstract_outputs(p)
+        limits = [analysis._possibly_differing_bits(a, b) for a, b in zip(outs, outs[1:])]
         for combo in scalar_worst_case(p)[1]:
             transitions = execute(p, combo).transitions
             assert all(t <= limit for t, limit in zip(transitions, limits)), combo
@@ -367,9 +367,9 @@ class TestBounds:
             Instruction("store", (PriorOutput(2),), mem_dest=0),
             Instruction("load", (MemRead(0),)),
         ], free_inputs=[("c", BINARY01)], mem_size=1)
-        outs = knownbits_outputs(p)
+        outs = abstract_outputs(p)
         final = outs[-1]
-        assert final.contains(0x1) and final.contains(0x2)
+        assert contains(final, 0x1, 4) and contains(final, 0x2, 4)
         assert final == outs[2]
 
     def test_copies_of_one_value_switch_nothing(self):

@@ -176,6 +176,14 @@ class TestReductionCommands:
         assert code == 0
         assert "assign.01=result:1,expected:1" in out
 
+    def test_checksat_verify_empty_assign_is_one_assignment(self, capsys):
+        # an empty --assign is the empty assignment, not "every assignment"
+        assert run_cli(capsys, "checksat-verify", "--vars", "3", "--clause", "x1 x2", "--assign", "") == (
+            1, "", "error: --assign covers 0 of 3 variables\n")
+        code, out, _ = run_cli(capsys, "checksat-verify", "--vars", "0", "--assign", "")
+        assert code == 0
+        assert out.startswith("assign.none=") and out.endswith("ok=true\n")
+
     @pytest.mark.parametrize("bits", ["2", "0,x", "1 0", "01-"])
     def test_checksat_verify_rejects_non_binary_assign(self, capsys, bits):
         code, out, err = run_cli(capsys, "checksat-verify", "--vars", "1",
@@ -355,6 +363,7 @@ class TestMalformedInput:
         ({}, ["reduce-sat-gap", "--vars", "10000000"]),
         ({}, ["checksat-verify", "--vars", "10000000"]),
         ({}, ["checksat-verify", "--vars", "1000000000000", "--assign", "1"]),
+        ({}, ["checksat-verify", "--vars", "3", "--clause", "x1 x2", "--assign", ""]),
     ])
     def test_error_line_not_traceback(self, capsys, tmp_path, monkeypatch, files, argv):
         for name, text in files.items():

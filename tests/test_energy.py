@@ -334,9 +334,9 @@ def mutated_grid_csv(draw):
         noise_sigma=draw(st.sampled_from([0.0, 0.4, 3.0])),
         seed=draw(st.integers(0, 9)),
     )
-    header, *body = measurements_to_csv(grid, width).split("\n")[:-1]
-    start = draw(st.integers(0, len(body) - 1))
-    lines = [header] + body[start:start + draw(st.integers(0, 400))]
+    start = draw(st.integers(0, len(grid) - 1))
+    window = slice(start, start + draw(st.integers(0, 400)))
+    lines = measurements_to_csv(Grid(*[c[window] for c in columns(grid)]), width).split("\n")[:-1]
     mutations = draw(st.lists(st.sampled_from(CSV_MUTATIONS), max_size=3))
     for mutate in mutations:
         k = draw(st.integers(0, len(lines) - 1))

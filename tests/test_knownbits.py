@@ -1,113 +1,79 @@
-import functools
+import inspect
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cswp.core import apply_mnemonic
-from cswp.knownbits import ONE, UNKNOWN, ZERO, KnownBits, ite, knownbits_transfer
+from cswp import knownbits
+from cswp.core import ARITY, MNEMONICS, apply_mnemonic
+from cswp.knownbits import TRANSFER
+from tnum import contains, from_str, is_tnum, to_str
 
-
-def from_str(s: str) -> KnownBits:
-    """Build from a bit string of 0/1/?, most significant first, e.g. '?10'."""
-    ones = unknowns = 0
-    for c in s:
-        ones <<= 1
-        unknowns <<= 1
-        if c == ONE:
-            ones |= 1
-        elif c == UNKNOWN:
-            unknowns |= 1
-        elif c != ZERO:
-            raise ValueError(f"bad bit character {c!r}")
-    return KnownBits(ones, unknowns, len(s))
+TOP4 = (0, 0xF)
+BINARY4 = (0, 1)  # 000?: the domain of a 0/1 input at width 4
 
 
 class TestConstruction:
     def test_constant_contains_only_itself(self):
-        k = KnownBits.from_constant(0xA, 4)
-        assert k.is_constant()
-        assert [k.contains(v) for v in range(16)] == [v == 0xA for v in range(16)]
+        assert [contains((0xA, 0), v, 4) for v in range(16)] == [v == 0xA for v in range(16)]
 
     def test_top_contains_everything(self):
-        k = KnownBits.top(4)
-        assert all(k.contains(v) for v in range(16))
+        assert all(contains(TOP4, v, 4) for v in range(16))
 
     def test_binary01(self):
-        k = KnownBits(0, 1, 4)
-        assert k.contains(0) and k.contains(1)
-        assert not any(k.contains(v) for v in range(2, 16))
-
-    def test_from_str_and_str_inverse(self):
-        for s in ("0000", "1?1?", "????", "0011"):
-            assert str(from_str(s)) == s
-
-    def test_bit_states(self):
-        k = from_str("?10")
-        assert [k.bit_state(i) for i in range(k.width)] == ["0", "1", "?"]
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            KnownBits(1, 1, 4)
-
-    def test_out_of_width_rejected(self):
-        with pytest.raises(ValueError):
-            KnownBits(0x10, 0, 4)
+        assert contains(BINARY4, 0, 4) and contains(BINARY4, 1, 4)
+        assert not any(contains(BINARY4, v, 4) for v in range(2, 16))
 
 
 class TestTransferExamples:
     def test_and_with_mask(self):
-        out = knownbits_transfer("and", [KnownBits.top(8), KnownBits.from_constant(1, 8)])
-        assert str(out) == "0000000?"
+        assert to_str(TRANSFER["and"](8, (0, 0xFF), (1, 0)), 8) == "0000000?"
 
     def test_xor_of_equal_constants_is_zero(self):
-        k = KnownBits.from_constant(0x5, 4)
-        assert knownbits_transfer("xor", [k, k]) == KnownBits.from_constant(0, 4)
+        assert TRANSFER["xor"](4, (0x5, 0), (0x5, 0)) == (0, 0)
 
     def test_add_carry_stops_at_known_zero_pair(self):
         # concretizations {1+0, 1+1} = {1, 2}: bits 0,1 unknown, bits 2,3 zero
-        out = knownbits_transfer("add", [KnownBits.from_constant(1, 4), KnownBits(0, 1, 4)])
-        assert str(out) == "00??"
+        assert to_str(TRANSFER["add"](4, (1, 0), BINARY4), 4) == "00??"
 
     def test_mov_identity(self):
         k = from_str("1?0")
-        assert knownbits_transfer("mov", [k]) == k
+        assert TRANSFER["mov"](3, k) == k
 
     def test_not(self):
-        assert str(knownbits_transfer("not", [from_str("1?0")])) == "0?1"
+        assert to_str(TRANSFER["not"](3, from_str("1?0")), 3) == "0?1"
 
     def test_shift_by_known_amount(self):
         k = from_str("00?1")
-        assert str(knownbits_transfer("shl", [k, KnownBits.from_constant(1, 4)])) == "0?10"
-        assert str(knownbits_transfer("shr", [k, KnownBits.from_constant(1, 4)])) == "000?"
+        assert to_str(TRANSFER["shl"](4, k, (1, 0)), 4) == "0?10"
+        assert to_str(TRANSFER["shr"](4, k, (1, 0)), 4) == "000?"
 
     def test_shift_by_unknown_amount_is_top(self):
-        k = KnownBits.from_constant(3, 4)
-        assert knownbits_transfer("shl", [k, KnownBits(0, 1, 4)]) == KnownBits.top(4)
+        assert TRANSFER["shl"](4, (3, 0), BINARY4) == TOP4
 
     def test_eqz(self):
-        assert knownbits_transfer("eqz", [KnownBits.from_constant(0, 4)]) == KnownBits.from_constant(1, 4)
-        assert knownbits_transfer("eqz", [from_str("??1?")]) == KnownBits.from_constant(0, 4)
-        assert str(knownbits_transfer("eqz", [KnownBits(0, 1, 4)])) == "000?"
+        assert TRANSFER["eqz"](4, (0, 0)) == (1, 0)
+        assert TRANSFER["eqz"](4, from_str("??1?")) == (0, 0)
+        assert to_str(TRANSFER["eqz"](4, BINARY4), 4) == "000?"
 
     def test_ite_known_conditions(self):
-        a, b = KnownBits.from_constant(0xA, 4), KnownBits.from_constant(0x5, 4)
-        assert ite(from_str("10?0"), a, b) == a  # certainly nonzero
-        assert ite(KnownBits.from_constant(0, 4), a, b) == b
-        joined = ite(KnownBits(0, 1, 4), a, b)
-        assert joined.contains(0xA) and joined.contains(0x5)
+        a, b = (0xA, 0), (0x5, 0)
+        assert TRANSFER["ite"](4, from_str("10?0"), a, b) == a  # certainly nonzero
+        assert TRANSFER["ite"](4, (0, 0), a, b) == b
+        joined = TRANSFER["ite"](4, BINARY4, a, b)
+        assert contains(joined, 0xA, 4) and contains(joined, 0x5, 4)
 
-    def test_arity_checked(self):
-        with pytest.raises(ValueError):
-            knownbits_transfer("add", [KnownBits.top(4)])
 
-    def test_width_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            knownbits_transfer("add", [KnownBits.top(4), KnownBits.top(8)])
+def test_table_covers_every_mnemonic():
+    # one entry per mnemonic, each taking the width and one pair per operand
+    assert TRANSFER.keys() == MNEMONICS
+    for mnemonic, transfer in TRANSFER.items():
+        assert len(inspect.signature(transfer).parameters) == 1 + ARITY[mnemonic], mnemonic
 
 
 # ---------------------------------------------------------------------------
 # soundness: for every concretization of the inputs, the concrete result is
-# inside the concretization of the abstract output
+# inside the concretization of the abstract output, and that output is a
+# valid tnum of the width
 
 WIDTHS = [6, 64]
 TWO_ARG = ["add", "sub", "and", "or", "xor", "shl", "shr"]
@@ -115,63 +81,65 @@ ONE_ARG = ["mov", "not", "eqz"]
 
 
 @st.composite
-def knownbits_with_member(draw, width):
+def tnum_with_member(draw, width):
     value = draw(st.integers(0, (1 << width) - 1))
     unknowns = draw(st.integers(0, (1 << width) - 1))
-    return KnownBits(value & ~unknowns, unknowns, width), value
+    return (value & ~unknowns, unknowns), value
 
 
 def members(count):
-    """`count` (abstract value, one of its members) pairs of one width."""
+    """(width, `count` (pair, one of its members) tuples of that width)."""
     return st.sampled_from(WIDTHS).flatmap(
-        lambda w: st.tuples(*[knownbits_with_member(w)] * count))
+        lambda w: st.tuples(st.just(w), st.tuples(*[tnum_with_member(w)] * count)))
 
 
 @given(st.sampled_from(ONE_ARG), members(1))
-def test_one_arg_soundness(mnemonic, pairs):
-    ((k, v),) = pairs
-    assert k.contains(v)
-    out = knownbits_transfer(mnemonic, [k])
-    assert out.contains(apply_mnemonic(mnemonic, (v,), k.width))
+def test_one_arg_soundness(mnemonic, case):
+    w, ((k, v),) = case
+    assert contains(k, v, w)
+    out = TRANSFER[mnemonic](w, k)
+    assert is_tnum(out, w)
+    assert contains(out, apply_mnemonic(mnemonic, (v,), w), w)
 
 
 @given(st.sampled_from(TWO_ARG), members(2))
-def test_two_arg_soundness(mnemonic, pairs):
-    (ka, va), (kb, vb) = pairs
-    out = knownbits_transfer(mnemonic, [ka, kb])
-    assert out.contains(apply_mnemonic(mnemonic, (va, vb), ka.width))
+def test_two_arg_soundness(mnemonic, case):
+    w, ((ka, va), (kb, vb)) = case
+    out = TRANSFER[mnemonic](w, ka, kb)
+    assert is_tnum(out, w)
+    assert contains(out, apply_mnemonic(mnemonic, (va, vb), w), w)
 
 
 @given(members(3))
-def test_ite_soundness(pairs):
-    (kc, vc), (ka, va), (kb, vb) = pairs
-    out = knownbits_transfer("ite", [kc, ka, kb])
-    assert out.contains(apply_mnemonic("ite", (vc, va, vb), ka.width))
+def test_ite_soundness(case):
+    w, ((kc, vc), (ka, va), (kb, vb)) = case
+    out = TRANSFER["ite"](w, kc, ka, kb)
+    assert is_tnum(out, w)
+    assert contains(out, apply_mnemonic("ite", (vc, va, vb), w), w)
 
 
 @given(members(2))
-def test_join_covers_both_sides(pairs):
-    (ka, va), (kb, vb) = pairs
-    joined = ka.join(kb)
-    assert joined.contains(va) and joined.contains(vb)
+def test_join_covers_both_sides(case):
+    w, ((ka, va), (kb, vb)) = case
+    joined = knownbits._join(w, ka, kb)
+    assert is_tnum(joined, w)
+    assert contains(joined, va, w) and contains(joined, vb, w)
 
 
 @pytest.mark.parametrize("mnemonic", ["add", "sub"])
 def test_arithmetic_exhaustive_small_width(mnemonic):
-    # every abstract pair at w=3: the output is exactly the join of the
-    # concrete results, so it is sound and loses nothing
+    # every abstract pair at w=3: the output is exactly the smallest tnum
+    # covering the concrete results (known 1 where all of them are 1,
+    # unknown where they differ), so it is sound and loses nothing
     w = 3
-    abstracts = [
-        KnownBits(ones, unk, w)
-        for ones in range(8)
-        for unk in range(8)
-        if not ones & unk
-    ]
+    abstracts = [(ones, unk) for ones in range(8) for unk in range(8) if not ones & unk]
     for ka in abstracts:
         for kb in abstracts:
-            results = [
-                KnownBits.from_constant(apply_mnemonic(mnemonic, (va, vb), w), w)
-                for va in range(8) if ka.contains(va)
-                for vb in range(8) if kb.contains(vb)
-            ]
-            assert knownbits_transfer(mnemonic, [ka, kb]) == functools.reduce(KnownBits.join, results)
+            all_ones, any_ones = 7, 0
+            for va in range(8):
+                for vb in range(8):
+                    if contains(ka, va, w) and contains(kb, vb, w):
+                        r = apply_mnemonic(mnemonic, (va, vb), w)
+                        all_ones &= r
+                        any_ones |= r
+            assert TRANSFER[mnemonic](w, ka, kb) == (all_ones, any_ones & ~all_ones)

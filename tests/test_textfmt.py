@@ -102,6 +102,17 @@ class TestParse:
         with pytest.raises(ParseError, match=message):
             parse_program(header + "o1: mov #0x0\n")
 
+    @pytest.mark.parametrize("header, message", [
+        ("width 4 9\n", "line 1: bad width line 'width 4 9'"),
+        ("width 4 4\n", "line 1: bad width line 'width 4 4'"),
+        ("width 4\nmem 2 7\n", "line 2: bad mem line 'mem 2 7'"),
+        ("width 4\nmem 2\t0\n", "line 2: bad mem line 'mem 2\\t0'"),
+    ])
+    def test_header_line_takes_exactly_one_value(self, header, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program(header + "o1: mov #0x0\n")
+        assert str(excinfo.value) == message
+
 
 class TestRoundTrip:
     def test_simple_round_trip(self):
