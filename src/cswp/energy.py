@@ -262,22 +262,86 @@ def trace_energy(trace: ExecutionTrace, model: EnergyModel, include_input_term: 
 # CSV and heat-map export
 
 CSV_HEADER = ["op_a", "op_b", "h_in", "h_out", "power_mw"]
+_HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
 
 
-# Rows formatted or parsed per chunk. Export holds one chunk's formatted lines
-# at a time; import holds every line of the grid but one chunk's fields.
+# Rows (heat-map values) formatted or parsed per chunk. Apart from the text,
+# its bytes, its line ends and the grid itself, no array a CSV call builds
+# holds more than one chunk.
 CSV_CHUNK_ROWS = 4096
+
+# The tables are built from Python values: the first call of a numpy ufunc or
+# index assignment at import would add ~130 KiB each to every command's RSS.
+_DIGIT_BYTES = np.frombuffer(b"0123456789abcdef", np.uint8)
+# byte -> its value as a hex or a decimal digit, 255 for any other byte
+_HEX = np.array([int(chr(b), 16) if chr(b) in "0123456789abcdefABCDEF" else 255 for b in range(256)], np.uint8)
+_DEC = np.array([int(chr(b)) if chr(b) in "0123456789" else 255 for b in range(256)], np.uint8)
+_POW10 = np.array([10**k for k in range(16)], np.int64)
+
+
+def _digits(values: np.ndarray, base: int, min_digits: int) -> np.ndarray:
+    """The ASCII digits of non-negative `values` in `base`, one column per
+    value, with NUL for the leading zeros left of `min_digits` digits."""
+    top = int(values.max())
+    count = max(min_digits, len(np.base_repr(top, base)))
+    rest = values.astype(np.uint32 if top < 2**32 else np.uint64)  # uint32 divides twice as fast
+    text = np.empty((count, len(values)), np.uint8)
+    for row in range(count - 1, -1, -1):
+        quotient = rest // base
+        text[row] = _DIGIT_BYTES.take(rest - quotient * base)
+        rest = quotient
+    lead = count - min_digits
+    text[:lead][values < base ** np.arange(count - 1, min_digits - 1, -1)[:, None]] = 0
+    return text
+
+
+def _fixed6(x: np.ndarray) -> np.ndarray | None:
+    """The "%.6f" text of each value as one NUL-padded column of ASCII bytes,
+    or None if a value is not finite or |x| * 1e6 >= 2**52.
+
+    rint(x * 1e6) rounds as "%.6f" does unless the product lies within its
+    own rounding error of a half; those few values take their digits from
+    "%.6f" itself. The sign is x's own, as in "-0.000000"."""
+    with np.errstate(over="ignore"):
+        scaled = x * 1e6
+    if not (np.abs(scaled) < 2.0**52).all():  # also false for NaN
+        return None
+    units = np.abs(np.rint(scaled)).astype(np.int64)
+    near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= np.abs(scaled) * 2.0**-52
+    for k in np.flatnonzero(near_half):
+        units[k] = int(("%.6f" % abs(float(x[k]))).replace(".", ""))
+    whole, frac = np.divmod(units, 10**6)
+    sign = np.where(np.signbit(x), ord("-"), 0).astype(np.uint8)
+    point = np.full(len(x), ord("."), np.uint8)
+    return np.concatenate([sign[None], _digits(whole, 10, 1), point[None], _digits(frac, 10, 6)])
+
+
+def _lines(*columns: np.ndarray | bytes) -> bytes:
+    """Row r of the text is column r of every block in turn, NUL dropped; a
+    bytes constant stands for the same bytes in every row."""
+    rows = next(c.shape[1] for c in columns if isinstance(c, np.ndarray))
+    block = np.concatenate([
+        c if isinstance(c, np.ndarray) else np.broadcast_to(np.frombuffer(c, np.uint8)[:, None], (len(c), rows))
+        for c in columns
+    ])
+    return block.T.tobytes().replace(b"\0", b"")
 
 
 def measurements_to_csv(grid: Grid, width: int) -> str:
     digits = max(1, (width + 3) // 4)
-    line = f"0x%0{digits}x,0x%0{digits}x,%d,%d,%.6f\n"
     columns = (grid.op_a, grid.op_b, grid.h_in, grid.h_out, grid.power)
-    parts = [",".join(CSV_HEADER) + "\n"]
+    parts = [_HEADER_LINE]
     for lo in range(0, len(grid), CSV_CHUNK_ROWS):
-        rows = zip(*(column[lo:lo + CSV_CHUNK_ROWS].tolist() for column in columns))
-        parts.append("".join([line % row for row in rows]))
-    return "".join(parts)
+        op_a, op_b, h_in, h_out, power = (column[lo:lo + CSV_CHUNK_ROWS] for column in columns)
+        fixed = _fixed6(power)
+        if fixed is None or min(op_a.min(), op_b.min(), h_in.min(), h_out.min()) < 0:
+            line = f"0x%0{digits}x,0x%0{digits}x,%d,%d,%.6f\n"
+            rows = zip(*(column.tolist() for column in columns))
+            return _HEADER_LINE.decode() + "".join([line % row for row in rows])
+        parts.append(_lines(b"0x", _digits(op_a, 16, digits), b",0x", _digits(op_b, 16, digits),
+                            b",", _digits(h_in, 10, 1), b",", _digits(h_out, 10, 1),
+                            b",", fixed, b"\n"))
+    return b"".join(parts).decode()
 
 
 def measurements_from_csv(text: str) -> Grid:
@@ -285,57 +349,97 @@ def measurements_from_csv(text: str) -> Grid:
     prefix and blank lines are skipped. Every row has exactly the header's
     fields and a finite power.
 
-    Text that the csv module would split exactly as str.split does is read
-    CSV_CHUNK_ROWS rows at a time as columns; any other text, and any text
-    with an error, goes to the row loop, which gives the same grid and
-    reports every error."""
-    grid = _read_chunks(text)
+    Text in the form `measurements_to_csv` writes is read CSV_CHUNK_ROWS rows
+    at a time straight from its bytes (see `_read_bytes`); any other text,
+    and any text with an error, goes to the row loop, which gives the same
+    grid and reports every error."""
+    grid = _read_bytes(text)
     return _read_rows(text) if grid is None else grid
 
 
-def _int0(literal: str) -> int:
-    return int(literal, 0)
+def _read_bytes(text: str) -> Grid | None:
+    """The grid of text in `measurements_to_csv`'s form, or None where
+    `_read_rows` must decide.
+
+    The text is ASCII, starts with the header line, and every row has five
+    fields: two operands `0x` or `0X` plus 1 to 15 hex digits, two Hamming
+    counts of 1 to 18 decimal digits, and a power `[-]digits.digits` with at
+    most 15 digits after the point and 15 significant digits. Such a power
+    is N / 10**d for integers N < 10**15 and d <= 15, both exact in float64,
+    so the one division rounds as float() does."""
+    if not text.isascii():
+        return None
+    data = text.encode()
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    if not data.startswith(_HEADER_LINE):
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))  # ends[0] ends the header, ends[r + 1] row r
+    n_rows = len(ends) - 1
+    columns = [np.empty(n_rows, np.int64) for _ in range(4)] + [np.empty(n_rows, np.float64)]
+    for lo in range(0, n_rows, CSV_CHUNK_ROWS):
+        hi = min(lo + CSV_CHUNK_ROWS, n_rows)
+        chunk = _read_chunk(buf[ends[lo] + 1:ends[hi] + 1], hi - lo)
+        if chunk is None:
+            return None
+        for column, values in zip(columns, chunk):
+            column[lo:hi] = values
+    return Grid(*columns)
 
 
-def _read_chunks(text: str) -> Grid | None:
-    """The grid of well-formed text, or None where `_read_rows` must decide.
+def _read_chunk(seg: np.ndarray, n: int) -> list[np.ndarray] | None:
+    """The five columns of `n` rows, each ending in "\\n", in the bytes
+    `seg`; None unless every row has `_read_bytes`'s form."""
+    stops = np.flatnonzero((seg == ord(",")) | (seg == ord("\n")))
+    # seg holds n line ends, so five stops a row, the fifth a line end,
+    # leave exactly four commas in every row
+    if len(stops) != 5 * n:
+        return None
+    stops = stops.reshape(n, 5).T.copy()  # stops[k]: where field k of each row ends
+    if (seg[stops[4]] != ord("\n")).any():
+        return None
+    starts = np.empty_like(stops)
+    starts[1:] = stops[:-1] + 1
+    starts[0, 0] = 0
+    starts[0, 1:] = stops[4, :-1] + 1
+    prefix = starts[:2]
+    if (seg[prefix] != ord("0")).any() or (seg[prefix + 1] | 0x20 != ord("x")).any():
+        return None
+    ints = [_number(seg, starts[k] + 2, stops[k], _HEX, 16, 15) for k in (0, 1)]
+    ints += [_number(seg, starts[k], stops[k], _DEC, 10, 18) for k in (2, 3)]
+    lo, hi = starts[4], stops[4]
+    negative = seg[lo] == ord("-")
+    lo = lo + negative
+    points = np.flatnonzero(seg == ord("."))
+    if len(points) != n or ((points < lo) | (points >= hi)).any():
+        return None
+    whole = _number(seg, lo, points, _DEC, 10, 15)
+    frac = _number(seg, points + 1, hi, _DEC, 10, 15)
+    if any(c is None for c in (*ints, whole, frac)):
+        return None
+    places = hi - points - 1
+    if (whole >= _POW10[15 - places]).any():
+        return None
+    power = (whole * _POW10[places] + frac) / _POW10[places]
+    return ints + [np.where(negative, -power, power)]
 
-    A chunk's rows are joined with a "\\n" field between them and split on
-    commas once; every row has five fields exactly when those separator
-    fields fall on every sixth place. Each integer column converts each of
-    its distinct literals once, with the row loop's int() call."""
-    # int() and float() strip a \r that the csv module reads as a line end. A
-    # quoted field needs no such test: a field holding '"' never converts.
-    if "\r" in text:
+
+def _number(seg: np.ndarray, lo: np.ndarray, hi: np.ndarray, table: np.ndarray, base: int,
+            max_digits: int) -> np.ndarray | None:
+    """The int64 value of each field seg[lo:hi] in `base`, or None unless
+    every field holds 1 to `max_digits` bytes that `table` maps below it."""
+    count = hi - lo
+    span = int(count.max())
+    if count.min() < 1 or span > max_digits:
         return None
-    rows = text.split("\n")
-    if rows[0] != ",".join(CSV_HEADER):
+    place = np.arange(span - 1, -1, -1)
+    at = hi - 1 - place[:, None]  # row j: each field's digit of weight base**place[j]
+    digits = table.take(seg.take(np.maximum(at, 0)))
+    digits[at < lo] = 0
+    if (digits >= base).any():
         return None
-    rows = list(filter(None, rows[1:]))  # csv.reader skips blank lines too
-    limit = csv.field_size_limit()
-    stride = len(CSV_HEADER) + 1
-    ints = [np.empty(len(rows), np.int64) for _ in range(4)]
-    power = np.empty(len(rows), np.float64)
-    try:
-        for lo in range(0, len(rows), CSV_CHUNK_ROWS):
-            chunk = rows[lo:lo + CSV_CHUNK_ROWS]
-            n = len(chunk)
-            joined = ",\n,".join(chunk)
-            if len(joined) > limit and max(map(len, chunk)) > limit:
-                return None  # csv.reader rejects a field over the limit
-            fields = joined.split(",")
-            if len(fields) != stride * n - 1 or fields[stride - 1::stride].count("\n") != n - 1:
-                return None
-            for k, (column, convert) in enumerate(zip(ints, (_int0, _int0, int, int))):
-                literals = fields[k::stride]
-                lookup = {s: convert(s) for s in set(literals)}
-                column[lo:lo + n] = np.fromiter(map(lookup.__getitem__, literals), np.int64, n)
-            power[lo:lo + n] = np.fromiter(map(float, fields[stride - 2::stride]), np.float64, n)
-    except (ValueError, OverflowError):  # a bad literal, or an integer beyond int64
-        return None
-    if not np.isfinite(power).all():
-        return None
-    return Grid(*ints, power)
+    return base**place @ digits
 
 
 def _read_rows(text: str) -> Grid:
@@ -406,5 +510,16 @@ def heatmap_matrix(grid: Grid, stage: str, c_in: float, c_out: float) -> np.ndar
 
 
 def heatmap_to_csv(matrix: np.ndarray) -> str:
-    line = ",".join(["%.6f"] * matrix.shape[1]) + "\n"
-    return "".join([line % tuple(row) for row in matrix.tolist()])
+    n_cols = matrix.shape[1]
+    rows = max(1, CSV_CHUNK_ROWS // n_cols)
+    sep = np.full(rows * n_cols, ord(","), np.uint8)
+    sep[n_cols - 1::n_cols] = ord("\n")
+    parts = []
+    for lo in range(0, len(matrix), rows):
+        values = matrix[lo:lo + rows].ravel()
+        fixed = _fixed6(values)
+        if fixed is None:
+            line = ",".join(["%.6f"] * n_cols) + "\n"
+            return "".join([line % tuple(row) for row in matrix.tolist()])
+        parts.append(_lines(fixed, sep[None, :len(values)]))
+    return b"".join(parts).decode()

@@ -8,7 +8,8 @@
     o3: store o2 -> m[1]
 
 Header lines first (width, mem, one free line per input in declaration order),
-then 1-based sequentially numbered instruction lines. `#` starts a comment
+then 1-based sequentially numbered instruction lines; a header line is known
+by its first whitespace-separated token. `#` starts a comment
 unless immediately followed by `0x` (hex constants). Free-input names match
 core.NAME_PATTERN. Text that is well-formed line by line but describes an
 invalid program raises core.ProgramValidationError from the Program it builds.
@@ -124,7 +125,8 @@ def parse_program(text: str) -> Program:
         if not line:
             continue
 
-        if line.startswith("width "):
+        keyword = line.split(maxsplit=1)[0]
+        if keyword == "width":
             if width is not None:
                 raise ParseError(lineno, "duplicate width line")
             if instructions:
@@ -136,7 +138,7 @@ def parse_program(text: str) -> Program:
                 raise ParseError(lineno, f"bad width line {line!r}") from None
             continue
 
-        if line.startswith("mem "):
+        if keyword == "mem":
             if mem_size is not None:
                 raise ParseError(lineno, "duplicate mem line")
             if instructions:
@@ -148,7 +150,7 @@ def parse_program(text: str) -> Program:
                 raise ParseError(lineno, f"bad mem line {line!r}") from None
             continue
 
-        if line.startswith("free "):
+        if keyword == "free":
             if instructions:
                 raise ParseError(lineno, "free declarations must precede instructions")
             parts = line.split()

@@ -2,7 +2,9 @@
 operand tokens were parsed once per call: the reference that
 tests/test_textfmt.py compares `cswp.textfmt.parse_program` against. Like
 `parse_program`, it rejects a `width` or `mem` line with more than one value,
-a rule both parsers gained together."""
+and it chooses a header branch by the line's first whitespace-separated
+token, so a bare `width`, `mem` or `free` is a bad header line and a
+tab-separated header parses: rules both parsers gained together."""
 
 import re
 
@@ -73,7 +75,8 @@ def parse_program(text: str) -> Program:
         if not line:
             continue
 
-        if line.startswith("width "):
+        keyword = line.split(maxsplit=1)[0]
+        if keyword == "width":
             if width is not None:
                 raise ParseError(lineno, "duplicate width line")
             if instructions:
@@ -85,7 +88,7 @@ def parse_program(text: str) -> Program:
                 raise ParseError(lineno, f"bad width line {line!r}") from None
             continue
 
-        if line.startswith("mem "):
+        if keyword == "mem":
             if mem_size is not None:
                 raise ParseError(lineno, "duplicate mem line")
             if instructions:
@@ -97,7 +100,7 @@ def parse_program(text: str) -> Program:
                 raise ParseError(lineno, f"bad mem line {line!r}") from None
             continue
 
-        if line.startswith("free "):
+        if keyword == "free":
             if instructions:
                 raise ParseError(lineno, "free declarations must precede instructions")
             parts = line.split()

@@ -318,6 +318,7 @@ class TestCsvAndHeatmap:
 
 
 CSV_FIELD_LIMIT = csv.field_size_limit()
+HEADER = ",".join(energy.CSV_HEADER) + "\n"
 
 
 @st.composite
@@ -368,10 +369,12 @@ def _insert_underscore(draw, literal):
 
 
 def _split_unevenly(draw, line):
-    # two rows of literals every column accepts, one short of five fields and
-    # one over, so that only a per-row count tells them from two good rows
+    # the ten fields of two good rows with the first line end after field
+    # `short` instead of the fifth: one row short of five fields and one
+    # over, so that only a per-row count tells them from two good rows
     short = draw(st.integers(1, 4))
-    return ",".join(["1"] * short) + "\n" + ",".join(["1"] * (10 - short))
+    fields = ["0x1", "0x1", "1", "1", "1.0"] * 2
+    return ",".join(fields[:short]) + "\n" + ",".join(fields[short:])
 
 
 CSV_MUTATIONS = [
@@ -412,7 +415,7 @@ def assert_same_outcome(got, want):
 
 
 class TestCsvReader:
-    """The chunked column reader against the csv module's row loop: equal
+    """The byte column reader against the csv module's row loop: equal
     columns, dtypes and signs, or the same error message."""
 
     @settings(max_examples=200, deadline=None)
@@ -422,18 +425,105 @@ class TestCsvReader:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(energy, "CSV_CHUNK_ROWS", rows)
             got = read_outcome(measurements_from_csv, text)
-            if not mutated:  # a generated grid always takes the column path
-                assert energy._read_chunks(text) is not None
+            if not mutated:  # a generated grid always takes the byte path
+                assert energy._read_bytes(text) is not None
         assert_same_outcome(got, read_outcome(energy._read_rows, text))
 
     @pytest.mark.parametrize("width", [7, 8])
     def test_full_grid_matches_row_loop(self, width):
         grid = gen_synthetic_grid(width, "sub", PAPER_MODEL, base=-30.0, noise_sigma=2.0, seed=width)
         text = measurements_to_csv(grid, width)
-        got = energy._read_chunks(text)
+        got = energy._read_bytes(text)
         assert got is not None and len(got) > energy.CSV_CHUNK_ROWS
         assert np.signbit(got.power).any() and not np.signbit(got.power).all()
         assert_same_outcome(got, energy._read_rows(text))
+
+    @pytest.mark.parametrize("text, fast", [
+        (HEADER + "0x1,0x2,2,1,123456789.123456\n", True),  # 15 significant digits
+        (HEADER + "0x1,0x2,2,1,-0.000000000000001\n", True),  # 15 after the point
+        (HEADER + "0x1,0x2,2,1,1234567890.123456\n", False),  # 16 significant digits
+        (HEADER + "0x1,0x2,2,1,0.0000000000000001\n", False),  # 16 after the point
+        (HEADER + "0X1F,0x2,2,1,1.0\n", True),
+        (HEADER + "0x1,0x2,2,1,5.\n", False),
+        (HEADER + "0x1,0x2,2,1,.5\n", False),
+        (HEADER + "0x1,0x2,2,1,+1.0\n", False),
+        (HEADER + "0x1,0x2,2,1,1e3\n", False),
+        (HEADER + "0b10,0o17,2,1,1.0\n", False),
+        (HEADER + "0x1,0x1,1\n1,1.0,0x1,0x1,1,1,1.0\n", False),  # 3 and 7 fields
+        (HEADER, True),
+        (HEADER.rstrip("\n"), True),
+        (HEADER + "0x1,0x2,2,1,1.5\n0x0,0xf,4,0,-2.25", True),  # no final newline
+    ])
+    def test_form_boundary_matches_row_loop(self, text, fast):
+        assert (energy._read_bytes(text) is not None) == fast
+        assert_same_outcome(read_outcome(measurements_from_csv, text), read_outcome(energy._read_rows, text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 10**15 - 1), st.integers(1, 15)),
+                    min_size=1, max_size=30))
+    def test_fifteen_digit_powers_read_as_float(self, draws):
+        # N / 10**d is float(text) for every [-]digits.digits of at most 15
+        # significant digits and 15 after the point
+        powers = []
+        for negative, n, places in draws:
+            whole, frac = divmod(n, 10**places)
+            powers.append(f"{'-' * negative}{whole}.{frac:0{places}d}")
+        text = HEADER + "".join(f"0x0,0x0,0,0,{p}\n" for p in powers)
+        got = energy._read_bytes(text)
+        assert got is not None
+        assert got.power.tolist() == [float(p) for p in powers]
+        assert np.signbit(got.power).tolist() == [p.startswith("-") for p in powers]
+
+
+FIXED6_LIMIT = 2.0**52 / 1e6  # |x| from which the writers hand a call to %-formatting
+FIXED6_VALUES = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.floats(allow_nan=False),
+    st.integers(-2**20 * 10**4, 2**20 * 10**4).map(lambda k: k / 2**20),  # exact binary ties
+    st.integers(-128 * 10**4, 128 * 10**4).map(lambda k: k / 128),
+    st.sampled_from([0.0, -0.0, FIXED6_LIMIT, math.nextafter(FIXED6_LIMIT, 0)]),
+    st.floats(-5e-7, 0.0),  # print as -0.000000
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(FIXED6_LIMIT * (1 - 2**-30), FIXED6_LIMIT * (1 + 2**-30)))
+    .map(lambda pair: pair[0] * pair[1]),  # both sides of the limit
+)
+
+
+def percent_measurement_csv(grid, width):
+    digits = max(1, (width + 3) // 4)
+    line = f"0x%0{digits}x,0x%0{digits}x,%d,%d,%.6f\n"
+    return HEADER + "".join(line % row for row in zip(*(c.tolist() for c in columns(grid))))
+
+
+class TestCsvFormatter:
+    """The byte "%.6f" formatter and both CSV writers against "%" itself."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(FIXED6_VALUES, min_size=1, max_size=12))
+    def test_fixed6_matches_percent(self, values):
+        fixed = energy._fixed6(np.array(values))
+        assert (fixed is not None) == all(abs(v) * 1e6 < 2**52 for v in values)
+        if fixed is not None:
+            assert energy._lines(fixed, b"\n").decode().split("\n")[:-1] == ["%.6f" % v for v in values]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(FIXED6_VALUES, min_size=1, max_size=12), st.integers(1, 4), st.sampled_from([1, 3, 4096]))
+    def test_heatmap_csv_matches_percent(self, values, n_cols, rows):
+        matrix = np.array(values * n_cols).reshape(-1, n_cols)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy, "CSV_CHUNK_ROWS", rows)
+            got = heatmap_to_csv(matrix)
+        assert got == "".join(",".join("%.6f" % v for v in row) + "\n" for row in matrix.tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62), st.integers(-1, 2**62),
+                              st.integers(0, 99), FIXED6_VALUES), min_size=1, max_size=12),
+           st.integers(1, 64), st.sampled_from([1, 3, 4096]))
+    def test_measurement_csv_matches_percent(self, rows, width, chunk):
+        grid = make_grid(rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy, "CSV_CHUNK_ROWS", chunk)
+            got = measurements_to_csv(grid, width)
+        assert got == percent_measurement_csv(grid, width)
 
 
 class TestModelLoading:

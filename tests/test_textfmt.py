@@ -107,11 +107,20 @@ class TestParse:
         ("width 4 4\n", "line 1: bad width line 'width 4 4'"),
         ("width 4\nmem 2 7\n", "line 2: bad mem line 'mem 2 7'"),
         ("width 4\nmem 2\t0\n", "line 2: bad mem line 'mem 2\\t0'"),
+        ("width\n", "line 1: bad width line 'width'"),
+        ("width 4\nmem\n", "line 2: bad mem line 'mem'"),
+        ("width\t4\nmem\t2\t7\n", "line 2: bad mem line 'mem\\t2\\t7'"),
+        ("width 4\nfree\n", "line 2: bad free line 'free' (want: free <name> <01|full>)"),
+        ("width 4\nfree\tx\n", "line 2: bad free line 'free\\tx' (want: free <name> <01|full>)"),
     ])
     def test_header_line_takes_exactly_one_value(self, header, message):
         with pytest.raises(ParseError) as excinfo:
             parse_program(header + "o1: mov #0x0\n")
         assert str(excinfo.value) == message
+
+    def test_header_fields_split_on_any_whitespace(self):
+        spaced = parse_program("width 4\nmem 2\nfree x 01\no1: mov freex\n")
+        assert parse_program("width\t4\nmem \t2\nfree\tx\t01\no1: mov freex\n") == spaced
 
 
 class TestRoundTrip:
