@@ -2,10 +2,14 @@
 
 Subcommands cover the full pipeline: run/solve/bound programs, build and
 verify the two clause-set reductions, generate measurement grids, fit the
-power model, summarize power figures, and estimate trace energy. All output
-is byte-deterministic for fixed inputs and seeds; files are written
-atomically (write-then-rename). Exit codes: 0 success, 1 domain error,
-2 usage error.
+power model, summarize power figures, and estimate trace energy. Each is a
+`_cmd_*` function of the parsed arguments that returns its output: a report
+returns key=value pairs and an exit code, and `--format` renders the pairs
+as text or CSV; any other command returns the text of its one file format.
+`main` writes that output once, to stdout or atomically (write-then-rename)
+to `-o FILE`. An option that several subcommands take is declared once. All
+output is byte-deterministic for fixed inputs and seeds. Exit codes: 0
+success, 1 domain error or a checksat-verify mismatch, 2 usage error.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import sys
 import tempfile
 
 from . import analysis, energy, reductions, sat
-from .core import CswpError, execute
+from .core import CswpError, Program, execute
 from .textfmt import parse_program
 
 
@@ -90,91 +94,82 @@ def _parse_assignment(pairs: list[str]) -> dict[str, int]:
     return assignment
 
 
+def _program(args) -> Program:
+    return parse_program(_read_text(args.program))
+
+
 def _instance_from_args(args, cls):
-    clauses = [sat.parse_clause(c) for c in args.clause or []]
-    return cls(num_vars=args.vars, clauses=tuple(clauses))
+    return cls(num_vars=args.vars, clauses=tuple(map(sat.parse_clause, args.clause)))
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies
+# subcommand bodies: a report returns (key=value pairs, exit code), a file
+# command returns its text
 
-def _cmd_run(args) -> int:
-    program = parse_program(_read_text(args.program))
-    trace = execute(program, _parse_assignment(args.input))
+def _cmd_run(args) -> tuple[list[str], int]:
+    trace = execute(_program(args), _parse_assignment(args.input))
     pairs = [f"o{i + 1}=0x{v:x}" for i, v in enumerate(trace.outputs)]
     pairs += [f"transition.{i + 1}={t}" for i, t in enumerate(trace.transitions)]
     pairs.append(f"total={sum(trace.transitions)}")
-    _write_output(args.output, _render_report(pairs, args.format))
-    return 0
+    return pairs, 0
 
 
-def _cmd_solve(args) -> int:
-    program = parse_program(_read_text(args.program))
+def _cmd_solve(args) -> tuple[list[str], int]:
     budget = analysis.DEFAULT_BUDGET if args.budget is None else args.budget
-    result = analysis.brute_force_worst_case(program, budget=budget)
-    _write_output(args.output, _render_report(result.report_lines(), args.format))
-    return 0
+    return analysis.brute_force_worst_case(_program(args), budget=budget).report_lines(), 0
 
 
-def _cmd_bound(args) -> int:
-    program = parse_program(_read_text(args.program))
-    if args.method == "coarse":
-        pairs = [f"coarse={analysis.coarse_upper_bound(program)}"]
-    else:
-        pairs = [f"knownbits={analysis.knownbits_upper_bound(program)}"]
-    _write_output(args.output, _render_report(pairs, args.format))
-    return 0
+# looked up in `analysis` at call time, so a wrapper put there is called
+_BOUNDS = {
+    "coarse": lambda program: analysis.coarse_upper_bound(program),
+    "knownbits": lambda program: analysis.knownbits_upper_bound(program),
+}
 
 
-def _cmd_reduce_maxsat(args) -> int:
+def _cmd_bound(args) -> tuple[list[str], int]:
+    return [f"{args.method}={_BOUNDS[args.method](_program(args))}"], 0
+
+
+def _cmd_reduce_maxsat(args) -> str:
     instance = _instance_from_args(args, sat.MaxSat2Instance)
-    reduced = reductions.reduce_maxsat2(instance, width=args.width)
-    _write_output(args.output, reductions.serialize_reduced(reduced))
-    return 0
+    return reductions.serialize_reduced(reductions.reduce_maxsat2(instance, width=args.width))
 
 
-def _cmd_reduce_sat_gap(args) -> int:
+def _cmd_reduce_sat_gap(args) -> str:
     instance = _instance_from_args(args, sat.SatInstance)
     gap = reductions.reduce_sat_gap(instance, width=args.width, factor=args.factor)
-    _write_output(args.output, reductions.serialize_gap(gap))
-    return 0
+    return reductions.serialize_gap(gap)
 
 
-def _cmd_checksat_verify(args) -> int:
+def _cmd_checksat_verify(args) -> tuple[list[str], int]:
     instance = _instance_from_args(args, sat.SatInstance)
     program, result_index = reductions.build_checksat_program(instance, width=args.width)
+    n = instance.num_vars  # an assignment is its bit string, variable 1 first
     if args.assign is not None:
         bits = args.assign.replace(",", "")
         if set(bits) - {"0", "1"}:
             raise CswpError(f"bad --assign {args.assign!r}: each value must be 0 or 1")
-        combos = [[bit == "1" for bit in bits]]
-        if len(combos[0]) != instance.num_vars:
-            raise CswpError(f"--assign covers {len(combos[0])} of {instance.num_vars} variables")
+        if len(bits) != n:
+            raise CswpError(f"--assign covers {len(bits)} of {n} variables")
+        assignments = [bits]
     else:
-        analysis.check_budget(1 << instance.num_vars, analysis.DEFAULT_BUDGET)
-        combos = (
-            [(i >> k) & 1 == 1 for k in range(instance.num_vars)]
-            for i in range(1 << instance.num_vars)
-        )
+        analysis.check_budget(1 << n, analysis.DEFAULT_BUDGET)
+        # bit k of i is variable k + 1; the leading 1 keeps all n digits
+        assignments = (bin(1 << n | i)[:2:-1] for i in range(1 << n))
     pairs = []
     ok = True
-    for bools in combos:
-        assignment = {str(i): int(b) for i, b in enumerate(bools)}
-        got = execute(program, assignment).outputs[result_index]
-        expected = 1 if sat.all_satisfied(instance, bools) else 0
+    for bits in assignments:
+        got = execute(program, {str(k): int(bit) for k, bit in enumerate(bits)}).outputs[result_index]
+        expected = int(sat.all_satisfied(instance, [bit == "1" for bit in bits]))
         ok = ok and got == expected
-        key = "".join("1" if b else "0" for b in bools)
-        pairs.append(f"assign.{key or 'none'}=result:{got},expected:{expected}")
+        pairs.append(f"assign.{bits or 'none'}=result:{got},expected:{expected}")
     pairs.append(f"ok={'true' if ok else 'false'}")
-    _write_output(args.output, _render_report(pairs, args.format))
-    return 0 if ok else 1
+    return pairs, 0 if ok else 1
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> tuple[list[str], int]:
     grid = energy.measurements_from_csv(_read_text(args.grid))
-    fit = energy.fit_hamming_model(grid)
-    _write_output(args.output, _render_report(fit.report_lines(), args.format))
-    return 0
+    return energy.fit_hamming_model(grid).report_lines(), 0
 
 
 def _model_from_args(args) -> energy.EnergyModel:
@@ -185,7 +180,7 @@ def _model_from_args(args) -> energy.EnergyModel:
     return dataclasses.replace(model, **{k: v for k, v in overrides.items() if v is not None})
 
 
-def _cmd_gen_grid(args) -> int:
+def _cmd_gen_grid(args) -> str:
     model = _model_from_args(args)
     base = args.base if args.base is not None else model.p_idle_single
     grid = energy.gen_synthetic_grid(
@@ -196,30 +191,26 @@ def _cmd_gen_grid(args) -> int:
         noise_sigma=args.sigma,
         seed=args.seed,
     )
-    _write_output(args.output, energy.measurements_to_csv(grid, args.width))
-    return 0
+    return energy.measurements_to_csv(grid, args.width)
 
 
-def _cmd_heatmap(args) -> int:
+def _cmd_heatmap(args) -> str:
     grid = energy.measurements_from_csv(_read_text(args.grid))
     model = _model_from_args(args)
     matrix = energy.heatmap_matrix(grid, args.stage, c_in=model.c_in, c_out=model.c_out)
-    _write_output(args.output, energy.heatmap_to_csv(matrix))
-    return 0
+    return energy.heatmap_to_csv(matrix)
 
 
-def _cmd_energy(args) -> int:
-    program = parse_program(_read_text(args.program))
+def _cmd_energy(args) -> tuple[list[str], int]:
+    program = _program(args)
     model = energy.load_model(args.model)
     trace = execute(program, _parse_assignment(args.input))
     nj = energy.trace_energy(trace, model, include_input_term=args.input_term)
-    pairs = [
+    return [
         f"switching={sum(trace.transitions)}",
         f"transitions={len(trace.transitions)}",
         f"energy_nj={nj:.6f}",
-    ]
-    _write_output(args.output, _render_report(pairs, args.format))
-    return 0
+    ], 0
 
 
 def _parse_powers(tokens: list[str]) -> list[float]:
@@ -229,13 +220,11 @@ def _parse_powers(tokens: list[str]) -> list[float]:
         raise CswpError(f"bad power value: {e}") from None
 
 
-def _cmd_summarize_power(args) -> int:
+def _cmd_summarize_power(args) -> tuple[list[str], int]:
     powers = _parse_powers(args.powers)
     if args.powers_file:
         powers += _parse_powers(_read_text(args.powers_file).split())
-    summary = energy.summarize_power(args.tdual, powers)
-    _write_output(args.output, _render_report(summary.report_lines(), args.format))
-    return 0
+    return energy.summarize_power(args.tdual, powers).report_lines(), 0
 
 
 # ---------------------------------------------------------------------------
@@ -248,75 +237,66 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, report=True):
-        """A subcommand; a report (key=value lines) also takes --format, the
-        others write their one file format."""
-        p = sub.add_parser(name, help=help_text)
+    def add(name, func, help_text, *shared):
+        """A subcommand taking -o and the `shared` option groups, in that
+        order, before its own options."""
+        p = sub.add_parser(name, help=help_text, parents=[output, *shared])
         p.set_defaults(func=func)
-        p.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
-        if report:
-            p.add_argument("--format", choices=("text", "csv"), default="text")
         return p
 
-    p = add("run", _cmd_run, "execute a program and report its switching")
-    p.add_argument("program")
-    p.add_argument("--input", action="append", default=[], metavar="NAME=VALUE",
-                   help="free-input value (repeatable); accepts 0x hex")
+    # the options several subcommands take, each declared once in a group;
+    # a report (key=value lines) takes --format, the other commands write
+    # their one file format
+    output, report, program, grid, inputs, clauses, model, overrides = (
+        argparse.ArgumentParser(add_help=False) for _ in range(8))
+    output.add_argument("-o", "--output", default=None, help="output path (default: stdout)")
+    report.add_argument("--format", choices=("text", "csv"), default="text")
+    program.add_argument("program")
+    grid.add_argument("grid", help="measurement CSV")
+    inputs.add_argument("--input", action="append", default=[], metavar="NAME=VALUE",
+                        help="free-input value (repeatable); accepts 0x hex")
+    clauses.add_argument("--vars", type=int, required=True)
+    clauses.add_argument("--clause", action="append", default=[], metavar="LITS",
+                         help="clause literals, e.g. 'x1 ~x2' (repeatable)")
+    clauses.add_argument("--width", type=int, default=8)
+    model.add_argument("--model", default="xs1l-paper", help="preset name or model JSON")
+    overrides.add_argument("--c-in", type=float, default=None, dest="c_in", help="override model c_in")
+    overrides.add_argument("--c-out", type=float, default=None, dest="c_out", help="override model c_out")
 
-    p = add("solve", _cmd_solve, "exact worst-case switching by exhaustive enumeration")
-    p.add_argument("program")
+    add("run", _cmd_run, "execute a program and report its switching", report, program, inputs)
+
+    p = add("solve", _cmd_solve, "exact worst-case switching by exhaustive enumeration", report, program)
     p.add_argument("--budget", type=int, default=None)  # None: analysis.DEFAULT_BUDGET
 
-    p = add("bound", _cmd_bound, "sound upper bound on worst-case switching")
-    p.add_argument("program")
-    p.add_argument("--method", choices=("coarse", "knownbits"), required=True)
+    p = add("bound", _cmd_bound, "sound upper bound on worst-case switching", report, program)
+    p.add_argument("--method", choices=tuple(_BOUNDS), required=True)
 
-    p = add("reduce-maxsat", _cmd_reduce_maxsat, "embed a maxsat2 instance as a program", report=False)
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--clause", action="append", default=[], metavar="LITS",
-                   help="clause literals, e.g. 'x1 ~x2' (repeatable)")
-    p.add_argument("--width", type=int, default=8)
+    add("reduce-maxsat", _cmd_reduce_maxsat, "embed a maxsat2 instance as a program", clauses)
 
-    p = add("reduce-sat-gap", _cmd_reduce_sat_gap, "embed a SAT instance with a switching gap", report=False)
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--clause", action="append", default=[], metavar="LITS")
-    p.add_argument("--width", type=int, default=8)
+    p = add("reduce-sat-gap", _cmd_reduce_sat_gap, "embed a SAT instance with a switching gap", clauses)
     p.add_argument("--factor", type=float, default=1.0)
 
-    p = add("checksat-verify", _cmd_checksat_verify, "check the emitted clause evaluator against direct evaluation")
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--clause", action="append", default=[], metavar="LITS")
-    p.add_argument("--width", type=int, default=8)
+    p = add("checksat-verify", _cmd_checksat_verify,
+            "check the emitted clause evaluator against direct evaluation", report, clauses)
     p.add_argument("--assign", default=None, metavar="BITS", help="single assignment, e.g. 1,0,1 (default: all)")
 
-    p = add("fit", _cmd_fit, "least-squares fit of the Hamming power model")
-    p.add_argument("grid", help="measurement CSV")
+    add("fit", _cmd_fit, "least-squares fit of the Hamming power model", report, grid)
 
-    p = add("gen-grid", _cmd_gen_grid, "generate a synthetic measurement grid", report=False)
+    p = add("gen-grid", _cmd_gen_grid, "generate a synthetic measurement grid", model, overrides)
     p.add_argument("--op", required=True, choices=energy.GRID_MNEMONICS)
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--sigma", type=float, default=0.0, help="noise std dev in mW")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--model", default="xs1l-paper", help="preset name or model JSON")
     p.add_argument("--base", type=float, default=None, help="intercept mW (default: model idle power)")
-    p.add_argument("--c-in", type=float, default=None, dest="c_in", help="override model c_in")
-    p.add_argument("--c-out", type=float, default=None, dest="c_out", help="override model c_out")
 
-    p = add("heatmap", _cmd_heatmap, "export a power decomposition matrix as CSV", report=False)
-    p.add_argument("grid")
+    p = add("heatmap", _cmd_heatmap, "export a power decomposition matrix as CSV", grid, model, overrides)
     p.add_argument("--stage", choices=energy.HEATMAP_STAGES, required=True)
-    p.add_argument("--model", default="xs1l-paper")
-    p.add_argument("--c-in", type=float, default=None, dest="c_in")
-    p.add_argument("--c-out", type=float, default=None, dest="c_out")
 
-    p = add("energy", _cmd_energy, "estimate trace energy for one execution")
-    p.add_argument("program")
-    p.add_argument("--input", action="append", default=[], metavar="NAME=VALUE")
-    p.add_argument("--model", default="xs1l-paper")
+    p = add("energy", _cmd_energy, "estimate trace energy for one execution", report, program, inputs, model)
     p.add_argument("--input-term", action="store_true", dest="input_term",
                    help="add the operand-bus Hamming term")
 
-    p = add("summarize-power", _cmd_summarize_power, "dynamic power range from measured test powers")
+    p = add("summarize-power", _cmd_summarize_power, "dynamic power range from measured test powers", report)
     p.add_argument("--tdual", type=float, required=True, help="dual-core idle power in mW")
     p.add_argument("powers", nargs="*", help="measured test powers in mW")
     p.add_argument("--powers-file", default=None, help="file of whitespace-separated powers")
@@ -325,13 +305,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        if "format" in args:  # a report
+            pairs, code = args.func(args)
+            text = _render_report(pairs, args.format)
+        else:
+            text, code = args.func(args), 0
+        _write_output(args.output, text)
     except CswpError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -241,20 +241,17 @@ def trace_energy(trace: ExecutionTrace, model: EnergyModel, include_input_term: 
     period_s = 1.0 / model.f
 
     bus = [0, 0, 0]
-    bus_dist = []
-    for args in trace.input_values:
+    total_mw_cycles = 0.0
+    for i, args in enumerate(trace.input_values):
         d = 0
         for k, v in enumerate(args):
             d += (bus[k] ^ v).bit_count()
             bus[k] = v
-        bus_dist.append(d)
-
-    total_mw_cycles = 0.0
-    for i, h_out in enumerate(trace.transitions):
-        p = model.p_idle_single + model.c_out * h_out
-        if include_input_term:
-            p += model.c_in * bus_dist[i + 1]
-        total_mw_cycles += p
+        if i:  # transition i - 1 ends at instruction i, which drives the buses to `args`
+            p = model.p_idle_single + model.c_out * trace.transitions[i - 1]
+            if include_input_term:
+                p += model.c_in * d
+            total_mw_cycles += p
     return total_mw_cycles * period_s * 1e6  # mW*s -> nJ
 
 

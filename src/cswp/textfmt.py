@@ -78,8 +78,7 @@ def parse_program(text: str) -> Program:
     """Parse the canonical text format. Raises ParseError with a line number on
     syntax problems, and ProgramValidationError when the program the text
     describes breaks a structural invariant (see core.validate_program)."""
-    width = None
-    mem_size = None
+    header = {"width": None, "mem": None}
     free_inputs: list[tuple[str, str]] = []
     instructions: list[Instruction] = []
 
@@ -126,28 +125,16 @@ def parse_program(text: str) -> Program:
             continue
 
         keyword = line.split(maxsplit=1)[0]
-        if keyword == "width":
-            if width is not None:
-                raise ParseError(lineno, "duplicate width line")
+        if keyword in header:
+            if header[keyword] is not None:
+                raise ParseError(lineno, f"duplicate {keyword} line")
             if instructions:
-                raise ParseError(lineno, "width must precede instructions")
+                raise ParseError(lineno, f"{keyword} must precede instructions")
             try:
                 _, value = line.split()
-                width = int(value)
+                header[keyword] = int(value)
             except ValueError:
-                raise ParseError(lineno, f"bad width line {line!r}") from None
-            continue
-
-        if keyword == "mem":
-            if mem_size is not None:
-                raise ParseError(lineno, "duplicate mem line")
-            if instructions:
-                raise ParseError(lineno, "mem must precede instructions")
-            try:
-                _, value = line.split()
-                mem_size = int(value)
-            except ValueError:
-                raise ParseError(lineno, f"bad mem line {line!r}") from None
+                raise ParseError(lineno, f"bad {keyword} line {line!r}") from None
             continue
 
         if keyword == "free":
@@ -161,9 +148,9 @@ def parse_program(text: str) -> Program:
 
         raise ParseError(lineno, f"unrecognized line {line!r}")
 
-    if width is None:
+    if header["width"] is None:
         raise ParseError(1, "missing width header")
-    return Program(width=width, mem_size=mem_size or 0, instructions=tuple(instructions),
+    return Program(width=header["width"], mem_size=header["mem"] or 0, instructions=tuple(instructions),
                    free_inputs=tuple(free_inputs))
 
 

@@ -1,10 +1,11 @@
+import argparse
 import hashlib
 import os
 import stat
 
 import pytest
 
-from cswp import analysis, cli, core
+from cswp import analysis, cli, core, sat
 from cswp.core import validate_program
 from cswp.energy import HEATMAP_STAGES
 from cswp.cli import main
@@ -52,6 +53,11 @@ class TestRunSolveBound:
         assert (code, out) == (0, "coarse=2\n")
         code, out, _ = run_cli(capsys, "bound", doubling_path, "--method", "knownbits")
         assert (code, out) == (0, "knownbits=2\n")
+
+    def test_bound_looks_up_its_method_at_call_time(self, capsys, monkeypatch, doubling_path):
+        # a wrapper put on the analysis module, such as a tracer's, sees every call
+        monkeypatch.setattr(analysis, "coarse_upper_bound", lambda program: 99)
+        assert run_cli(capsys, "bound", doubling_path, "--method", "coarse") == (0, "coarse=99\n", "")
 
     def test_missing_input_is_domain_error(self, capsys, doubling_path):
         code, _, err = run_cli(capsys, "run", doubling_path)
@@ -536,3 +542,135 @@ class TestOutputHandling:
         from cswp.textfmt import parse_program, serialize_program
         program = parse_program(out_path.read_text())
         assert parse_program(serialize_program(program)) == program
+
+
+def subparsers():
+    """Subcommand name -> its parser, from the parser `main` uses."""
+    parser = cli._build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def option_surface(parser):
+    """dest -> (option strings, default, type, required, choices, action
+    class, nargs, metavar) for every option of one subcommand's parser."""
+    return {
+        a.dest: (tuple(a.option_strings), a.default, getattr(a.type, "__name__", a.type),
+                 a.required, None if a.choices is None else tuple(a.choices),
+                 type(a).__name__, a.nargs, a.metavar)
+        for a in parser._actions
+    }
+
+
+# each subcommand's options as declared one by one, before any declaration
+# was shared between subcommands
+_HELP = (("-h", "--help"), "==SUPPRESS==", None, False, None, "_HelpAction", 0, None)
+_OUTPUT = (("-o", "--output"), None, None, False, None, "_StoreAction", None, None)
+_FORMAT = (("--format",), "text", None, False, ("text", "csv"), "_StoreAction", None, None)
+_PROGRAM = ((), None, None, True, None, "_StoreAction", None, None)
+_GRID = ((), None, None, True, None, "_StoreAction", None, None)
+_INPUT = (("--input",), [], None, False, None, "_AppendAction", None, "NAME=VALUE")
+_VARS = (("--vars",), None, "int", True, None, "_StoreAction", None, None)
+_CLAUSE = (("--clause",), [], None, False, None, "_AppendAction", None, "LITS")
+_WIDTH = (("--width",), 8, "int", False, None, "_StoreAction", None, None)
+_MODEL = (("--model",), "xs1l-paper", None, False, None, "_StoreAction", None, None)
+_C_IN = (("--c-in",), None, "float", False, None, "_StoreAction", None, None)
+_C_OUT = (("--c-out",), None, "float", False, None, "_StoreAction", None, None)
+OPTION_SURFACE = {
+    "run": {"help": _HELP, "output": _OUTPUT, "format": _FORMAT, "program": _PROGRAM,
+            "input": _INPUT},
+    "solve": {"help": _HELP, "output": _OUTPUT, "format": _FORMAT, "program": _PROGRAM,
+              "budget": (("--budget",), None, "int", False, None, "_StoreAction", None, None)},
+    "bound": {"help": _HELP, "output": _OUTPUT, "format": _FORMAT, "program": _PROGRAM,
+              "method": (("--method",), None, None, True, ("coarse", "knownbits"),
+                         "_StoreAction", None, None)},
+    "reduce-maxsat": {"help": _HELP, "output": _OUTPUT, "vars": _VARS, "clause": _CLAUSE,
+                      "width": _WIDTH},
+    "reduce-sat-gap": {"help": _HELP, "output": _OUTPUT, "vars": _VARS, "clause": _CLAUSE,
+                       "width": _WIDTH,
+                       "factor": (("--factor",), 1.0, "float", False, None, "_StoreAction", None, None)},
+    "checksat-verify": {"help": _HELP, "output": _OUTPUT, "format": _FORMAT, "vars": _VARS,
+                        "clause": _CLAUSE, "width": _WIDTH,
+                        "assign": (("--assign",), None, None, False, None, "_StoreAction", None, "BITS")},
+    "fit": {"help": _HELP, "output": _OUTPUT, "format": _FORMAT, "grid": _GRID},
+    "gen-grid": {"help": _HELP, "output": _OUTPUT,
+                 "op": (("--op",), None, None, True, ("add", "sub", "and", "or", "xor", "shl", "shr"),
+                        "_StoreAction", None, None),
+                 "width": _WIDTH,
+                 "sigma": (("--sigma",), 0.0, "float", False, None, "_StoreAction", None, None),
+                 "seed": (("--seed",), 0, "int", False, None, "_StoreAction", None, None),
+                 "model": _MODEL,
+                 "base": (("--base",), None, "float", False, None, "_StoreAction", None, None),
+                 "c_in": _C_IN, "c_out": _C_OUT},
+    "heatmap": {"help": _HELP, "output": _OUTPUT, "grid": _GRID,
+                "stage": (("--stage",), None, None, True, ("raw", "minus-out", "minus-in", "residual"),
+                          "_StoreAction", None, None),
+                "model": _MODEL, "c_in": _C_IN, "c_out": _C_OUT},
+    "energy": {"help": _HELP, "output": _OUTPUT, "format": _FORMAT, "program": _PROGRAM,
+               "input": _INPUT, "model": _MODEL,
+               "input_term": (("--input-term",), False, None, False, None, "_StoreTrueAction", 0, None)},
+    "summarize-power": {"help": _HELP, "output": _OUTPUT, "format": _FORMAT,
+                        "tdual": (("--tdual",), None, "float", True, None, "_StoreAction", None, None),
+                        "powers": ((), None, None, True, None, "_StoreAction", "*", None),
+                        "powers_file": (("--powers-file",), None, None, False, None, "_StoreAction",
+                                        None, None)},
+}
+
+
+class TestOptionSurface:
+    def test_subcommands(self):
+        assert list(subparsers()) == list(OPTION_SURFACE)
+
+    @pytest.mark.parametrize("command", list(OPTION_SURFACE))
+    def test_options(self, command):
+        assert option_surface(subparsers()[command]) == OPTION_SURFACE[command]
+
+
+REPORTS = [
+    ["run", "p.cswp", "--input", "free0=1"],
+    ["solve", "p.cswp"],
+    ["bound", "p.cswp", "--method", "knownbits"],
+    ["checksat-verify", "--vars", "2", "--clause", "x1 x2", "--clause", "~x1"],
+    ["fit", "g.csv"],
+    ["energy", "p.cswp", "--input", "free0=1", "--input-term"],
+    ["summarize-power", "--tdual", "328", "362", "424"],
+]
+FILES = [
+    ["reduce-maxsat", "--vars", "2", "--clause", "x1 ~x2"],
+    ["reduce-sat-gap", "--vars", "1", "--clause", "x1", "--width", "4"],
+    ["gen-grid", "--op", "add", "--width", "3", "--sigma", "0.5", "--seed", "1"],
+    ["heatmap", "g.csv", "--stage", "residual"],
+]
+
+
+class TestOneWritePath:
+    """Every command's output goes through one write: `-o FILE` gets the
+    bytes stdout gets, with the same exit code."""
+
+    @pytest.fixture
+    def workdir(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "p.cswp").write_text(DOUBLING)
+        assert run_cli(capsys, "gen-grid", "--op", "add", "--width", "3", "--base", "7",
+                       "--sigma", "0.25", "-o", "g.csv") == (0, "", "")
+        return tmp_path
+
+    def test_every_command_covered(self):
+        assert {argv[0] for argv in REPORTS + FILES} == set(subparsers())
+
+    @pytest.mark.parametrize("argv", [argv + ["--format", fmt] for argv in REPORTS
+                                      for fmt in ("text", "csv")] + FILES, ids=" ".join)
+    def test_file_equals_stdout(self, capsys, workdir, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "") and out
+        assert run_cli(capsys, *argv, "-o", "out.txt") == (code, "", "")
+        assert (workdir / "out.txt").read_bytes() == out.encode()
+
+    def test_checksat_verify_mismatch(self, capsys, workdir, monkeypatch):
+        real = sat.all_satisfied
+        monkeypatch.setattr(sat, "all_satisfied", lambda instance, bits: not real(instance, bits))
+        argv = ["checksat-verify", "--vars", "2", "--clause", "x1 x2", "--clause", "~x1"]
+        expected = ("assign.00=result:0,expected:1\nassign.10=result:0,expected:1\n"
+                    "assign.01=result:1,expected:0\nassign.11=result:0,expected:1\nok=false\n")
+        assert run_cli(capsys, *argv) == (1, expected, "")
+        assert run_cli(capsys, *argv, "-o", "out.txt") == (1, "", "")
+        assert (workdir / "out.txt").read_text() == expected
