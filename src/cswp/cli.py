@@ -27,11 +27,40 @@ from .core import CswpError, Program, execute
 from .textfmt import parse_program
 
 
-def _read_text(path: str) -> str:
+def _read_file(path: str) -> bytes:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as e:
+    except OSError as e:
+        raise CswpError(f"cannot read {path}: {e}") from None
+
+
+def _decode(path: str, data: bytes) -> str:
+    """The UTF-8 text of the file `path` names, whose bytes are `data`, with
+    `\r\n` and lone `\r` line ends made `\n`, as text mode reads it."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as e:
+        raise CswpError(f"cannot read {path}: {e}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _read_text(path: str) -> str:
+    return _decode(path, _read_file(path))
+
+
+def _read_grid(path: str) -> energy.Grid:
+    """The measurement grid in the file `path` names, read as `_read_text`
+    reads it; a file with no `\r` goes to the reader as bytes, which the
+    reader decodes only where its byte path declines them."""
+    data = _read_file(path)
+    if b"\r" in data:
+        return energy.measurements_from_csv(_decode(path, data))
+    try:
+        return energy.measurements_from_csv(data)
+    except UnicodeDecodeError as e:
         raise CswpError(f"cannot read {path}: {e}") from None
 
 
@@ -168,7 +197,7 @@ def _cmd_checksat_verify(args) -> tuple[list[str], int]:
 
 
 def _cmd_fit(args) -> tuple[list[str], int]:
-    grid = energy.measurements_from_csv(_read_text(args.grid))
+    grid = _read_grid(args.grid)
     return energy.fit_hamming_model(grid).report_lines(), 0
 
 
@@ -195,7 +224,7 @@ def _cmd_gen_grid(args) -> str:
 
 
 def _cmd_heatmap(args) -> str:
-    grid = energy.measurements_from_csv(_read_text(args.grid))
+    grid = _read_grid(args.grid)
     model = _model_from_args(args)
     matrix = energy.heatmap_matrix(grid, args.stage, c_in=model.c_in, c_out=model.c_out)
     return energy.heatmap_to_csv(matrix)
@@ -236,6 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Worst-case output-datapath switching analysis for straight-line bit-vector programs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> its parser, for `_parse_args`
 
     def add(name, func, help_text, *shared):
         """A subcommand taking -o and the `shared` option groups, in that
@@ -304,8 +334,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The parsed arguments of `argv`. argv that starts with a subcommand
+    goes straight to that subcommand's parser, the one the full parser hands
+    the rest of argv to, so it is parsed once rather than twice; the full
+    parser takes any other argv, and argv that leaves arguments over, so
+    its usage text and errors are unchanged."""
+    parser = _build_parser()
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if "format" in args:  # a report
             pairs, code = args.func(args)

@@ -341,32 +341,36 @@ def measurements_to_csv(grid: Grid, width: int) -> str:
     return b"".join(parts).decode()
 
 
-def measurements_from_csv(text: str) -> Grid:
-    """Parse a measurement CSV: operands accept any int() literal with a base
-    prefix and blank lines are skipped. Every row has exactly the header's
-    fields and a finite power.
+def measurements_from_csv(data: str | bytes) -> Grid:
+    """Parse a measurement CSV, given as text or as its UTF-8 bytes: operands
+    accept any int() literal with a base prefix and blank lines are skipped.
+    Every row has exactly the header's fields and a finite power.
 
     Text in the form `measurements_to_csv` writes is read CSV_CHUNK_ROWS rows
     at a time straight from its bytes (see `_read_bytes`); any other text,
     and any text with an error, goes to the row loop, which gives the same
-    grid and reports every error."""
-    grid = _read_bytes(text)
-    return _read_rows(text) if grid is None else grid
+    grid and reports every error. Only that loop decodes bytes, so only it
+    raises UnicodeDecodeError."""
+    grid = _read_bytes(data)
+    if grid is None:
+        grid = _read_rows(data if isinstance(data, str) else data.decode())
+    return grid
 
 
-def _read_bytes(text: str) -> Grid | None:
+def _read_bytes(data: str | bytes) -> Grid | None:
     """The grid of text in `measurements_to_csv`'s form, or None where
     `_read_rows` must decide.
 
-    The text is ASCII, starts with the header line, and every row has five
-    fields: two operands `0x` or `0X` plus 1 to 15 hex digits, two Hamming
-    counts of 1 to 18 decimal digits, and a power `[-]digits.digits` with at
-    most 15 digits after the point and 15 significant digits. Such a power
-    is N / 10**d for integers N < 10**15 and d <= 15, both exact in float64,
-    so the one division rounds as float() does."""
-    if not text.isascii():
-        return None
-    data = text.encode()
+    The text starts with the header line, and every row has five fields:
+    two operands `0x` or `0X` plus 1 to 15 hex digits, two Hamming counts of
+    1 to 18 decimal digits, and a power `[-]digits.digits` with at most 15
+    digits after the point and 15 significant digits, so every byte is
+    ASCII. Such a power is N / 10**d for integers N < 10**15 and d <= 15,
+    both exact in float64, so the one division rounds as float() does."""
+    if isinstance(data, str):
+        if not data.isascii():
+            return None
+        data = data.encode()
     if not data.endswith(b"\n"):
         data += b"\n"
     if not data.startswith(_HEADER_LINE):

@@ -39,6 +39,13 @@ _SRC_MEM = re.compile(r"m\[(\d+)\]$")
 # a free input; the four start with distinct characters
 _SOURCE = re.compile(rf"(?:#0x([0-9a-fA-F]+)|m\[(\d+)\]|o(\d+)|free({NAME_PATTERN}))$")
 _INSN = re.compile(r"o(\d+):\s*([a-z]+)\s*(.*)$")
+# an instruction line exactly as serialize_program writes it, ASCII digits
+# only: index, mnemonic, one to three operand tokens and any destination.
+# It must follow a "\n", which the search finds fast, and not the first
+# line, which cannot be an instruction of a valid program anyway.
+_TOKEN = rf"#0x[0-9a-f]+|m\[[0-9]+\]|o[0-9]+|free{NAME_PATTERN}"
+_ROW = re.compile(rf"\no([0-9]+): ([a-z]+) ({_TOKEN})(?:, ({_TOKEN}))?(?:, ({_TOKEN}))?"
+                  r"(?: -> m\[([0-9]+)\])?(?=\n|\Z)")
 # a comment: a `#` not starting a hex constant, up to the next line break
 # that str.splitlines knows, so stripping every comment at once keeps the
 # line numbers; a space stands in for it, so that a `\r` before a comment
@@ -77,81 +84,143 @@ def _parse_source(token: str, lineno: int):
 def parse_program(text: str) -> Program:
     """Parse the canonical text format. Raises ParseError with a line number on
     syntax problems, and ProgramValidationError when the program the text
-    describes breaks a structural invariant (see core.validate_program)."""
-    header = {"width": None, "mem": None}
-    free_inputs: list[tuple[str, str]] = []
-    instructions: list[Instruction] = []
+    describes breaks a structural invariant (see core.validate_program).
 
-    # operand token -> source, for this call only: operand classes are
-    # frozen, so instructions may share one, and only successes are kept,
-    # so each error still names its own line
-    known_sources: dict = {}
+    The instruction lines of text in `serialize_program`'s form are read in
+    one regex call (see `_Parse.take_rows`); any other line goes through the
+    per-line loop, `_Parse.take_lines`, which reports every syntax error."""
+    text = _COMMENT.sub(" ", text)
+    lines = text.splitlines()
+    rows = _ROW.findall(text)
+    # each row is one line, so they are the last lines if the loop finds no
+    # instruction before them
+    head = len(lines) - len(rows)
+    parse = _Parse()
+    parse.take_lines(lines[:head], 1)
+    if parse.instructions or not parse.take_rows(rows):
+        parse.take_lines(lines[head:], head + 1)
+    return parse.program()
 
-    for lineno, line in enumerate(_COMMENT.sub(" ", text).splitlines(), start=1):
-        line = line.strip()
-        if m := _INSN.match(line):  # almost every line is an instruction
-            digits, mnemonic, rest = m.groups()
-            index = _decimal(digits, lineno)
-            if index != len(instructions) + 1:
-                raise ParseError(lineno, f"instruction numbered o{index}, expected o{len(instructions) + 1}")
-            if mnemonic not in MNEMONICS:
-                raise ParseError(lineno, f"unknown mnemonic {mnemonic!r}")
 
-            mem_dest = None  # `rest` has no outer whitespace: the line is stripped
-            if "->" in rest:
-                rest, _, dest = rest.partition("->")
-                dest = dest.strip()
-                dm = _SRC_MEM.match(dest)
-                if not dm:
-                    raise ParseError(lineno, f"bad memory destination {dest!r}")
-                mem_dest = _decimal(dm.group(1), lineno)
-                rest = rest.strip()
-            if not rest:
-                raise ParseError(lineno, f"{mnemonic} needs {ARITY[mnemonic]} input(s), got 0")
-            sources = []
-            for token in rest.split(","):
-                source = known_sources.get(token)
-                if source is None:
-                    source = known_sources[token] = _parse_source(token, lineno)
-                sources.append(source)
-            if len(sources) != ARITY[mnemonic]:
-                raise ParseError(
-                    lineno, f"{mnemonic} needs {ARITY[mnemonic]} input(s), got {len(sources)}"
-                )
-            instructions.append(Instruction(mnemonic, sources, mem_dest))
-            continue
+class _Sources(dict):
+    """Operand token -> source, for one parse_program call: operand classes
+    are frozen, so instructions may share one, and only successes are kept,
+    so each error still names its own line. Indexing converts a token that
+    `_ROW` matched on first sight, or raises ValueError for a number too
+    long for int()."""
 
-        if not line:
-            continue
+    def __missing__(self, token: str):
+        kind = token[0]
+        if kind == "o":
+            source = PriorOutput(int(token[1:]) - 1)
+        elif kind == "#":
+            source = Const(int(token[3:], 16))
+        elif kind == "m":
+            source = MemRead(int(token[2:-1]))
+        else:
+            source = Free(token[4:])
+        self[token] = source
+        return source
 
-        keyword = line.split(maxsplit=1)[0]
-        if keyword in header:
-            if header[keyword] is not None:
-                raise ParseError(lineno, f"duplicate {keyword} line")
-            if instructions:
-                raise ParseError(lineno, f"{keyword} must precede instructions")
-            try:
-                _, value = line.split()
-                header[keyword] = int(value)
-            except ValueError:
-                raise ParseError(lineno, f"bad {keyword} line {line!r}") from None
-            continue
 
-        if keyword == "free":
-            if instructions:
-                raise ParseError(lineno, "free declarations must precede instructions")
-            parts = line.split()
-            if len(parts) != 3 or parts[2] not in DOMAINS:
-                raise ParseError(lineno, f"bad free line {line!r} (want: free <name> <01|full>)")
-            free_inputs.append((parts[1], parts[2]))
-            continue
+class _Parse:
+    """What one parse_program call has read so far, in text order."""
 
-        raise ParseError(lineno, f"unrecognized line {line!r}")
+    def __init__(self):
+        self.header = {"width": None, "mem": None}
+        self.free_inputs: list[tuple[str, str]] = []
+        self.instructions: list[Instruction] = []
+        self.known_sources = _Sources()
 
-    if header["width"] is None:
-        raise ParseError(1, "missing width header")
-    return Program(width=header["width"], mem_size=header["mem"] or 0, instructions=tuple(instructions),
-                   free_inputs=tuple(free_inputs))
+    def take_rows(self, rows: list[tuple[str, ...]]) -> bool:
+        """Add the instructions of `_ROW` rows and return True, or add
+        nothing and return False where the per-line loop must read them: an
+        index out of sequence, an unknown mnemonic, a wrong operand count or
+        a number too long for int()."""
+        source, arity = self.known_sources.__getitem__, ARITY.get
+        instructions = []
+        try:
+            for number, (index, mnemonic, a, b, c, dest) in enumerate(rows, len(self.instructions) + 1):
+                sources = (source(a), source(b), source(c)) if c else (source(a), source(b)) if b else (source(a),)
+                if index != str(number) or arity(mnemonic) != len(sources):
+                    return False
+                instructions.append(Instruction(mnemonic, sources, int(dest) if dest else None))
+        except ValueError:
+            return False
+        self.instructions += instructions
+        return True
+
+    def take_lines(self, lines: list[str], first_lineno: int):
+        """The per-line loop: add each line's header value, free input or
+        instruction, or raise ParseError naming the line."""
+        header, free_inputs, instructions = self.header, self.free_inputs, self.instructions
+        known_sources = self.known_sources
+        for lineno, line in enumerate(lines, start=first_lineno):
+            line = line.strip()
+            if m := _INSN.match(line):  # almost every line is an instruction
+                digits, mnemonic, rest = m.groups()
+                index = _decimal(digits, lineno)
+                if index != len(instructions) + 1:
+                    raise ParseError(lineno, f"instruction numbered o{index}, expected o{len(instructions) + 1}")
+                if mnemonic not in MNEMONICS:
+                    raise ParseError(lineno, f"unknown mnemonic {mnemonic!r}")
+
+                mem_dest = None  # `rest` has no outer whitespace: the line is stripped
+                if "->" in rest:
+                    rest, _, dest = rest.partition("->")
+                    dest = dest.strip()
+                    dm = _SRC_MEM.match(dest)
+                    if not dm:
+                        raise ParseError(lineno, f"bad memory destination {dest!r}")
+                    mem_dest = _decimal(dm.group(1), lineno)
+                    rest = rest.strip()
+                if not rest:
+                    raise ParseError(lineno, f"{mnemonic} needs {ARITY[mnemonic]} input(s), got 0")
+                sources = []
+                for token in rest.split(","):
+                    source = known_sources.get(token)
+                    if source is None:
+                        source = known_sources[token] = _parse_source(token, lineno)
+                    sources.append(source)
+                if len(sources) != ARITY[mnemonic]:
+                    raise ParseError(
+                        lineno, f"{mnemonic} needs {ARITY[mnemonic]} input(s), got {len(sources)}"
+                    )
+                instructions.append(Instruction(mnemonic, sources, mem_dest))
+                continue
+
+            if not line:
+                continue
+
+            keyword = line.split(maxsplit=1)[0]
+            if keyword in header:
+                if header[keyword] is not None:
+                    raise ParseError(lineno, f"duplicate {keyword} line")
+                if instructions:
+                    raise ParseError(lineno, f"{keyword} must precede instructions")
+                try:
+                    _, value = line.split()
+                    header[keyword] = int(value)
+                except ValueError:
+                    raise ParseError(lineno, f"bad {keyword} line {line!r}") from None
+                continue
+
+            if keyword == "free":
+                if instructions:
+                    raise ParseError(lineno, "free declarations must precede instructions")
+                parts = line.split()
+                if len(parts) != 3 or parts[2] not in DOMAINS:
+                    raise ParseError(lineno, f"bad free line {line!r} (want: free <name> <01|full>)")
+                free_inputs.append((parts[1], parts[2]))
+                continue
+
+            raise ParseError(lineno, f"unrecognized line {line!r}")
+
+    def program(self) -> Program:
+        if self.header["width"] is None:
+            raise ParseError(1, "missing width header")
+        return Program(width=self.header["width"], mem_size=self.header["mem"] or 0,
+                       instructions=tuple(self.instructions), free_inputs=tuple(self.free_inputs))
 
 
 def _format_source(src) -> str:

@@ -1,11 +1,12 @@
 import argparse
 import hashlib
 import os
+import random
 import stat
 
 import pytest
 
-from cswp import analysis, cli, core, sat
+from cswp import analysis, cli, core, energy, sat
 from cswp.core import validate_program
 from cswp.energy import HEATMAP_STAGES
 from cswp.cli import main
@@ -642,17 +643,20 @@ FILES = [
 ]
 
 
+@pytest.fixture
+def workdir(capsys, tmp_path, monkeypatch):
+    """A working directory holding the p.cswp and g.csv that REPORTS and
+    FILES read."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.cswp").write_text(DOUBLING)
+    assert run_cli(capsys, "gen-grid", "--op", "add", "--width", "3", "--base", "7",
+                   "--sigma", "0.25", "-o", "g.csv") == (0, "", "")
+    return tmp_path
+
+
 class TestOneWritePath:
     """Every command's output goes through one write: `-o FILE` gets the
     bytes stdout gets, with the same exit code."""
-
-    @pytest.fixture
-    def workdir(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "p.cswp").write_text(DOUBLING)
-        assert run_cli(capsys, "gen-grid", "--op", "add", "--width", "3", "--base", "7",
-                       "--sigma", "0.25", "-o", "g.csv") == (0, "", "")
-        return tmp_path
 
     def test_every_command_covered(self):
         assert {argv[0] for argv in REPORTS + FILES} == set(subparsers())
@@ -674,3 +678,126 @@ class TestOneWritePath:
         assert run_cli(capsys, *argv) == (1, expected, "")
         assert run_cli(capsys, *argv, "-o", "out.txt") == (1, "", "")
         assert (workdir / "out.txt").read_text() == expected
+
+
+def outcome(capsys, argv):
+    """Exit code (or SystemExit code), stdout and stderr of main(argv)."""
+    try:
+        code = main(list(argv))
+    except SystemExit as e:
+        code = f"SystemExit {e.code}"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# per subcommand, options given a value of the wrong type or outside their
+# choices, and an option left without its value
+BAD_VALUES = {
+    "run": [["--input"]],
+    "solve": [["--budget", "x"]],
+    "bound": [["--method", "exact"]],
+    "reduce-maxsat": [["--vars", "x"], ["--width", "1.5"]],
+    "reduce-sat-gap": [["--factor", "x"]],
+    "checksat-verify": [["--width", "x"]],
+    "fit": [["-o"]],
+    "gen-grid": [["--op", "mul"], ["--seed", "x"], ["--sigma", "x"]],
+    "heatmap": [["--stage", "cooked"], ["--c-in", "x"]],
+    "energy": [["--model"]],
+    "summarize-power": [["--tdual", "x"]],
+}
+DISPATCH_CASES = [[], ["frobnicate"], ["frobnicate", "-h"], ["-h"], ["--help"], ["--bogus", "solve", "p.cswp"],
+                  ["--", "solve", "p.cswp"], ["solve", "p.cswp", "--form", "csv"],
+                  ["bound", "p.cswp", "--meth", "coarse"], ["bound", "p.cswp", "--method=coarse"]]
+for _argv in REPORTS + FILES:
+    _name = _argv[0]
+    DISPATCH_CASES += [
+        _argv,
+        _argv + ["--bogus"],  # unknown option
+        _argv + ["stray"],  # leftover argument
+        _argv + ["--", "stray"],
+        [_name],  # missing required argument
+        [_name, "-h"],
+        _argv + (["--format", "xml"] if _argv in REPORTS else ["--format", "text"]),
+        *(_argv + bad for bad in BAD_VALUES[_name]),
+    ]
+
+
+class TestDispatch:
+    """`main` hands argv that starts with a subcommand straight to that
+    subcommand's parser; what it prints and returns is what the full
+    parser's route gives."""
+
+    def test_every_command_covered(self):
+        assert set(BAD_VALUES) == {argv[0] for argv in REPORTS + FILES} == set(subparsers())
+
+    @pytest.mark.parametrize("argv", DISPATCH_CASES, ids=lambda argv: " ".join(argv) or "<none>")
+    def test_same_as_full_parser(self, capsys, workdir, monkeypatch, argv):
+        direct = outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
+        assert outcome(capsys, argv) == direct
+
+    @pytest.mark.parametrize("argv", REPORTS + FILES, ids=" ".join)
+    def test_valid_argv_skips_full_parser(self, capsys, workdir, monkeypatch, argv):
+        def full_parse(*args, **kwargs):
+            raise AssertionError("the full parser parsed a valid argv")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", full_parse)
+        assert outcome(capsys, argv)[0] == 0
+
+
+def text_mode_read(path):
+    """How the file at `path` read before files were read as bytes."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise core.CswpError(f"cannot read {path}: {e}") from None
+
+
+def read_outcome(read, path):
+    try:
+        return read(path)
+    except core.CswpError as e:
+        return f"CswpError: {e}"
+
+
+class TestReadAsBytes:
+    """Files are read as bytes; programs, power lists and grids come out as
+    text mode read them: UTF-8, with `\r\n` and lone `\r` line ends made
+    `\n`, and the same error for bytes that are not UTF-8."""
+
+    PIECES = [b"a", b"0", b" ", b"\r", b"\n", b"\r\n", b"\xff", b"\xc3", b"\xc3\xa9", b"\xe2\x80\xa8",
+              b"\xef\xbb\xbf", b"\x85"]
+
+    def test_read_text_matches_text_mode(self, tmp_path):
+        rng = random.Random(15)
+        path = str(tmp_path / "x")
+        for _ in range(500):
+            data = b"".join(rng.choice(self.PIECES) for _ in range(rng.randint(0, 24)))
+            if rng.random() < 0.1:  # an error position past the first 8 KiB
+                data = b"x" * 9000 + data
+            with open(path, "wb") as fh:
+                fh.write(data)
+            assert read_outcome(cli._read_text, path) == read_outcome(text_mode_read, path), data
+
+    @pytest.mark.parametrize("argv", [["fit", "g.csv"], ["heatmap", "g.csv", "--stage", "minus-in"]])
+    @pytest.mark.parametrize("edit", [
+        lambda data: data.replace(b"\n", b"\r", 5),
+        lambda data: b"\xef\xbb\xbf" + data,
+        lambda data: data + b"\r\n0x0,0x0,0,0,1.\xff\n",
+        lambda data: data.replace(b"\n", b"\r\n") + b"0x0,0x0,0,0,1.\xff\n",
+        lambda data: data[:40] + b"\xc3\xa9" + data[40:],
+    ], ids=["some-cr", "bom", "bad-utf8", "crlf-bad-utf8", "non-ascii"])
+    def test_grid_matches_text_mode(self, capsys, workdir, monkeypatch, argv, edit):
+        (workdir / "g.csv").write_bytes(edit((workdir / "g.csv").read_bytes()))
+        direct = outcome(capsys, argv)
+        monkeypatch.setattr(cli, "_read_grid", lambda path: energy.measurements_from_csv(text_mode_read(path)))
+        assert outcome(capsys, argv) == direct
+
+    @pytest.mark.parametrize("argv", [["fit", "g.csv"], ["heatmap", "g.csv", "--stage", "residual"]])
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"])
+    def test_grid_line_ends(self, capsys, workdir, argv, end):
+        expected = outcome(capsys, argv)
+        assert expected[0] == 0
+        (workdir / "g.csv").write_bytes((workdir / "g.csv").read_bytes().replace(b"\n", end))
+        assert outcome(capsys, argv) == expected

@@ -17,6 +17,8 @@ from cswp.core import (
     Program,
     ProgramValidationError,
 )
+from cswp import reductions, textfmt
+from cswp.sat import MaxSat2Instance, SatInstance
 from cswp.textfmt import ParseError, parse_program, serialize_program
 
 import refparse
@@ -165,6 +167,80 @@ class TestRoundTrip:
         assert parse_program(serialize_program(p)) == p
 
 
+def watch_loop(monkeypatch, strict):
+    """Record each instruction line the per-line loop reads; with `strict`,
+    the loop raises on the first one instead."""
+    seen = []
+    take_lines = textfmt._Parse.take_lines
+
+    def watched(self, lines, first_lineno):
+        read = [line for line in lines if textfmt._INSN.match(line.strip())]
+        if read and strict:
+            raise AssertionError(f"the per-line loop read instruction line {read[0]!r}")
+        seen.extend(read)
+        return take_lines(self, lines, first_lineno)
+
+    monkeypatch.setattr(textfmt._Parse, "take_lines", watched)
+    return seen
+
+
+LONG = "1" * 4301  # past Python's 4,300-digit int-string conversion limit
+
+
+class TestSerializerRows:
+    """Text in serialize_program's form has its instruction lines read in one
+    regex call; any other text reaches the per-line loop and parses as the
+    reference parser parses it."""
+
+    def test_random_programs_skip_the_loop(self, monkeypatch):
+        watch_loop(monkeypatch, strict=True)
+        rng = random.Random(1501)
+        for _ in range(300):
+            p = random_program(rng)
+            assert parse_program(serialize_program(p)) == p
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_reductions_skip_the_loop(self, monkeypatch, seed):
+        rng = random.Random(seed)
+        lits = lambda n, k: [rng.choice([-1, 1]) * rng.randint(1, n) for _ in range(k)]
+        maxsat = reductions.reduce_maxsat2(MaxSat2Instance(6, tuple(lits(6, 2) for _ in range(9))))
+        gap = reductions.reduce_sat_gap(SatInstance(5, tuple(lits(5, 3) for _ in range(7))), width=4)
+        watch_loop(monkeypatch, strict=True)
+        assert reductions.load_reduced(reductions.serialize_reduced(maxsat)).program == maxsat.program
+        assert reductions.load_gap(reductions.serialize_gap(gap)).program == gap.program
+
+    @pytest.mark.parametrize("text", [
+        "width 4\no1:  mov #0x1\n",
+        "width 4\no1: mov #0x1\no2: add o1,  o1\n",
+        "width 4\no1: mov #0x1 \n",
+        "width 4\no1:\tmov #0x1\n",
+        "width 4\no1: mov\t#0x1\n",
+        "width 4\no01: mov #0x1\n",
+        "width 4\no1: mov #0x1\no02: mov o1\n",
+        "width 4\no1: mov #0x1 # trailing comment\n",
+        "width 4\no1: mov #0xAB\n",
+        "width 4\r\nmem 1\r\no1: mov m[0]\r\n",
+        "width 4\nmem 1\no1: store #0x1 ->m[0]\n",
+        "width 4\n o1: mov #0x1\no2: mov o1\n",
+        f"width 4\nmem 1\no1: mov m[{LONG}]\n",
+        f"width 4\no1: mov #0x0\no2: mov o{LONG}\n",
+        f"width 4\nmem 1\no1: store #0x0 -> m[{LONG}]\n",
+        f"width 4\no{LONG}: mov #0x0\n",
+        "width 4\no1: frob #0x1\n",
+        "width 4\no1: add #0x1\n",
+        "width 4\no1: mov #0x1, #0x2\n",
+        "width 4\no2: mov #0x1\n",
+        "width 4\no1: mov #0x1\nmem 2\n",
+        "width 4\no1: mov #0x1\n\no2: mov o1\n",
+        "width 4\no1: mov #0x1\x85o2: mov o1\n",
+        "o1: mov #0x1\nwidth 4\n",
+    ])
+    def test_other_form_reaches_the_loop(self, monkeypatch, text):
+        seen = watch_loop(monkeypatch, strict=False)
+        assert parse_outcome(parse_program, text) == parse_outcome(refparse.parse_program, text)
+        assert seen
+
+
 # line ends that str.splitlines splits on, as the parser does
 SEPARATORS = ("\n", "\r\n", "\x0b", "\x85")
 
@@ -300,5 +376,7 @@ def parse_outcome(parse, text):
 @given(mutated_program_text())
 @example("width 4\r# a comment line between \\r and \\n\nfree a 2\n")  # the error is on line 3
 @example("".join(f"# {i}{b}" for i, b in enumerate(LINE_BREAKS)) + "width 4\no1: mov #0x1# c\no2: frob\n")
+@example(f"width 4\nmem 1\no1: mov #0x1\no2: store o1 -> m[{'9' * 4301}]\n")  # serializer form, too long
+@example("width 4\nfree a 01\no01: mov freea\no2:\tadd o1,  o1\n")  # the first row is not serializer form
 def test_parser_matches_reference_parser(text):
     assert parse_outcome(parse_program, text) == parse_outcome(refparse.parse_program, text)
