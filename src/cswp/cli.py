@@ -27,41 +27,17 @@ from .core import CswpError, Program, execute
 from .textfmt import parse_program
 
 
-def _read_file(path: str) -> bytes:
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file `path` names, with `\r\n` and lone `\r`
+    line ends made `\n`, as text mode reads it."""
     try:
         with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as e:
-        raise CswpError(f"cannot read {path}: {e}") from None
-
-
-def _decode(path: str, data: bytes) -> str:
-    """The UTF-8 text of the file `path` names, whose bytes are `data`, with
-    `\r\n` and lone `\r` line ends made `\n`, as text mode reads it."""
-    try:
-        text = data.decode()
-    except UnicodeDecodeError as e:
+            text = fh.read().decode()
+    except (OSError, UnicodeDecodeError) as e:
         raise CswpError(f"cannot read {path}: {e}") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
-
-
-def _read_text(path: str) -> str:
-    return _decode(path, _read_file(path))
-
-
-def _read_grid(path: str) -> energy.Grid:
-    """The measurement grid in the file `path` names, read as `_read_text`
-    reads it; a file with no `\r` goes to the reader as bytes, which the
-    reader decodes only where its byte path declines them."""
-    data = _read_file(path)
-    if b"\r" in data:
-        return energy.measurements_from_csv(_decode(path, data))
-    try:
-        return energy.measurements_from_csv(data)
-    except UnicodeDecodeError as e:
-        raise CswpError(f"cannot read {path}: {e}") from None
 
 
 def _write_output(path: str | None, text: str):
@@ -197,7 +173,7 @@ def _cmd_checksat_verify(args) -> tuple[list[str], int]:
 
 
 def _cmd_fit(args) -> tuple[list[str], int]:
-    grid = _read_grid(args.grid)
+    grid = energy.measurements_from_csv(_read_text(args.grid))
     return energy.fit_hamming_model(grid).report_lines(), 0
 
 
@@ -224,7 +200,7 @@ def _cmd_gen_grid(args) -> str:
 
 
 def _cmd_heatmap(args) -> str:
-    grid = _read_grid(args.grid)
+    grid = energy.measurements_from_csv(_read_text(args.grid))
     model = _model_from_args(args)
     matrix = energy.heatmap_matrix(grid, args.stage, c_in=model.c_in, c_out=model.c_out)
     return energy.heatmap_to_csv(matrix)

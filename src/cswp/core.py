@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -96,14 +96,23 @@ class PriorOutput:
 OperandSource = Union[Free, Const, MemRead, PriorOutput]
 
 
-@dataclass
-class Instruction:
+class _InstructionFields(NamedTuple):
     mnemonic: str
     inputs: tuple
     mem_dest: int | None = None
 
-    def __post_init__(self):
-        self.inputs = tuple(self.inputs)
+
+class Instruction(_InstructionFields):
+    """One instruction; immutable, like every part of a Program. `inputs` is
+    stored as a tuple, whatever sequence it is given as. Where `inputs` is a
+    tuple already, `Instruction._make((mnemonic, inputs, mem_dest))` builds
+    the same instruction a third cheaper, without this Python-level
+    `__new__`; the parser's serializer-form path and the reductions do so."""
+
+    __slots__ = ()
+
+    def __new__(cls, mnemonic: str, inputs: Sequence, mem_dest: int | None = None):
+        return tuple.__new__(cls, (mnemonic, tuple(inputs), mem_dest))
 
 
 @dataclass(frozen=True)
@@ -113,7 +122,8 @@ class Program:
     free_inputs is an ordered tuple of (name, domain) pairs; declaration order
     defines enumeration and witness ordering everywhere downstream. A Program
     is valid by construction: building one that `validate_program` rejects
-    raises ProgramValidationError, and its fields cannot be reassigned.
+    raises ProgramValidationError, and neither its fields nor those of its
+    instructions can be reassigned, so it stays valid and is hashable.
     """
 
     width: int

@@ -341,23 +341,22 @@ def measurements_to_csv(grid: Grid, width: int) -> str:
     return b"".join(parts).decode()
 
 
-def measurements_from_csv(data: str | bytes) -> Grid:
-    """Parse a measurement CSV, given as text or as its UTF-8 bytes: operands
-    accept any int() literal with a base prefix and blank lines are skipped.
-    Every row has exactly the header's fields and a finite power.
+def measurements_from_csv(text: str) -> Grid:
+    """Parse a measurement CSV: operands accept any int() literal with a base
+    prefix and blank lines are skipped. Every row has exactly the header's
+    fields and a finite power.
 
     Text in the form `measurements_to_csv` writes is read CSV_CHUNK_ROWS rows
     at a time straight from its bytes (see `_read_bytes`); any other text,
     and any text with an error, goes to the row loop, which gives the same
-    grid and reports every error. Only that loop decodes bytes, so only it
-    raises UnicodeDecodeError."""
-    grid = _read_bytes(data)
+    grid and reports every error."""
+    grid = _read_bytes(text)
     if grid is None:
-        grid = _read_rows(data if isinstance(data, str) else data.decode())
+        grid = _read_rows(text)
     return grid
 
 
-def _read_bytes(data: str | bytes) -> Grid | None:
+def _read_bytes(text: str) -> Grid | None:
     """The grid of text in `measurements_to_csv`'s form, or None where
     `_read_rows` must decide.
 
@@ -367,10 +366,9 @@ def _read_bytes(data: str | bytes) -> Grid | None:
     digits after the point and 15 significant digits, so every byte is
     ASCII. Such a power is N / 10**d for integers N < 10**15 and d <= 15,
     both exact in float64, so the one division rounds as float() does."""
-    if isinstance(data, str):
-        if not data.isascii():
-            return None
-        data = data.encode()
+    if not text.isascii():
+        return None
+    data = text.encode()
     if not data.endswith(b"\n"):
         data += b"\n"
     if not data.startswith(_HEADER_LINE):

@@ -116,7 +116,7 @@ def lit_addr(lit: Literal) -> int:
 
 def _emit(insns: list[Instruction], mnemonic: str, *inputs, mem_dest=None) -> PriorOutput:
     """Append one instruction; returns the operand that reads its output."""
-    insns.append(Instruction(mnemonic, inputs, mem_dest))
+    insns.append(Instruction._make((mnemonic, inputs, mem_dest)))
     return PriorOutput(len(insns) - 1)
 
 

@@ -59,46 +59,41 @@ def _normalize(clauses: Iterable) -> tuple[tuple[Literal, ...], ...]:
     return tuple(out)
 
 
-def _check_num_vars(num_vars: int):
-    if num_vars < 0:
-        raise CswpError(f"number of variables {num_vars} is negative")
-
-
 @dataclass(frozen=True)
-class SatInstance:
-    """CNF: clauses of any positive length. Clauses accept Literal objects or
-    DIMACS-style signed ints (-3 means ~x3)."""
+class _ClauseSet:
+    """Clauses over the variables x1..x{num_vars}. Clauses accept Literal
+    objects or DIMACS-style signed ints (-3 means ~x3); a subclass states
+    which clause lengths it takes."""
 
     num_vars: int
     clauses: tuple = ()
 
     def __post_init__(self):
-        _check_num_vars(self.num_vars)
+        if self.num_vars < 0:
+            raise CswpError(f"number of variables {self.num_vars} is negative")
         object.__setattr__(self, "clauses", _normalize(self.clauses))
         for i, clause in enumerate(self.clauses):
-            if not clause:
-                raise CswpError(f"clause {i} is empty")
+            if problem := self._length_problem(clause):
+                raise CswpError(f"clause {i} {problem}")
             for lit in clause:
                 if lit.var_index > self.num_vars:
                     raise CswpError(f"clause {i}: x{lit.var_index} exceeds {self.num_vars} variables")
 
 
-@dataclass(frozen=True)
-class MaxSat2Instance:
+class SatInstance(_ClauseSet):
+    """CNF: clauses of any positive length."""
+
+    @staticmethod
+    def _length_problem(clause) -> str | None:
+        return None if clause else "is empty"
+
+
+class MaxSat2Instance(_ClauseSet):
     """Clause set with at most two literals per clause."""
 
-    num_vars: int
-    clauses: tuple = ()
-
-    def __post_init__(self):
-        _check_num_vars(self.num_vars)
-        object.__setattr__(self, "clauses", _normalize(self.clauses))
-        for i, clause in enumerate(self.clauses):
-            if not 1 <= len(clause) <= 2:
-                raise CswpError(f"clause {i} has {len(clause)} literals, want 1 or 2")
-            for lit in clause:
-                if lit.var_index > self.num_vars:
-                    raise CswpError(f"clause {i}: x{lit.var_index} exceeds {self.num_vars} variables")
+    @staticmethod
+    def _length_problem(clause) -> str | None:
+        return None if 1 <= len(clause) <= 2 else f"has {len(clause)} literals, want 1 or 2"
 
 
 def literal_value(lit: Literal, assignment: Sequence[bool]) -> bool:

@@ -11,8 +11,11 @@ Header lines first (width, mem, one free line per input in declaration order),
 then 1-based sequentially numbered instruction lines; a header line is known
 by its first whitespace-separated token. `#` starts a comment
 unless immediately followed by `0x` (hex constants). Free-input names match
-core.NAME_PATTERN. Text that is well-formed line by line but describes an
-invalid program raises core.ProgramValidationError from the Program it builds.
+core.NAME_PATTERN. The operand syntax is stated once, in `_OPERAND_CLASSES`:
+the per-line loop's operand and memory-destination checks, the pattern of
+serializer-form lines and the one operand converter all come from it. Text
+that is well-formed line by line but describes an invalid program raises
+core.ProgramValidationError from the Program it builds.
 parse(serialize(p)) == p for every valid program.
 """
 
@@ -34,18 +37,28 @@ from .core import (
     Program,
 )
 
-_SRC_MEM = re.compile(r"m\[(\d+)\]$")
-# one group per operand class: a constant, a memory read, a prior output or
-# a free input; the four start with distinct characters
-_SOURCE = re.compile(rf"(?:#0x([0-9a-fA-F]+)|m\[(\d+)\]|o(\d+)|free({NAME_PATTERN}))$")
-_INSN = re.compile(r"o(\d+):\s*([a-z]+)\s*(.*)$")
-# an instruction line exactly as serialize_program writes it, ASCII digits
-# only: index, mnemonic, one to three operand tokens and any destination.
-# It must follow a "\n", which the search finds fast, and not the first
-# line, which cannot be an instruction of a valid program anyway.
-_TOKEN = rf"#0x[0-9a-f]+|m\[[0-9]+\]|o[0-9]+|free{NAME_PATTERN}"
-_ROW = re.compile(rf"\no([0-9]+): ([a-z]+) ({_TOKEN})(?:, ({_TOKEN}))?(?:, ({_TOKEN}))?"
-                  r"(?: -> m\[([0-9]+)\])?(?=\n|\Z)")
+# The four operand classes, keyed by their distinct first characters. Each
+# pattern has one group, around the number or name; each converter makes the
+# source of a token that its pattern matches, without another regex.
+_OPERAND_CLASSES = {
+    "#": (r"#0x([0-9a-fA-F]+)", lambda token: Const(int(token[3:], 16))),
+    "m": (r"m\[(\d+)\]", lambda token: MemRead(int(token[2:-1]))),
+    "o": (r"o(\d+)", lambda token: PriorOutput(int(token[1:]) - 1)),
+    "f": (rf"free({NAME_PATTERN})", lambda token: Free(token[4:])),
+}
+_OPERAND = re.compile("|".join(pattern for pattern, _ in _OPERAND_CLASSES.values()))
+_MEM_DEST = re.compile(_OPERAND_CLASSES["m"][0])
+# an instruction's index has the syntax of a prior output that names it
+_INSN = re.compile(_OPERAND_CLASSES["o"][0] + r":\s*([a-z]+)\s*(.*)$")
+# an instruction line exactly as serialize_program writes it: index,
+# mnemonic, one to three operand tokens and any destination, in the operand
+# classes narrowed to ASCII digits and lower-case hex. It must follow a "\n",
+# which the search finds fast, and not the first line, which cannot be an
+# instruction of a valid program anyway.
+_ASCII = {kind: p.replace(r"\d", "[0-9]").replace("A-F", "") for kind, (p, _) in _OPERAND_CLASSES.items()}
+_TOKEN = "|".join(pattern.replace("(", "(?:") for pattern in _ASCII.values())
+_ROW = re.compile(rf"\n{_ASCII['o']}: ([a-z]+) ({_TOKEN})(?:, ({_TOKEN}))?(?:, ({_TOKEN}))?"
+                  rf"(?: -> {_ASCII['m']})?(?=\n|\Z)")
 # a comment: a `#` not starting a hex constant, up to the next line break
 # that str.splitlines knows, so stripping every comment at once keeps the
 # line numbers; a space stands in for it, so that a `\r` before a comment
@@ -59,26 +72,15 @@ class ParseError(CswpError):
         super().__init__(f"line {lineno}: {message}")
 
 
+def _too_long(digits: str, lineno: int) -> ParseError:  # past Python's int-string conversion limit
+    return ParseError(lineno, f"number of {len(digits)} digits is too long")
+
+
 def _decimal(digits: str, lineno: int) -> int:
     try:
         return int(digits)
-    except ValueError:  # longer than Python's int-string conversion limit
-        raise ParseError(lineno, f"number of {len(digits)} digits is too long") from None
-
-
-def _parse_source(token: str, lineno: int):
-    token = token.strip()
-    m = _SOURCE.match(token)
-    if m is None:
-        raise ParseError(lineno, f"unrecognized operand source {token!r}")
-    const, addr, prior, name = m.groups()
-    if const is not None:
-        return Const(int(const, 16))
-    if addr is not None:
-        return MemRead(_decimal(addr, lineno))
-    if prior is not None:
-        return PriorOutput(_decimal(prior, lineno) - 1)
-    return Free(name)
+    except ValueError:
+        raise _too_long(digits, lineno) from None
 
 
 def parse_program(text: str) -> Program:
@@ -106,20 +108,11 @@ class _Sources(dict):
     """Operand token -> source, for one parse_program call: operand classes
     are frozen, so instructions may share one, and only successes are kept,
     so each error still names its own line. Indexing converts a token that
-    `_ROW` matched on first sight, or raises ValueError for a number too
-    long for int()."""
+    `_OPERAND` or `_ROW` matched on first sight, through its class's
+    converter, or raises ValueError for a number too long for int()."""
 
     def __missing__(self, token: str):
-        kind = token[0]
-        if kind == "o":
-            source = PriorOutput(int(token[1:]) - 1)
-        elif kind == "#":
-            source = Const(int(token[3:], 16))
-        elif kind == "m":
-            source = MemRead(int(token[2:-1]))
-        else:
-            source = Free(token[4:])
-        self[token] = source
+        source = self[token] = _OPERAND_CLASSES[token[0]][1](token)
         return source
 
 
@@ -144,7 +137,7 @@ class _Parse:
                 sources = (source(a), source(b), source(c)) if c else (source(a), source(b)) if b else (source(a),)
                 if index != str(number) or arity(mnemonic) != len(sources):
                     return False
-                instructions.append(Instruction(mnemonic, sources, int(dest) if dest else None))
+                instructions.append(Instruction._make((mnemonic, sources, int(dest) if dest else None)))
         except ValueError:
             return False
         self.instructions += instructions
@@ -169,10 +162,10 @@ class _Parse:
                 if "->" in rest:
                     rest, _, dest = rest.partition("->")
                     dest = dest.strip()
-                    dm = _SRC_MEM.match(dest)
+                    dm = _MEM_DEST.fullmatch(dest)
                     if not dm:
                         raise ParseError(lineno, f"bad memory destination {dest!r}")
-                    mem_dest = _decimal(dm.group(1), lineno)
+                    mem_dest = _decimal(dm[1], lineno)
                     rest = rest.strip()
                 if not rest:
                     raise ParseError(lineno, f"{mnemonic} needs {ARITY[mnemonic]} input(s), got 0")
@@ -180,7 +173,13 @@ class _Parse:
                 for token in rest.split(","):
                     source = known_sources.get(token)
                     if source is None:
-                        source = known_sources[token] = _parse_source(token, lineno)
+                        operand = _OPERAND.fullmatch(token.strip())
+                        if operand is None:
+                            raise ParseError(lineno, f"unrecognized operand source {token.strip()!r}")
+                        try:
+                            source = known_sources[token] = known_sources[operand[0]]
+                        except ValueError:
+                            raise _too_long(operand[operand.lastindex], lineno) from None
                     sources.append(source)
                 if len(sources) != ARITY[mnemonic]:
                     raise ParseError(

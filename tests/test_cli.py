@@ -6,7 +6,7 @@ import stat
 
 import pytest
 
-from cswp import analysis, cli, core, energy, sat
+from cswp import analysis, cli, core, sat
 from cswp.core import validate_program
 from cswp.energy import HEATMAP_STAGES
 from cswp.cli import main
@@ -791,7 +791,7 @@ class TestReadAsBytes:
     def test_grid_matches_text_mode(self, capsys, workdir, monkeypatch, argv, edit):
         (workdir / "g.csv").write_bytes(edit((workdir / "g.csv").read_bytes()))
         direct = outcome(capsys, argv)
-        monkeypatch.setattr(cli, "_read_grid", lambda path: energy.measurements_from_csv(text_mode_read(path)))
+        monkeypatch.setattr(cli, "_read_text", text_mode_read)
         assert outcome(capsys, argv) == direct
 
     @pytest.mark.parametrize("argv", [["fit", "g.csv"], ["heatmap", "g.csv", "--stage", "residual"]])

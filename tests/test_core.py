@@ -20,6 +20,7 @@ from cswp.core import (
     hamming_distance,
     validate_program,
 )
+from cswp.textfmt import parse_program, serialize_program
 
 from randprog import random_program
 
@@ -278,6 +279,26 @@ class TestValidateProgram:
         p = prog(4, [Instruction("mov", (Const(0),))])
         with pytest.raises(dataclasses.FrozenInstanceError):
             p.instructions = (Instruction("mov", (PriorOutput(4),)),)
+
+    @pytest.mark.parametrize("field, value", [("mnemonic", "frob"), ("inputs", ()), ("mem_dest", 0)])
+    def test_instruction_fields_cannot_be_reassigned(self, field, value):
+        p = parse_program("width 4\nmem 1\no1: mov #0x1\no2: store o1 -> m[0]\n")
+        for insn in p.instructions:
+            with pytest.raises(AttributeError):
+                setattr(insn, field, value)
+        assert p == parse_program(serialize_program(p))
+
+    def test_equal_programs_hash_equal(self):
+        rng = random.Random(16)
+        for _ in range(50):
+            p = random_program(rng)
+            q = parse_program(serialize_program(p))
+            assert p == q and hash(p) == hash(q)
+
+    def test_instruction_stores_inputs_as_a_tuple(self):
+        from_list = Instruction("add", [Free("a"), Const(1)])
+        assert from_list == Instruction("add", (Free("a"), Const(1)))
+        assert type(from_list.inputs) is tuple
 
     def test_random_programs_are_valid(self):
         rng = random.Random(3)

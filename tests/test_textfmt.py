@@ -219,6 +219,9 @@ class TestSerializerRows:
         "width 4\no1: mov #0x1\no02: mov o1\n",
         "width 4\no1: mov #0x1 # trailing comment\n",
         "width 4\no1: mov #0xAB\n",
+        "width 8\no1: mov #0x1\no2: xor o1, #0xAB\n",
+        "width 4\no1: mov #0x1\no2: mov o\u0661\n",
+        "width 4\nmem 1\no1: mov #0x1\no2: store o1 -> m[\u0660]\n",
         "width 4\r\nmem 1\r\no1: mov m[0]\r\n",
         "width 4\nmem 1\no1: store #0x1 ->m[0]\n",
         "width 4\n o1: mov #0x1\no2: mov o1\n",
@@ -260,6 +263,7 @@ _ODD_TOKEN = _or_keep(st.text(max_size=4))
 _NAME = st.from_regex(NAME_PATTERN, fullmatch=True)
 _OPERAND_KIND = st.sampled_from(["const", "mem", "prior", "free"])
 _CONST = st.integers(0, 300)
+_HEX_CASE = st.sampled_from("xX")
 _MNEMONIC = st.sampled_from(sorted(MNEMONICS))
 _ODD_MNEMONIC = _or_keep(st.sampled_from(["frob", "ADD", ""]))
 _ODD_COUNT = _or_keep(st.integers(0, 4))
@@ -294,7 +298,7 @@ def program_text(draw):
     def operand():
         kind = draw(_OPERAND_KIND)
         if kind == "const":
-            token = f"#0x{draw(_CONST):x}"
+            token = f"#0x{draw(_CONST):{draw(_HEX_CASE)}}"
         elif kind == "mem":
             token = f"m[{number()}]"
         elif kind == "prior":
