@@ -8,10 +8,10 @@ explicit error instead of a silently truncated "maximum".
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import prod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import (
     BINARY01,
@@ -24,6 +24,9 @@ from .core import (
     vector_ops,
 )
 from .knownbits import TRANSFER
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 1 << 24
 
@@ -94,18 +97,33 @@ class _Lowered:
     switch between appears once, at the last step where it occurs, with the
     number of times it occurs. `outputs` holds each instruction's output
     slot and `base` the switching between adjacent constant outputs.
-    `dtype` is the narrowest unsigned dtype that holds the width, the one
-    the scan's columns take, and `acc_dtype` the narrowest that holds the
-    coarse bound, which no total exceeds.
+    `width` and `coarse_bound` are the program's, and only the scan turns
+    them into NumPy dtypes, so known bits runs without NumPy.
     """
 
-    dtype: np.dtype
-    acc_dtype: np.dtype
+    width: int
+    coarse_bound: int
     fields: list
     constants: list
     steps: list
     outputs: list
     base: int
+
+    @functools.cached_property
+    def dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype that holds the width, the one the
+        scan's columns take."""
+        import numpy as np
+
+        return np.min_scalar_type((1 << self.width) - 1)
+
+    @functools.cached_property
+    def acc_dtype(self) -> np.dtype:
+        """The narrowest unsigned dtype that holds the coarse bound, which
+        no total exceeds."""
+        import numpy as np
+
+        return np.min_scalar_type(self.coarse_bound)
 
 
 def _lower(program: Program) -> _Lowered:
@@ -131,9 +149,9 @@ def _lower(program: Program) -> _Lowered:
     last_step: dict[tuple, int] = {}  # distinct slot pair -> its last step
     count: dict[tuple, int] = {}  # and its multiplicity
     base = 0
-    for i, insn in enumerate(program.instructions):
+    for i, (op, inputs, mem_dest) in enumerate(program.instructions):
         srcs = []
-        for src in insn.inputs:
+        for src in inputs:
             if isinstance(src, Const):
                 srcs.append(constant(src.value))
             elif isinstance(src, Free):
@@ -144,19 +162,19 @@ def _lower(program: Program) -> _Lowered:
                 srcs.append(out_slot[src.index])
         args = [value[s] for s in srcs]
         mnemonic = None
-        if insn.mnemonic in ("mov", "store", "load"):
+        if op in ("mov", "store", "load"):
             dest = srcs[0]
-        elif insn.mnemonic == "ite" and args[0] is not None:
+        elif op == "ite" and args[0] is not None:
             dest = srcs[1] if args[0] else srcs[2]
         elif None not in args:
-            dest = constant(apply_mnemonic(insn.mnemonic, args, w))
+            dest = constant(apply_mnemonic(op, args, w))
         else:
-            mnemonic, dest = insn.mnemonic, len(value)
+            mnemonic, dest = op, len(value)
             value.append(None)
             for s in srcs:
                 last_use[s] = i
-        if insn.mem_dest is not None:
-            stored[insn.mem_dest] = dest
+        if mem_dest is not None:
+            stored[mem_dest] = dest
 
         if out_slot and out_slot[-1] != dest:
             prev = out_slot[-1]
@@ -176,8 +194,7 @@ def _lower(program: Program) -> _Lowered:
         if value[s] is None:
             steps[i][4].append(s)
     steps = [step for step in steps if step[0] is not None or step[3] or step[4]]
-    return _Lowered(np.min_scalar_type(program.mask), np.min_scalar_type(coarse_upper_bound(program)),
-                    fields, value, steps, out_slot, base)
+    return _Lowered(w, coarse_upper_bound(program), fields, value, steps, out_slot, base)
 
 
 def _scan_chunk(lowered: _Lowered, ops: dict, lo: int, hi: int) -> np.ndarray:
@@ -188,6 +205,8 @@ def _scan_chunk(lowered: _Lowered, ops: dict, lo: int, hi: int) -> np.ndarray:
     `lowered.acc_dtype` accumulator; `np.bitwise_count` gives uint8, so a
     count is widened to that dtype before the multiplication, which would
     otherwise wrap at 256."""
+    import numpy as np
+
     dtype, acc_type = lowered.dtype, lowered.acc_dtype.type
     index = np.arange(lo, hi, dtype=np.uint64)
     env = [None if v is None else dtype.type(v) for v in lowered.constants]

@@ -13,8 +13,6 @@ import re
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence, Union
 
-import numpy as np
-
 MAX_WIDTH = 64
 
 # free-input domains
@@ -192,7 +190,11 @@ def vector_ops(width: int) -> dict:
     """Column forms of `apply_mnemonic` over unsigned integer arrays of any
     dtype that holds `width` bits (mov, store and load are copies and have
     none). The masks and shift widths are Python ints, which NumPy 2 casts
-    to the column's dtype, so every result keeps its operands' dtype."""
+    to the column's dtype, so every result keeps its operands' dtype. NumPy
+    is imported here, not with this module, so that a command which
+    computes no columns never loads it."""
+    import numpy as np
+
     mask = (1 << width) - 1
     return {
         "add": lambda a, b: (a + b) & mask,
@@ -232,8 +234,7 @@ def validate_program(program: Program) -> list[str]:
 
     # bit_length, not a mask: a mask of a huge rejected width is a huge integer
     value_bits = max(width, 1)
-    for idx, insn in enumerate(program.instructions):
-        mnemonic, inputs, mem_dest = insn.mnemonic, insn.inputs, insn.mem_dest
+    for idx, (mnemonic, inputs, mem_dest) in enumerate(program.instructions):
         if mnemonic not in MNEMONICS:
             violations.append(f"instruction {idx}: unknown mnemonic {mnemonic!r}")
             continue
@@ -296,9 +297,9 @@ def execute(program: Program, assignment: Mapping) -> ExecutionTrace:
     outputs = []
     input_values = []
 
-    for insn in program.instructions:
+    for mnemonic, inputs, mem_dest in program.instructions:
         args = []
-        for src in insn.inputs:
+        for src in inputs:
             if isinstance(src, Const):
                 args.append(src.value)
             elif isinstance(src, PriorOutput):
@@ -307,9 +308,9 @@ def execute(program: Program, assignment: Mapping) -> ExecutionTrace:
                 args.append(values[src.name])
             else:  # MemRead
                 args.append(memory.get(src.addr, 0))
-        out = apply_mnemonic(insn.mnemonic, args, w)
-        if insn.mem_dest is not None:
-            memory[insn.mem_dest] = out
+        out = apply_mnemonic(mnemonic, args, w)
+        if mem_dest is not None:
+            memory[mem_dest] = out
         outputs.append(out)
         input_values.append(tuple(args))
     return ExecutionTrace(

@@ -5,21 +5,27 @@ Power measured while alternating an instruction with all-zero operands splits
 into a base term plus linear contributions per input bit set (c_in) and per
 output bit set (c_out). Grids here are synthetic: the generator plants known
 coefficients plus seeded Gaussian noise, and the fit recovers them.
+
+Only the grids, the fit and the CSV and heat-map code compute with arrays;
+each function that does imports NumPy itself, so that loading a model,
+summarizing power and trace energy run without it.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import core
 from .core import CswpError, ExecutionTrace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class FitRankError(CswpError):
@@ -191,6 +197,8 @@ def gen_synthetic_grid(
         raise CswpError(f"base power {base} must be finite")
     if seed < 0:
         raise CswpError(f"seed {seed} must be >= 0")
+    import numpy as np
+
     size = 1 << width
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, noise_sigma, size * size) if noise_sigma > 0 else np.zeros(size * size)
@@ -208,6 +216,8 @@ def fit_hamming_model(grid: Grid) -> FitResult:
     """Ordinary least squares for power ~ base + c_in*h_in + c_out*h_out."""
     if len(grid) < 3:
         raise CswpError(f"need at least 3 measurements, got {len(grid)}")
+    import numpy as np
+
     h_in = grid.h_in.astype(float)
     h_out = grid.h_out.astype(float)
     power = grid.power
@@ -267,25 +277,42 @@ _HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
 # holds more than one chunk.
 CSV_CHUNK_ROWS = 4096
 
-# The tables are built from Python values: the first call of a numpy ufunc or
-# index assignment at import would add ~130 KiB each to every command's RSS.
-_DIGIT_BYTES = np.frombuffer(b"0123456789abcdef", np.uint8)
-# byte -> its value as a hex or a decimal digit, 255 for any other byte
-_HEX = np.array([int(chr(b), 16) if chr(b) in "0123456789abcdefABCDEF" else 255 for b in range(256)], np.uint8)
-_DEC = np.array([int(chr(b)) if chr(b) in "0123456789" else 255 for b in range(256)], np.uint8)
-_POW10 = np.array([10**k for k in range(16)], np.int64)
+class _ByteTables(NamedTuple):
+    digits: np.ndarray  # digit value -> its ASCII byte, up to base 16
+    hex: np.ndarray  # byte -> its value as a hex digit, 255 for any other byte
+    dec: np.ndarray  # byte -> its value as a decimal digit, 255 for any other byte
+    pow10: np.ndarray  # k -> 10**k as int64, for k < 16
+
+
+@functools.cache
+def _byte_tables() -> _ByteTables:
+    """The CSV code's tables, built on first use, so only a command that
+    reads or writes a CSV builds them. They are built from Python values:
+    building them with a numpy ufunc or an index assignment would add ~130
+    KiB each to the RSS of a command that makes no such call otherwise."""
+    import numpy as np
+
+    return _ByteTables(
+        np.frombuffer(b"0123456789abcdef", np.uint8),
+        np.array([int(chr(b), 16) if chr(b) in "0123456789abcdefABCDEF" else 255 for b in range(256)], np.uint8),
+        np.array([int(chr(b)) if chr(b) in "0123456789" else 255 for b in range(256)], np.uint8),
+        np.array([10**k for k in range(16)], np.int64),
+    )
 
 
 def _digits(values: np.ndarray, base: int, min_digits: int) -> np.ndarray:
     """The ASCII digits of non-negative `values` in `base`, one column per
     value, with NUL for the leading zeros left of `min_digits` digits."""
+    import numpy as np
+
+    digit_bytes = _byte_tables().digits
     top = int(values.max())
     count = max(min_digits, len(np.base_repr(top, base)))
     rest = values.astype(np.uint32 if top < 2**32 else np.uint64)  # uint32 divides twice as fast
     text = np.empty((count, len(values)), np.uint8)
     for row in range(count - 1, -1, -1):
         quotient = rest // base
-        text[row] = _DIGIT_BYTES.take(rest - quotient * base)
+        text[row] = digit_bytes.take(rest - quotient * base)
         rest = quotient
     lead = count - min_digits
     text[:lead][values < base ** np.arange(count - 1, min_digits - 1, -1)[:, None]] = 0
@@ -299,6 +326,8 @@ def _fixed6(x: np.ndarray) -> np.ndarray | None:
     rint(x * 1e6) rounds as "%.6f" does unless the product lies within its
     own rounding error of a half; those few values take their digits from
     "%.6f" itself. The sign is x's own, as in "-0.000000"."""
+    import numpy as np
+
     with np.errstate(over="ignore"):
         scaled = x * 1e6
     if not (np.abs(scaled) < 2.0**52).all():  # also false for NaN
@@ -316,6 +345,8 @@ def _fixed6(x: np.ndarray) -> np.ndarray | None:
 def _lines(*columns: np.ndarray | bytes) -> bytes:
     """Row r of the text is column r of every block in turn, NUL dropped; a
     bytes constant stands for the same bytes in every row."""
+    import numpy as np
+
     rows = next(c.shape[1] for c in columns if isinstance(c, np.ndarray))
     block = np.concatenate([
         c if isinstance(c, np.ndarray) else np.broadcast_to(np.frombuffer(c, np.uint8)[:, None], (len(c), rows))
@@ -373,6 +404,8 @@ def _read_bytes(text: str) -> Grid | None:
         data += b"\n"
     if not data.startswith(_HEADER_LINE):
         return None
+    import numpy as np
+
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))  # ends[0] ends the header, ends[r + 1] row r
     n_rows = len(ends) - 1
@@ -390,6 +423,9 @@ def _read_bytes(text: str) -> Grid | None:
 def _read_chunk(seg: np.ndarray, n: int) -> list[np.ndarray] | None:
     """The five columns of `n` rows, each ending in "\\n", in the bytes
     `seg`; None unless every row has `_read_bytes`'s form."""
+    import numpy as np
+
+    tables = _byte_tables()
     stops = np.flatnonzero((seg == ord(",")) | (seg == ord("\n")))
     # seg holds n line ends, so five stops a row, the fifth a line end,
     # leave exactly four commas in every row
@@ -405,22 +441,22 @@ def _read_chunk(seg: np.ndarray, n: int) -> list[np.ndarray] | None:
     prefix = starts[:2]
     if (seg[prefix] != ord("0")).any() or (seg[prefix + 1] | 0x20 != ord("x")).any():
         return None
-    ints = [_number(seg, starts[k] + 2, stops[k], _HEX, 16, 15) for k in (0, 1)]
-    ints += [_number(seg, starts[k], stops[k], _DEC, 10, 18) for k in (2, 3)]
+    ints = [_number(seg, starts[k] + 2, stops[k], tables.hex, 16, 15) for k in (0, 1)]
+    ints += [_number(seg, starts[k], stops[k], tables.dec, 10, 18) for k in (2, 3)]
     lo, hi = starts[4], stops[4]
     negative = seg[lo] == ord("-")
     lo = lo + negative
     points = np.flatnonzero(seg == ord("."))
     if len(points) != n or ((points < lo) | (points >= hi)).any():
         return None
-    whole = _number(seg, lo, points, _DEC, 10, 15)
-    frac = _number(seg, points + 1, hi, _DEC, 10, 15)
+    whole = _number(seg, lo, points, tables.dec, 10, 15)
+    frac = _number(seg, points + 1, hi, tables.dec, 10, 15)
     if any(c is None for c in (*ints, whole, frac)):
         return None
     places = hi - points - 1
-    if (whole >= _POW10[15 - places]).any():
+    if (whole >= tables.pow10[15 - places]).any():
         return None
-    power = (whole * _POW10[places] + frac) / _POW10[places]
+    power = (whole * tables.pow10[places] + frac) / tables.pow10[places]
     return ints + [np.where(negative, -power, power)]
 
 
@@ -428,6 +464,8 @@ def _number(seg: np.ndarray, lo: np.ndarray, hi: np.ndarray, table: np.ndarray, 
             max_digits: int) -> np.ndarray | None:
     """The int64 value of each field seg[lo:hi] in `base`, or None unless
     every field holds 1 to `max_digits` bytes that `table` maps below it."""
+    import numpy as np
+
     count = hi - lo
     span = int(count.max())
     if count.min() < 1 or span > max_digits:
@@ -444,6 +482,8 @@ def _number(seg: np.ndarray, lo: np.ndarray, hi: np.ndarray, table: np.ndarray, 
 def _read_rows(text: str) -> Grid:
     """The csv module's reading, converting each field as it streams past; it
     names the line of the first error."""
+    import numpy as np
+
     reader = csv.reader(io.StringIO(text))
     op_a, op_b, h_in, h_out, power = columns = ([], [], [], [], [])
     try:
@@ -494,6 +534,8 @@ def heatmap_matrix(grid: Grid, stage: str, c_in: float, c_out: float) -> np.ndar
     size = int(max(grid.op_a.max(), grid.op_b.max())) + 1
     if len(grid) != size * size:
         raise CswpError(f"need a full {size}x{size} grid, got {len(grid)} rows")
+    import numpy as np
+
     counts = np.bincount(grid.op_a * size + grid.op_b, minlength=size * size)
     if counts.max() > 1:  # with size*size rows, a repeated pair means a missing one
         a, b = divmod(int(counts.argmax()), size)
@@ -509,6 +551,8 @@ def heatmap_matrix(grid: Grid, stage: str, c_in: float, c_out: float) -> np.ndar
 
 
 def heatmap_to_csv(matrix: np.ndarray) -> str:
+    import numpy as np
+
     n_cols = matrix.shape[1]
     rows = max(1, CSV_CHUNK_ROWS // n_cols)
     sep = np.full(rows * n_cols, ord(","), np.uint8)

@@ -239,10 +239,10 @@ def serialize_program(program: Program) -> str:
     lines = [f"width {program.width}", f"mem {program.mem_size}"]
     for name, domain in program.free_inputs:
         lines.append(f"free {name} {domain}")
-    for idx, insn in enumerate(program.instructions):
-        srcs = ", ".join(_format_source(s) for s in insn.inputs)
-        line = f"o{idx + 1}: {insn.mnemonic} {srcs}"
-        if insn.mem_dest is not None:
-            line += f" -> m[{insn.mem_dest}]"
+    for idx, (mnemonic, inputs, mem_dest) in enumerate(program.instructions):
+        srcs = ", ".join(_format_source(s) for s in inputs)
+        line = f"o{idx + 1}: {mnemonic} {srcs}"
+        if mem_dest is not None:
+            line += f" -> m[{mem_dest}]"
         lines.append(line)
     return "\n".join(lines) + "\n"

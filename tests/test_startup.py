@@ -1,0 +1,98 @@
+"""`cswp` as a process: which commands load NumPy, and what a fresh
+interpreter running the command line prints.
+
+Each case starts its own interpreter with `PYTHONPATH` set to this
+checkout's `src/`, so nothing an earlier test imported can hide an import.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from cswp.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROGRAM = ("width 8\nfree a full\nfree b 01\n"
+           "o1: mov freea\no2: shl o1, freeb\no3: xor o2, #0x5a\no4: ite freeb, o3, o1\n")
+
+# Runs `cli.main` on its arguments with stdout captured, then prints the
+# exit code and whether NumPy was loaded.
+CHILD = """
+import contextlib, io, sys
+from cswp import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, "numpy" in sys.modules)
+"""
+
+
+def python(*args, cwd):
+    """The completed process of a fresh interpreter that sees cswp in src/."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, timeout=60)
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    (tmp_path / "p.cswp").write_text(PROGRAM)
+    return tmp_path
+
+
+CLAUSES = ["--vars", "2", "--clause", "x1 ~x2", "--clause", "x2"]
+# commands that compute no array, and those that do
+WITHOUT_NUMPY = [
+    ["run", "p.cswp", "--input", "a=3", "--input", "b=1"],
+    ["bound", "p.cswp", "--method", "coarse"],
+    ["bound", "p.cswp", "--method", "knownbits"],
+    ["energy", "p.cswp", "--input", "a=3", "--input", "b=1"],
+    ["energy", "p.cswp", "--input", "a=3", "--input", "b=1", "--input-term"],
+    ["reduce-maxsat", *CLAUSES],
+    ["reduce-sat-gap", *CLAUSES],
+    ["checksat-verify", *CLAUSES],
+    ["summarize-power", "--tdual", "328", "362", "424"],
+]
+WITH_NUMPY = [
+    ["solve", "p.cswp"],
+    ["gen-grid", "--op", "add", "--width", "3"],
+]
+
+
+class TestNumpyStaysOut:
+    @pytest.mark.parametrize("module", ["cswp", "cswp.cli"])
+    def test_import(self, tmp_path, module):
+        done = python("-c", f"import sys, {module}; print('numpy' in sys.modules)", cwd=tmp_path)
+        assert (done.stdout, done.stderr) == (b"False\n", b"")
+
+    @pytest.mark.parametrize("argv", WITHOUT_NUMPY, ids=" ".join)
+    def test_command_without_arrays(self, workdir, argv):
+        done = python("-c", CHILD, *argv, cwd=workdir)
+        assert (done.stdout, done.stderr) == (b"0 False\n", b"")
+
+    @pytest.mark.parametrize("argv", WITH_NUMPY, ids=" ".join)
+    def test_command_with_arrays(self, workdir, argv):
+        done = python("-c", CHILD, *argv, cwd=workdir)
+        assert (done.stdout, done.stderr) == (b"0 True\n", b"")
+
+
+class TestProcess:
+    """`python -m cswp.cli` prints what `main` prints in-process."""
+
+    @pytest.mark.parametrize("argv", [["bound", "p.cswp", "--method", "knownbits"], ["solve", "p.cswp"]],
+                             ids=" ".join)
+    def test_same_bytes_as_main(self, capsys, monkeypatch, workdir, argv):
+        monkeypatch.chdir(workdir)
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode()
+        done = python("-m", "cswp.cli", *argv, cwd=workdir)
+        assert (done.returncode, done.stdout, done.stderr) == (0, expected, b"")
+
+    def test_malformed_program(self, workdir):
+        (workdir / "bad.cswp").write_text("width 4\no1: mov o5\n")
+        done = python("-m", "cswp.cli", "solve", "bad.cswp", cwd=workdir)
+        assert (done.returncode, done.stdout) == (1, b"")
+        lines = done.stderr.decode().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "o5" in lines[0]
