@@ -19,6 +19,7 @@ from .core import (
     CswpError,
     Free,
     MemRead,
+    PriorOutput,
     Program,
     apply_mnemonic,
     vector_ops,
@@ -134,14 +135,7 @@ def _lower(program: Program) -> _Lowered:
     fields = _input_fields(program)
     free_slot = {name: k for k, (name, _) in enumerate(program.free_inputs)}
     value: list = [None] * len(fields)
-    const_slot: dict[int, int] = {}
-
-    def constant(v: int) -> int:
-        if v not in const_slot:
-            const_slot[v] = len(value)
-            value.append(v)
-        return const_slot[v]
-
+    const_slot: dict[int, int] = {}  # each constant value's one slot
     stored: dict[int, int] = {}
     out_slot: list[int] = []
     steps = []
@@ -149,25 +143,36 @@ def _lower(program: Program) -> _Lowered:
     last_step: dict[tuple, int] = {}  # distinct slot pair -> its last step
     count: dict[tuple, int] = {}  # and its multiplicity
     base = 0
+    prev = None  # the previous instruction's output slot
     for i, (op, inputs, mem_dest) in enumerate(program.instructions):
         srcs = []
-        for src in inputs:
-            if isinstance(src, Const):
-                srcs.append(constant(src.value))
-            elif isinstance(src, Free):
-                srcs.append(free_slot[src.name])
-            elif isinstance(src, MemRead):
-                srcs.append(stored[src.addr] if src.addr in stored else constant(0))
-            else:  # PriorOutput
-                srcs.append(out_slot[src.index])
-        args = [value[s] for s in srcs]
+        known = True  # every operand's value is a constant
+        for src in inputs:  # a valid program's operands are of these exact classes
+            kind = type(src)
+            if kind is PriorOutput:
+                s = out_slot[src.index]
+            elif kind is Free:
+                s = free_slot[src.name]
+            elif kind is MemRead and src.addr in stored:  # the latest value stored there
+                s = stored[src.addr]
+            else:  # a constant, or a memory read before any store: 0
+                v = src.value if kind is Const else 0
+                s = const_slot.setdefault(v, len(value))
+                if s == len(value):
+                    value.append(v)
+            if value[s] is None:
+                known = False
+            srcs.append(s)
         mnemonic = None
         if op in ("mov", "store", "load"):
             dest = srcs[0]
-        elif op == "ite" and args[0] is not None:
-            dest = srcs[1] if args[0] else srcs[2]
-        elif None not in args:
-            dest = constant(apply_mnemonic(op, args, w))
+        elif op == "ite" and value[srcs[0]] is not None:
+            dest = srcs[1] if value[srcs[0]] else srcs[2]
+        elif known:
+            v = apply_mnemonic(op, [value[s] for s in srcs], w)
+            dest = const_slot.setdefault(v, len(value))
+            if dest == len(value):
+                value.append(v)
         else:
             mnemonic, dest = op, len(value)
             value.append(None)
@@ -176,8 +181,7 @@ def _lower(program: Program) -> _Lowered:
         if mem_dest is not None:
             stored[mem_dest] = dest
 
-        if out_slot and out_slot[-1] != dest:
-            prev = out_slot[-1]
+        if i and prev != dest:
             if value[prev] is not None and value[dest] is not None:
                 base += (value[prev] ^ value[dest]).bit_count()
             else:
@@ -185,6 +189,7 @@ def _lower(program: Program) -> _Lowered:
                 pair = (prev, dest) if prev < dest else (dest, prev)
                 last_step[pair] = i
                 count[pair] = count.get(pair, 0) + 1
+        prev = dest
         out_slot.append(dest)
         steps.append([mnemonic, dest, srcs, None, []])
 
@@ -280,11 +285,6 @@ def _knownbits_slots(lowered: _Lowered, w: int) -> list[tuple]:
     return slots
 
 
-def _possibly_differing_bits(a: tuple, b: tuple) -> int:
-    """Bits not known equal on both sides of two (ones, unknowns) pairs."""
-    return (a[1] | b[1] | (a[0] ^ b[0])).bit_count()
-
-
 def knownbits_upper_bound(program: Program) -> int:
     """`base` plus, per transition between slots that are not both
     constant, the bits not known equal on both sides times the transition's
@@ -292,7 +292,11 @@ def knownbits_upper_bound(program: Program) -> int:
     and the coarse bound."""
     lowered = _lower(program)
     slots = _knownbits_slots(lowered, program.width)
-    transitions = [step[3] for step in lowered.steps if step[3] is not None]
-    return lowered.base + sum(
-        count * _possibly_differing_bits(slots[a], slots[b]) for a, b, count in transitions
-    )
+    total = lowered.base
+    for _, _, _, transition, _ in lowered.steps:
+        if transition is not None:
+            a, b, count = transition
+            (ones_a, unknown_a), (ones_b, unknown_b) = slots[a], slots[b]
+            # the bits not known equal on both sides
+            total += count * (unknown_a | unknown_b | (ones_a ^ ones_b)).bit_count()
+    return total

@@ -91,6 +91,8 @@ class PriorOutput:
     index: int
 
 
+# the four operand classes; an operand of a valid Program is an instance of
+# exactly one of them, and of no subclass (see validate_program)
 OperandSource = Union[Free, Const, MemRead, PriorOutput]
 
 
@@ -103,9 +105,10 @@ class _InstructionFields(NamedTuple):
 class Instruction(_InstructionFields):
     """One instruction; immutable, like every part of a Program. `inputs` is
     stored as a tuple, whatever sequence it is given as. Where `inputs` is a
-    tuple already, `Instruction._make((mnemonic, inputs, mem_dest))` builds
-    the same instruction a third cheaper, without this Python-level
-    `__new__`; the parser's serializer-form path and the reductions do so."""
+    tuple already, `tuple.__new__(Instruction, (mnemonic, inputs, mem_dest))`
+    builds the same instruction without this Python-level `__new__` or the
+    frame of `_make`; the parser's serializer-form path and the reductions
+    do so."""
 
     __slots__ = ()
 
@@ -214,7 +217,10 @@ def vector_ops(width: int) -> dict:
 
 def validate_program(program: Program) -> list[str]:
     """Check every structural invariant; returns [] when the program is valid.
-    `Program.__post_init__` calls it on every Program built."""
+    `Program.__post_init__` calls it on every Program built. It is the one
+    guarantor that each operand's class is exactly one of the four of
+    `OperandSource`, so `execute`, `analysis._lower` and
+    `textfmt.serialize_program` dispatch on `type(src)` with no fallback."""
     violations = []
     width, mem_size = program.width, program.mem_size
     if not 1 <= width <= MAX_WIDTH:
@@ -235,31 +241,35 @@ def validate_program(program: Program) -> list[str]:
     # bit_length, not a mask: a mask of a huge rejected width is a huge integer
     value_bits = max(width, 1)
     for idx, (mnemonic, inputs, mem_dest) in enumerate(program.instructions):
-        if mnemonic not in MNEMONICS:
+        arity = ARITY.get(mnemonic)
+        if arity is None:
             violations.append(f"instruction {idx}: unknown mnemonic {mnemonic!r}")
             continue
         first = len(violations)  # this instruction's violations get its prefix below
-        if len(inputs) != ARITY[mnemonic]:
-            violations.append(f"{mnemonic} takes {ARITY[mnemonic]} input(s), got {len(inputs)}")
+        if len(inputs) != arity:
+            violations.append(f"{mnemonic} takes {arity} input(s), got {len(inputs)}")
         if mnemonic == "store" and mem_dest is None:
             violations.append("store requires a memory destination")
-        if mnemonic == "load" and inputs and not isinstance(inputs[0], MemRead):
+        if mnemonic == "load" and inputs and type(inputs[0]) is not MemRead:
             violations.append("load input must be a memory read")
         if mem_dest is not None and not 0 <= mem_dest < mem_size:
             violations.append(f"mem_dest {mem_dest} outside 0..{mem_size - 1}")
+        # by exact class, commonest first: an instance of a subclass is no
+        # operand, so every later walk dispatches on type(src) alone
         for src in inputs:
-            if isinstance(src, Free):
-                if src.name not in declared:
-                    violations.append(f"free input {src.name!r} not declared")
-            elif isinstance(src, Const):
-                if src.value < 0 or src.value.bit_length() > value_bits:
-                    violations.append(f"constant {src.value:#x} does not fit in {width} bits")
-            elif isinstance(src, MemRead):
-                if not 0 <= src.addr < mem_size:
-                    violations.append(f"memory address {src.addr} outside 0..{mem_size - 1}")
-            elif isinstance(src, PriorOutput):
+            kind = type(src)
+            if kind is PriorOutput:
                 if not 0 <= src.index < idx:
                     violations.append(f"forward or self reference to o{src.index + 1}")
+            elif kind is Const:
+                if src.value < 0 or src.value.bit_length() > value_bits:
+                    violations.append(f"constant {src.value:#x} does not fit in {width} bits")
+            elif kind is Free:
+                if src.name not in declared:
+                    violations.append(f"free input {src.name!r} not declared")
+            elif kind is MemRead:
+                if not 0 <= src.addr < mem_size:
+                    violations.append(f"memory address {src.addr} outside 0..{mem_size - 1}")
             else:
                 violations.append(f"unknown operand source {src!r}")
         if len(violations) > first:
@@ -299,12 +309,13 @@ def execute(program: Program, assignment: Mapping) -> ExecutionTrace:
 
     for mnemonic, inputs, mem_dest in program.instructions:
         args = []
-        for src in inputs:
-            if isinstance(src, Const):
-                args.append(src.value)
-            elif isinstance(src, PriorOutput):
+        for src in inputs:  # a valid program's operands are of these exact classes
+            kind = type(src)
+            if kind is PriorOutput:
                 args.append(outputs[src.index])
-            elif isinstance(src, Free):
+            elif kind is Const:
+                args.append(src.value)
+            elif kind is Free:
                 args.append(values[src.name])
             else:  # MemRead
                 args.append(memory.get(src.addr, 0))

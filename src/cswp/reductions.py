@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .core import (
@@ -116,7 +115,7 @@ def lit_addr(lit: Literal) -> int:
 
 def _emit(insns: list[Instruction], mnemonic: str, *inputs, mem_dest=None) -> PriorOutput:
     """Append one instruction; returns the operand that reads its output."""
-    insns.append(Instruction._make((mnemonic, inputs, mem_dest)))
+    insns.append(tuple.__new__(Instruction, (mnemonic, inputs, mem_dest)))
     return PriorOutput(len(insns) - 1)
 
 
@@ -211,6 +210,8 @@ def reduce_sat_gap(instance: SatInstance, width: int = 8, factor=1) -> GapProgra
     pattern/zero pairs long; factor=1 gives a phase at least half the whole."""
     if not 1 <= width <= MAX_WIDTH:
         raise CswpError(f"width {width} outside 1..{MAX_WIDTH}")
+    from fractions import Fraction  # with `decimal`, a few ms that no other command pays
+
     try:
         factor = Fraction(factor)
     except (ValueError, OverflowError):  # NaN or an infinity
@@ -220,7 +221,8 @@ def reduce_sat_gap(instance: SatInstance, width: int = 8, factor=1) -> GapProgra
 
     # decision phase: store inputs, evaluate clauses, widen to a bit pattern
     insns, result = _checksat_phase(instance)
-    bit_pattern = _emit(insns, "ite", result, Const((1 << width) - 1), Const(0))
+    zero = Const(0)
+    bit_pattern = _emit(insns, "ite", result, Const((1 << width) - 1), zero)
     decision_len = len(insns)
 
     reps = math.ceil(factor * decision_len / 2) + 1
@@ -229,7 +231,7 @@ def reduce_sat_gap(instance: SatInstance, width: int = 8, factor=1) -> GapProgra
                         f"{MAX_SWITCHING_LEN} instructions")
     for _ in range(reps):
         _emit(insns, "mov", bit_pattern)
-        _emit(insns, "mov", Const(0))
+        _emit(insns, "mov", zero)
 
     n = instance.num_vars
     return GapProgram(_binary_program(n, width, max(1, n), insns), decision_len)

@@ -46,6 +46,7 @@ _OPERAND_CLASSES = {
     "o": (r"o(\d+)", lambda token: PriorOutput(int(token[1:]) - 1)),
     "f": (rf"free({NAME_PATTERN})", lambda token: Free(token[4:])),
 }
+_CONVERT = {kind: convert for kind, (_, convert) in _OPERAND_CLASSES.items()}
 _OPERAND = re.compile("|".join(pattern for pattern, _ in _OPERAND_CLASSES.values()))
 _MEM_DEST = re.compile(_OPERAND_CLASSES["m"][0])
 # an instruction's index has the syntax of a prior output that names it
@@ -112,7 +113,7 @@ class _Sources(dict):
     converter, or raises ValueError for a number too long for int()."""
 
     def __missing__(self, token: str):
-        source = self[token] = _OPERAND_CLASSES[token[0]][1](token)
+        source = self[token] = _CONVERT[token[0]](token)
         return source
 
 
@@ -130,14 +131,14 @@ class _Parse:
         nothing and return False where the per-line loop must read them: an
         index out of sequence, an unknown mnemonic, a wrong operand count or
         a number too long for int()."""
-        source, arity = self.known_sources.__getitem__, ARITY.get
+        source, arity, new = self.known_sources.__getitem__, ARITY.get, tuple.__new__
         instructions = []
         try:
             for number, (index, mnemonic, a, b, c, dest) in enumerate(rows, len(self.instructions) + 1):
                 sources = (source(a), source(b), source(c)) if c else (source(a), source(b)) if b else (source(a),)
                 if index != str(number) or arity(mnemonic) != len(sources):
                     return False
-                instructions.append(Instruction._make((mnemonic, sources, int(dest) if dest else None)))
+                instructions.append(new(Instruction, (mnemonic, sources, int(dest) if dest else None)))
         except ValueError:
             return False
         self.instructions += instructions
@@ -222,16 +223,14 @@ class _Parse:
                        instructions=tuple(self.instructions), free_inputs=tuple(self.free_inputs))
 
 
-def _format_source(src) -> str:
-    if isinstance(src, Const):
-        return f"#0x{src.value:x}"
-    if isinstance(src, MemRead):
-        return f"m[{src.addr}]"
-    if isinstance(src, PriorOutput):
-        return f"o{src.index + 1}"
-    if isinstance(src, Free):
-        return f"free{src.name}"
-    raise ValueError(f"unknown operand source {src!r}")
+# the text of each operand class, keyed by the exact class: a valid
+# program's operands are instances of these four and of no subclass
+_FORMAT = {
+    Const: lambda src: f"#0x{src.value:x}",
+    MemRead: lambda src: f"m[{src.addr}]",
+    PriorOutput: lambda src: f"o{src.index + 1}",
+    Free: lambda src: f"free{src.name}",
+}
 
 
 def serialize_program(program: Program) -> str:
@@ -240,7 +239,7 @@ def serialize_program(program: Program) -> str:
     for name, domain in program.free_inputs:
         lines.append(f"free {name} {domain}")
     for idx, (mnemonic, inputs, mem_dest) in enumerate(program.instructions):
-        srcs = ", ".join(_format_source(s) for s in inputs)
+        srcs = ", ".join([_FORMAT[type(s)](s) for s in inputs])
         line = f"o{idx + 1}: {mnemonic} {srcs}"
         if mem_dest is not None:
             line += f" -> m[{mem_dest}]"

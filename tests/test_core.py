@@ -48,6 +48,14 @@ class TestHammingDistance:
                     assert hamming_distance(a, c) <= hamming_distance(a, b) + hamming_distance(b, c)
 
 
+class SubConst(Const):
+    pass
+
+
+class SubMemRead(MemRead):
+    pass
+
+
 def prog(width, instructions, free_inputs=(), mem_size=0):
     return Program(width=width, mem_size=mem_size, instructions=instructions,
                    free_inputs=free_inputs)
@@ -274,6 +282,18 @@ class TestValidateProgram:
             tracemalloc.stop()
         assert violations == [f"width {10**8} outside 1..64"]
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("mnemonic, operand, messages", [
+        ("mov", (0,), []),
+        ("mov", SubConst(0), []),
+        ("load", SubMemRead(0), ["load input must be a memory read"]),
+    ], ids=["tuple", "Const subclass", "load of a MemRead subclass"])
+    def test_operand_of_no_exact_class_rejected(self, mnemonic, operand, messages):
+        # an operand must be exactly one of the four classes, so that every
+        # walk over a valid program can dispatch on type(src) alone
+        violations = rejected(4, [Instruction(mnemonic, (operand,))], mem_size=1)
+        expected = [*messages, f"unknown operand source {operand!r}"]
+        assert violations == [f"instruction 0: {v}" for v in expected]
 
     def test_fields_cannot_be_reassigned(self):
         p = prog(4, [Instruction("mov", (Const(0),))])

@@ -1,5 +1,5 @@
-"""`cswp` as a process: which commands load NumPy, and what a fresh
-interpreter running the command line prints.
+"""`cswp` as a process: which commands load NumPy and `fractions`, and what
+a fresh interpreter running the command line prints.
 
 Each case starts its own interpreter with `PYTHONPATH` set to this
 checkout's `src/`, so nothing an earlier test imported can hide an import.
@@ -20,13 +20,13 @@ PROGRAM = ("width 8\nfree a full\nfree b 01\n"
            "o1: mov freea\no2: shl o1, freeb\no3: xor o2, #0x5a\no4: ite freeb, o3, o1\n")
 
 # Runs `cli.main` on its arguments with stdout captured, then prints the
-# exit code and whether NumPy was loaded.
+# exit code and whether NumPy and `fractions` were loaded.
 CHILD = """
 import contextlib, io, sys
 from cswp import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "fractions" in sys.modules)
 """
 
 
@@ -61,21 +61,27 @@ WITH_NUMPY = [
 ]
 
 
+def fractions_loaded(argv) -> str:
+    """Only `reduce-sat-gap` reads its gap factor as a Fraction."""
+    return str(argv[0] == "reduce-sat-gap")
+
+
 class TestNumpyStaysOut:
     @pytest.mark.parametrize("module", ["cswp", "cswp.cli"])
     def test_import(self, tmp_path, module):
-        done = python("-c", f"import sys, {module}; print('numpy' in sys.modules)", cwd=tmp_path)
-        assert (done.stdout, done.stderr) == (b"False\n", b"")
+        done = python("-c", f"import sys, {module}; print('numpy' in sys.modules, 'fractions' in sys.modules)",
+                      cwd=tmp_path)
+        assert (done.stdout, done.stderr) == (b"False False\n", b"")
 
     @pytest.mark.parametrize("argv", WITHOUT_NUMPY, ids=" ".join)
     def test_command_without_arrays(self, workdir, argv):
         done = python("-c", CHILD, *argv, cwd=workdir)
-        assert (done.stdout, done.stderr) == (b"0 False\n", b"")
+        assert (done.stdout, done.stderr) == (f"0 False {fractions_loaded(argv)}\n".encode(), b"")
 
     @pytest.mark.parametrize("argv", WITH_NUMPY, ids=" ".join)
     def test_command_with_arrays(self, workdir, argv):
         done = python("-c", CHILD, *argv, cwd=workdir)
-        assert (done.stdout, done.stderr) == (b"0 True\n", b"")
+        assert (done.stdout, done.stderr) == (f"0 True {fractions_loaded(argv)}\n".encode(), b"")
 
 
 class TestProcess:

@@ -1,4 +1,6 @@
 import random
+import re
+import typing
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +12,7 @@ from cswp.core import (
     MNEMONICS,
     NAME_PATTERN,
     Const,
+    OperandSource,
     Free,
     Instruction,
     MemRead,
@@ -123,6 +126,23 @@ class TestParse:
     def test_header_fields_split_on_any_whitespace(self):
         spaced = parse_program("width 4\nmem 2\nfree x 01\no1: mov freex\n")
         assert parse_program("width\t4\nmem \t2\nfree\tx\t01\no1: mov freex\n") == spaced
+
+
+def test_operand_classes_agree():
+    # the core's four operand classes are exactly the serializer's
+    # formatter keys and exactly what the parser's converters build, so a
+    # fifth class cannot miss either walk
+    classes = set(typing.get_args(OperandSource))
+    assert len(classes) == 4 and set(textfmt._FORMAT) == classes
+    tokens = {"#": "#0x1f", "m": "m[2]", "o": "o3", "f": "freea"}
+    assert tokens.keys() == textfmt._OPERAND_CLASSES.keys() == textfmt._CONVERT.keys()
+    built = set()
+    for kind, (pattern, convert) in textfmt._OPERAND_CLASSES.items():
+        assert re.fullmatch(pattern, tokens[kind])
+        source = convert(tokens[kind])
+        assert textfmt._FORMAT[type(source)](source) == tokens[kind]
+        built.add(type(source))
+    assert built == classes
 
 
 class TestRoundTrip:
