@@ -53,13 +53,6 @@ class WorstCaseResult:
     witness: dict
     explored: int
 
-    def report_lines(self) -> list[str]:
-        lines = [f"max={self.max_switching}"]
-        for name, value in self.witness.items():
-            lines.append(f"witness.free{name}=0x{value:x}")
-        lines.append(f"explored={self.explored}")
-        return lines
-
 
 # Rows per chunk of the vectorized scan at uint64: the live columns of a
 # chunk, not the whole assignment space, set the scan's memory. A narrower
@@ -202,9 +195,9 @@ def _lower(program: Program) -> _Lowered:
     return _Lowered(w, coarse_upper_bound(program), fields, value, steps, out_slot, base)
 
 
-def _scan_chunk(lowered: _Lowered, ops: dict, lo: int, hi: int) -> np.ndarray:
+def _scan_chunk(lowered: _Lowered, lo: int, hi: int) -> np.ndarray:
     """Switching totals (int64) of enumeration indices [lo, hi), with the
-    column op table `ops` of the program's width, in `lowered.dtype`.
+    cached column op table of `lowered.width`, in `lowered.dtype`.
 
     Each distinct transition is counted once, times its multiplicity, in a
     `lowered.acc_dtype` accumulator; `np.bitwise_count` gives uint8, so a
@@ -212,6 +205,7 @@ def _scan_chunk(lowered: _Lowered, ops: dict, lo: int, hi: int) -> np.ndarray:
     otherwise wrap at 256."""
     import numpy as np
 
+    ops = vector_ops(lowered.width)
     dtype, acc_type = lowered.dtype, lowered.acc_dtype.type
     index = np.arange(lo, hi, dtype=np.uint64)
     env = [None if v is None else dtype.type(v) for v in lowered.constants]
@@ -245,11 +239,10 @@ def brute_force_worst_case(program: Program, budget: int = DEFAULT_BUDGET) -> Wo
     total_assignments = prod(mask + 1 for _, mask in lowered.fields)
     check_budget(total_assignments, budget)
 
-    ops = vector_ops(program.width)
     rows = _chunk_rows(lowered.dtype)
     best, best_index = -1, 0
     for lo in range(0, total_assignments, rows):
-        totals = _scan_chunk(lowered, ops, lo, min(lo + rows, total_assignments))
+        totals = _scan_chunk(lowered, lo, min(lo + rows, total_assignments))
         row = int(totals.argmax())
         if totals[row] > best:
             best, best_index = int(totals[row]), lo + row
@@ -273,12 +266,13 @@ def coarse_upper_bound(program: Program) -> int:
     return max(0, n - 1) * program.width
 
 
-def _knownbits_slots(lowered: _Lowered, w: int) -> list[tuple]:
+def _knownbits_slots(lowered: _Lowered) -> list[tuple]:
     """Abstract execution of the lowered program over the masks of
     `knownbits.TRANSFER`: the (ones, unknowns) pair of every slot. A free
     input is unknown within its field's mask."""
     slots = [(0, mask) for _, mask in lowered.fields]
     slots += [None if v is None else (v, 0) for v in lowered.constants[len(slots):]]
+    w = lowered.width
     for mnemonic, dest, srcs, _, _ in lowered.steps:
         if mnemonic is not None:
             slots[dest] = TRANSFER[mnemonic](w, *[slots[s] for s in srcs])
@@ -291,7 +285,7 @@ def knownbits_upper_bound(program: Program) -> int:
     multiplicity (a repeated slot adds 0); always between the exact maximum
     and the coarse bound."""
     lowered = _lower(program)
-    slots = _knownbits_slots(lowered, program.width)
+    slots = _knownbits_slots(lowered)
     total = lowered.base
     for _, _, _, transition, _ in lowered.steps:
         if transition is not None:

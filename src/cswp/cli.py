@@ -4,7 +4,8 @@ Subcommands cover the full pipeline: run/solve/bound programs, build and
 verify the two clause-set reductions, generate measurement grids, fit the
 power model, summarize power figures, and estimate trace energy. Each is a
 `_cmd_*` function of the parsed arguments that returns its output: a report
-returns key=value pairs and an exit code, and `--format` renders the pairs
+builds its key=value pairs here, from the values `analysis` and `energy`
+return, and returns them with an exit code, and `--format` renders the pairs
 as text or CSV; any other command returns the text of its one file format.
 `main` writes that output once, to stdout or atomically (write-then-rename)
 to `-o FILE`. An option that several subcommands take is declared once. All
@@ -121,7 +122,9 @@ def _cmd_run(args) -> tuple[list[str], int]:
 
 def _cmd_solve(args) -> tuple[list[str], int]:
     budget = analysis.DEFAULT_BUDGET if args.budget is None else args.budget
-    return analysis.brute_force_worst_case(_program(args), budget=budget).report_lines(), 0
+    result = analysis.brute_force_worst_case(_program(args), budget=budget)
+    witness = [f"witness.free{name}=0x{value:x}" for name, value in result.witness.items()]
+    return [f"max={result.max_switching}", *witness, f"explored={result.explored}"], 0
 
 
 # looked up in `analysis` at call time, so a wrapper put there is called
@@ -173,8 +176,9 @@ def _cmd_checksat_verify(args) -> tuple[list[str], int]:
 
 
 def _cmd_fit(args) -> tuple[list[str], int]:
-    grid = energy.measurements_from_csv(_read_text(args.grid))
-    return energy.fit_hamming_model(grid).report_lines(), 0
+    fit = energy.fit_hamming_model(energy.measurements_from_csv(_read_text(args.grid)))
+    return [f"base_mw={fit.base:.3f}", f"c_in_mw={fit.c_in:.3f}", f"c_out_mw={fit.c_out:.3f}",
+            f"mae_mw={fit.mean_abs_error:.3f}"], 0
 
 
 def _model_from_args(args) -> energy.EnergyModel:
@@ -229,7 +233,11 @@ def _cmd_summarize_power(args) -> tuple[list[str], int]:
     powers = _parse_powers(args.powers)
     if args.powers_file:
         powers += _parse_powers(_read_text(args.powers_file).split())
-    return energy.summarize_power(args.tdual, powers).report_lines(), 0
+    summary = energy.summarize_power(args.tdual, powers)
+    return [f"p_tdual_mw={summary.p_tdual:.3f}", f"p_tsingle_mw={summary.p_tsingle:.3f}",
+            f"p_dmin_mw={summary.p_dmin:.3f}", f"p_dmax_mw={summary.p_dmax:.3f}",
+            f"p_drng_mw={summary.p_drng:.3f}", f"pct_min={summary.pct_min:.4f}",
+            f"pct_max={summary.pct_max:.4f}"], 0
 
 
 # ---------------------------------------------------------------------------

@@ -139,10 +139,6 @@ class Program:
         if violations:
             raise ProgramValidationError(violations)
 
-    @property
-    def mask(self) -> int:
-        return (1 << self.width) - 1
-
 
 @dataclass
 class ExecutionTrace:

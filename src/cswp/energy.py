@@ -19,7 +19,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import core
 from .core import CswpError, ExecutionTrace
@@ -113,14 +113,6 @@ class FitResult:
     mean_abs_error: float
     residuals: np.ndarray = field(repr=False)
 
-    def report_lines(self) -> list[str]:
-        return [
-            f"base_mw={self.base:.3f}",
-            f"c_in_mw={self.c_in:.3f}",
-            f"c_out_mw={self.c_out:.3f}",
-            f"mae_mw={self.mean_abs_error:.3f}",
-        ]
-
 
 @dataclass
 class PowerSummary:
@@ -131,17 +123,6 @@ class PowerSummary:
     p_drng: float
     pct_min: float
     pct_max: float
-
-    def report_lines(self) -> list[str]:
-        return [
-            f"p_tdual_mw={self.p_tdual:.3f}",
-            f"p_tsingle_mw={self.p_tsingle:.3f}",
-            f"p_dmin_mw={self.p_dmin:.3f}",
-            f"p_dmax_mw={self.p_dmax:.3f}",
-            f"p_drng_mw={self.p_drng:.3f}",
-            f"pct_min={self.pct_min:.4f}",
-            f"pct_max={self.pct_max:.4f}",
-        ]
 
 
 def summarize_power(p_tdual: float, test_powers: Sequence[float]) -> PowerSummary:
@@ -277,27 +258,16 @@ _HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
 # holds more than one chunk.
 CSV_CHUNK_ROWS = 4096
 
-class _ByteTables(NamedTuple):
-    digits: np.ndarray  # digit value -> its ASCII byte, up to base 16
-    hex: np.ndarray  # byte -> its value as a hex digit, 255 for any other byte
-    dec: np.ndarray  # byte -> its value as a decimal digit, 255 for any other byte
-    pow10: np.ndarray  # k -> 10**k as int64, for k < 16
-
 
 @functools.cache
-def _byte_tables() -> _ByteTables:
-    """The CSV code's tables, built on first use, so only a command that
-    reads or writes a CSV builds them. They are built from Python values:
-    building them with a numpy ufunc or an index assignment would add ~130
-    KiB each to the RSS of a command that makes no such call otherwise."""
+def _digit_values() -> np.ndarray:
+    """Byte -> its value as a hex digit, 255 for any other byte, for every
+    base `_number` reads. Built on first use, and from Python values:
+    building it with a numpy ufunc or an index assignment would add ~130 KiB
+    to the RSS of a command that makes no such call otherwise."""
     import numpy as np
 
-    return _ByteTables(
-        np.frombuffer(b"0123456789abcdef", np.uint8),
-        np.array([int(chr(b), 16) if chr(b) in "0123456789abcdefABCDEF" else 255 for b in range(256)], np.uint8),
-        np.array([int(chr(b)) if chr(b) in "0123456789" else 255 for b in range(256)], np.uint8),
-        np.array([10**k for k in range(16)], np.int64),
-    )
+    return np.array([int(chr(b), 16) if chr(b) in "0123456789abcdefABCDEF" else 255 for b in range(256)], np.uint8)
 
 
 def _digits(values: np.ndarray, base: int, min_digits: int) -> np.ndarray:
@@ -305,7 +275,7 @@ def _digits(values: np.ndarray, base: int, min_digits: int) -> np.ndarray:
     value, with NUL for the leading zeros left of `min_digits` digits."""
     import numpy as np
 
-    digit_bytes = _byte_tables().digits
+    digit_bytes = np.frombuffer(b"0123456789abcdef", np.uint8)
     top = int(values.max())
     count = max(min_digits, len(np.base_repr(top, base)))
     rest = values.astype(np.uint32 if top < 2**32 else np.uint64)  # uint32 divides twice as fast
@@ -425,7 +395,6 @@ def _read_chunk(seg: np.ndarray, n: int) -> list[np.ndarray] | None:
     `seg`; None unless every row has `_read_bytes`'s form."""
     import numpy as np
 
-    tables = _byte_tables()
     stops = np.flatnonzero((seg == ord(",")) | (seg == ord("\n")))
     # seg holds n line ends, so five stops a row, the fifth a line end,
     # leave exactly four commas in every row
@@ -441,29 +410,30 @@ def _read_chunk(seg: np.ndarray, n: int) -> list[np.ndarray] | None:
     prefix = starts[:2]
     if (seg[prefix] != ord("0")).any() or (seg[prefix + 1] | 0x20 != ord("x")).any():
         return None
-    ints = [_number(seg, starts[k] + 2, stops[k], tables.hex, 16, 15) for k in (0, 1)]
-    ints += [_number(seg, starts[k], stops[k], tables.dec, 10, 18) for k in (2, 3)]
+    ints = [_number(seg, starts[k] + 2, stops[k], 16, 15) for k in (0, 1)]
+    ints += [_number(seg, starts[k], stops[k], 10, 18) for k in (2, 3)]
     lo, hi = starts[4], stops[4]
     negative = seg[lo] == ord("-")
     lo = lo + negative
     points = np.flatnonzero(seg == ord("."))
     if len(points) != n or ((points < lo) | (points >= hi)).any():
         return None
-    whole = _number(seg, lo, points, tables.dec, 10, 15)
-    frac = _number(seg, points + 1, hi, tables.dec, 10, 15)
+    whole = _number(seg, lo, points, 10, 15)
+    frac = _number(seg, points + 1, hi, 10, 15)
     if any(c is None for c in (*ints, whole, frac)):
         return None
-    places = hi - points - 1
-    if (whole >= tables.pow10[15 - places]).any():
+    places = hi - points - 1  # 1 to 15, as `_number` accepted frac
+    pow10 = 10 ** np.arange(16)  # looked up: `10 ** places` costs ~10x a lookup per row
+    if (whole >= pow10[15 - places]).any():
         return None
-    power = (whole * tables.pow10[places] + frac) / tables.pow10[places]
+    scale = pow10[places]
+    power = (whole * scale + frac) / scale
     return ints + [np.where(negative, -power, power)]
 
 
-def _number(seg: np.ndarray, lo: np.ndarray, hi: np.ndarray, table: np.ndarray, base: int,
-            max_digits: int) -> np.ndarray | None:
+def _number(seg: np.ndarray, lo: np.ndarray, hi: np.ndarray, base: int, max_digits: int) -> np.ndarray | None:
     """The int64 value of each field seg[lo:hi] in `base`, or None unless
-    every field holds 1 to `max_digits` bytes that `table` maps below it."""
+    every field holds 1 to `max_digits` digits of that base."""
     import numpy as np
 
     count = hi - lo
@@ -472,7 +442,7 @@ def _number(seg: np.ndarray, lo: np.ndarray, hi: np.ndarray, table: np.ndarray, 
         return None
     place = np.arange(span - 1, -1, -1)
     at = hi - 1 - place[:, None]  # row j: each field's digit of weight base**place[j]
-    digits = table.take(seg.take(np.maximum(at, 0)))
+    digits = _digit_values().take(seg.take(np.maximum(at, 0)))
     digits[at < lo] = 0
     if (digits >= base).any():
         return None

@@ -280,23 +280,34 @@ def serialize_gap(gap: GapProgram) -> str:
 _META = re.compile(r"#\s*meta\s+(.*)$")
 
 
-def _meta_fields(text: str, kind: str) -> dict[str, str]:
-    """The `# meta` fields of a file, which must be of the given kind. The
-    loaders read only what the program itself cannot tell."""
+def _meta_count(text: str, kind: str, key: str) -> int:
+    """The `key` field, a non-negative decimal integer, of the `# meta`
+    line of a file, which must be of the given kind. The loaders read only
+    what the program itself cannot tell."""
     for line in text.splitlines():
         if m := _META.match(line.strip()):
-            fields = dict(kv.split("=", 1) for kv in m.group(1).split())
+            tokens = m.group(1).split()
+            if bare := [token for token in tokens if "=" not in token]:
+                raise CswpError(f"bad '# meta' field {bare[0]!r}, want key=value")
+            fields = dict(token.split("=", 1) for token in tokens)
             if fields.get("kind") != kind:
                 raise CswpError(f"expected {kind} metadata, got kind={fields.get('kind')!r}")
-            return fields
+            value = fields.get(key)
+            if not (value and value.isascii() and value.isdigit()):
+                got = "missing" if value is None else repr(value)
+                raise CswpError(f"'# meta' field {key} is {got}, want a non-negative integer")
+            return int(value)
     raise CswpError("no '# meta' line found")
 
 
 def load_reduced(text: str) -> ReducedProgram:
-    fields = _meta_fields(text, "maxsat2")
-    return ReducedProgram(parse_program(text), int(fields["clauses"]))
+    clauses = _meta_count(text, "maxsat2", "clauses")
+    return ReducedProgram(parse_program(text), clauses)
 
 
 def load_gap(text: str) -> GapProgram:
-    fields = _meta_fields(text, "sat-gap")
-    return GapProgram(parse_program(text), int(fields["decision_len"]))
+    decision_len = _meta_count(text, "sat-gap", "decision_len")
+    gap = GapProgram(parse_program(text), decision_len)
+    if gap.switching_len < 1:
+        raise CswpError(f"'# meta' field decision_len={gap.decision_len} leaves no switching phase")
+    return gap

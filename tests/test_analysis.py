@@ -104,14 +104,6 @@ class TestBruteForce:
             monkeypatch.setattr(analysis, "_chunk_rows", lambda dtype: rows)
             assert [brute_force_worst_case(p) for p in programs] == one_chunk
 
-    def test_report_lines(self):
-        p = prog(2, [
-            Instruction("mov", (Free("0"),)),
-            Instruction("add", (PriorOutput(0), PriorOutput(0))),
-        ], free_inputs=[("0", FULL)])
-        lines = brute_force_worst_case(p).report_lines()
-        assert lines == ["max=2", "witness.free0=0x1", "explored=4"]
-
 
 def scalar_worst_case(p):
     """Reference scan: itertools.product over the domains, scalar interpreter."""
@@ -141,7 +133,7 @@ class TestVectorizedEngine:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             lowered = analysis._lower(p)
-            vector = analysis._scan_chunk(lowered, vector_ops(p.width), 0, len(totals))
+            vector = analysis._scan_chunk(lowered, 0, len(totals))
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(analysis, "_chunk_rows", lambda dtype: rows)
                 result = brute_force_worst_case(p)
@@ -212,7 +204,7 @@ class TestVectorizedEngine:
         result = brute_force_worst_case(p)
         assert result.max_switching == max(totals)
         assert result.witness == combos[totals.index(max(totals))]
-        vector = analysis._scan_chunk(analysis._lower(p), vector_ops(width), 0, 4)
+        vector = analysis._scan_chunk(analysis._lower(p), 0, 4)
         assert list(vector) == totals
 
     def test_pair_recurring_past_uint8(self):
@@ -223,7 +215,7 @@ class TestVectorizedEngine:
         lowered = analysis._lower(p)
         assert max(pair[2] for _, _, _, pair, _ in lowered.steps if pair) > 255
         totals, combos = scalar_worst_case(p)
-        vector = analysis._scan_chunk(lowered, vector_ops(p.width), 0, len(totals))
+        vector = analysis._scan_chunk(lowered, 0, len(totals))
         assert list(vector) == totals
         assert [sum(execute(p, combo).transitions) for combo in combos] == totals
         assert brute_force_worst_case(p).max_switching == max(totals)
@@ -330,7 +322,7 @@ class TestBounds:
             slots = analysis._lower(p).outputs
             # every bit but those known on both sides and equal can differ
             expected = sum(
-                0 if s == t else p.width - (p.mask & ~a[1] & ~b[1] & ~(a[0] ^ b[0])).bit_count()
+                0 if s == t else p.width - (((1 << p.width) - 1) & ~a[1] & ~b[1] & ~(a[0] ^ b[0])).bit_count()
                 for s, t, a, b in zip(slots, slots[1:], outs, outs[1:])
             )
             assert knownbits_upper_bound(p) == expected
@@ -352,7 +344,7 @@ class TestBounds:
         # its two abstract outputs leave possibly different
         p = random_program(random.Random(seed))
         outs = abstract_outputs(p)
-        limits = [p.width - (p.mask & ~a[1] & ~b[1] & ~(a[0] ^ b[0])).bit_count()
+        limits = [p.width - (((1 << p.width) - 1) & ~a[1] & ~b[1] & ~(a[0] ^ b[0])).bit_count()
                   for a, b in zip(outs, outs[1:])]
         for combo in scalar_worst_case(p)[1]:
             transitions = execute(p, combo).transitions

@@ -294,6 +294,17 @@ class TestEnergyCommands:
         assert "pct_min=0.1717" in out
         assert "pct_max=0.3692" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_summarize_power_full_report(self, capsys, fmt):
+        pairs = [("p_tdual_mw", "328.000"), ("p_tsingle_mw", "164.000"), ("p_dmin_mw", "34.000"),
+                 ("p_dmax_mw", "96.000"), ("p_drng_mw", "62.000"), ("pct_min", "0.1717"),
+                 ("pct_max", "0.3692")]
+        code, out, err = run_cli(capsys, "summarize-power", "--tdual", "328", "362", "424",
+                                 "--format", fmt)
+        sep, head = ("=", "") if fmt == "text" else (",", "key,value\n")
+        assert (code, err) == (0, "")
+        assert out == head + "".join(f"{key}{sep}{value}\n" for key, value in pairs)
+
     def test_rank_deficient_fit_is_domain_error(self, capsys, tmp_path):
         grid_path = tmp_path / "flat.csv"
         grid_path.write_text(

@@ -5,7 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cswp import energy
 from cswp.core import Const, CswpError, Instruction, Program, apply_mnemonic, execute
@@ -391,6 +391,8 @@ CSV_MUTATIONS = [
     _in_field(lambda draw, f: draw(st.sampled_from([str(2**63 - 1), str(2**63), str(-2**63), hex(-2**63 - 1)])),
               fields=slice(0, 4)),
     _in_field(lambda draw, f: re.sub("[0-9]", "\u0663", f, count=1)),  # ARABIC-INDIC DIGIT THREE
+    # a hex digit in a decimal field: the byte reader's one digit table maps it below 16
+    _in_field(lambda draw, f: f + draw(st.sampled_from(["a", "F", "e"])), fields=slice(2, None)),
     # a literal every column accepts, at and just over the csv field limit
     _in_field(lambda draw, f: " " * (CSV_FIELD_LIMIT - 1 + draw(st.integers(0, 1))) + "1"),
     _split_unevenly,
@@ -420,6 +422,11 @@ class TestCsvReader:
 
     @settings(max_examples=200, deadline=None)
     @given(mutated_grid_csv(), st.sampled_from([1, 3, 7, 4096]))
+    # a hex digit in each decimal field, which a random draw reaches only now and then
+    @example((HEADER + "0x1,0x2,2a,1,3.5\n", True), 4096)
+    @example((HEADER + "0x1,0x2,2,1F,3.5\n", True), 4096)
+    @example((HEADER + "0x1,0x2,2,1,3.5e\n", True), 4096)
+    @example((HEADER + "0x1,0x2,2,1,3e.5\n", True), 4096)
     def test_matches_row_loop(self, case, rows):
         text, mutated = case
         with pytest.MonkeyPatch.context() as mp:

@@ -359,6 +359,34 @@ class TestMetadataRoundTrip:
         phase = len(gap.program.instructions) - gap.decision_len
         assert (back.num_vars, back.switching_len, back.gap_bits) == (2, phase, 4 * (phase - 1))
 
+    @pytest.mark.parametrize("loader, meta, field", [
+        (load_reduced, "kind=maxsat2 vars=2", "clauses"),
+        (load_reduced, "kind=maxsat2 clauses=x", "clauses"),
+        (load_reduced, "kind=maxsat2 clauses=-1", "clauses"),
+        (load_reduced, "kind=maxsat2 clauses=", "clauses"),
+        (load_reduced, "kind=maxsat2 junk clauses=1", "junk"),
+        (load_gap, "kind=sat-gap vars=2", "decision_len"),
+        (load_gap, "kind=sat-gap decision_len=x", "decision_len"),
+        (load_gap, "kind=sat-gap decision_len=-1", "decision_len"),
+        (load_gap, "kind=sat-gap decision_len={n}", "decision_len"),
+        (load_gap, "kind=sat-gap decision_len={n}9", "decision_len"),
+        (load_gap, "kind=sat-gap junk decision_len=0", "junk"),
+    ])
+    def test_malformed_meta_field(self, loader, meta, field):
+        # a field that is missing, not a count, or leaves no switching phase
+        # (n instructions) is a domain error that names it, as is a bare token
+        program = reduce_sat_gap(SatInstance(2, [[1], [-2]]), width=4).program
+        text = f"# meta {meta.format(n=len(program.instructions))}\n" + serialize_program(program)
+        with pytest.raises(CswpError, match=field):
+            loader(text)
+
+    def test_decision_len_bounds(self):
+        program = reduce_sat_gap(SatInstance(2, [[1], [-2]]), width=4).program
+        n = len(program.instructions)
+        for decision_len in (0, n - 1):
+            gap = load_gap(f"# meta kind=sat-gap decision_len={decision_len}\n" + serialize_program(program))
+            assert gap.switching_len == n - decision_len
+
     def test_meta_lines_present(self):
         red = reduce_maxsat2(MaxSat2Instance(1, [[1]]), width=4)
         text = serialize_reduced(red)

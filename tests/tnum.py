@@ -35,5 +35,5 @@ def abstract_outputs(program) -> list[tuple[int, int]]:
     """The pair of each instruction output: that of its slot in the lowered
     program."""
     lowered = _lower(program)
-    slots = _knownbits_slots(lowered, program.width)
+    slots = _knownbits_slots(lowered)
     return [slots[s] for s in lowered.outputs]
