@@ -151,7 +151,7 @@ def _cmd_reduce_sat_gap(args) -> str:
 
 def _cmd_checksat_verify(args) -> tuple[list[str], int]:
     instance = _instance_from_args(args, sat.SatInstance)
-    program, result_index = reductions.build_checksat_program(instance, width=args.width)
+    program = reductions.build_checksat_program(instance, width=args.width)
     n = instance.num_vars  # an assignment is its bit string, variable 1 first
     if args.assign is not None:
         bits = args.assign.replace(",", "")
@@ -167,7 +167,7 @@ def _cmd_checksat_verify(args) -> tuple[list[str], int]:
     pairs = []
     ok = True
     for bits in assignments:
-        got = execute(program, {str(k): int(bit) for k, bit in enumerate(bits)}).outputs[result_index]
+        got = execute(program, {str(k): int(bit) for k, bit in enumerate(bits)}).outputs[-1]
         expected = int(sat.all_satisfied(instance, [bit == "1" for bit in bits]))
         ok = ok and got == expected
         pairs.append(f"assign.{bits or 'none'}=result:{got},expected:{expected}")

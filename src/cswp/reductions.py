@@ -18,14 +18,15 @@ Two constructions are provided:
   objective is governed by satisfiability.
 
 Free inputs are named "0".."n-1" in variable order (variable x_i is input
-str(i-1)), all with the binary 0/1 domain.
+str(i-1)), all with the binary 0/1 domain. A literal is a signed int (3 is
+x3, -3 is ~x3), and every count of an embedding is read off its program.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from .core import (
@@ -39,7 +40,7 @@ from .core import (
     PriorOutput,
     Program,
 )
-from .sat import Literal, MaxSat2Instance, SatInstance
+from .sat import MaxSat2Instance, SatInstance, format_literal
 from .textfmt import parse_program, serialize_program
 
 # constants realized by the maxsat2 construction (cross-checked by the tests'
@@ -62,14 +63,19 @@ MAX_PROGRAM_LEN = 1 << 20
 
 @dataclass
 class ReducedProgram:
-    """Maxsat2 embedding plus the clause count needed to read answers back.
-
-    For every full assignment s:
+    """Maxsat2 embedding. Its 1 + 5n + 8|C| instructions give the clause
+    count needed to read answers back, and for every full assignment s:
         total switching = K_VAR*n + K_CLAUSE*|C| + K_SAT*sat_count(s)
     """
 
     program: Program
-    num_clauses: int
+    num_clauses: int = field(init=False)
+
+    def __post_init__(self):
+        n, length = self.num_vars, len(self.program.instructions)
+        self.num_clauses, rest = divmod(length - 1 - 5 * n, 8)
+        if self.num_clauses < 0 or rest:
+            raise CswpError(f"a maxsat2 program over {n} variables has 1 + 5n + 8c instructions, not {length}")
 
     @property
     def num_vars(self) -> int:
@@ -80,14 +86,21 @@ class ReducedProgram:
 class GapProgram:
     """SAT embedding with a satisfiability-gated switching phase.
 
-    The first decision_len instructions evaluate the clauses; the remaining
-    switching_len alternate bit_pattern/zero. gap_bits is the switching
-    realized inside the phase when activated: w bits on each of the
+    The first decision_len instructions evaluate the clauses and end at the
+    program's first `ite`, which widens the result to the bit pattern; the
+    remaining switching_len alternate bit_pattern/zero. gap_bits is the
+    switching realized inside the phase when activated: w bits on each of the
     switching_len - 1 transitions between consecutive phase instructions.
     """
 
     program: Program
-    decision_len: int
+    decision_len: int = field(init=False)
+
+    def __post_init__(self):
+        mnemonics = [insn.mnemonic for insn in self.program.instructions]
+        if "ite" not in mnemonics[:-1]:
+            raise CswpError("no ite ends a sat-gap decision phase before the last instruction")
+        self.decision_len = mnemonics.index("ite") + 1
 
     @property
     def switching_len(self) -> int:
@@ -108,9 +121,9 @@ def _check_length(length: int, what: str):
                         f"more than {MAX_PROGRAM_LEN}")
 
 
-def lit_addr(lit: Literal) -> int:
+def lit_addr(lit: int) -> int:
     """Literal array layout: x_i at 2(i-1), ~x_i at 2(i-1)+1."""
-    return 2 * (lit.var_index - 1) + (1 if lit.negated else 0)
+    return 2 * (abs(lit) - 1) + (lit < 0)
 
 
 def _emit(insns: list[Instruction], mnemonic: str, *inputs, mem_dest=None) -> PriorOutput:
@@ -143,8 +156,8 @@ def reduce_maxsat2(instance: MaxSat2Instance, width: int = 8) -> ReducedProgram:
     for i in range(1, n + 1):
         value = _emit(insns, "mov", Free(str(i - 1)))
         complement = _emit(insns, "xor", value, one)
-        _emit(insns, "store", value, mem_dest=lit_addr(Literal(i, False)))
-        _emit(insns, "store", complement, mem_dest=lit_addr(Literal(i, True)))
+        _emit(insns, "store", value, mem_dest=lit_addr(i))
+        _emit(insns, "store", complement, mem_dest=lit_addr(-i))
         _emit(insns, "mov", zero)
 
     for clause in instance.clauses:
@@ -156,21 +169,22 @@ def reduce_maxsat2(instance: MaxSat2Instance, width: int = 8) -> ReducedProgram:
         _emit(insns, "or", *lit_outs)
         _emit(insns, "mov", zero)
 
-    return ReducedProgram(_binary_program(n, width, 2 * n, insns), len(instance.clauses))
+    return ReducedProgram(_binary_program(n, width, 2 * n, insns))
 
 
 def emit_checksat(instance: SatInstance, insns: list[Instruction]) -> PriorOutput:
     """Append to `insns` an evaluation of the clause set over variable x_i
-    stored at m[i-1]; the returned operand is 1 iff the stored assignment
-    satisfies every clause. Appends O(total literal occurrences) instructions.
+    stored at m[i-1]; the returned operand, the last instruction appended, is
+    1 iff the stored assignment satisfies every clause. Appends O(total
+    literal occurrences) instructions.
     """
     one = Const(1)
     clause_results = []
     for clause in instance.clauses:
         acc = None
         for lit in clause:
-            out = _emit(insns, "load", MemRead(lit.var_index - 1))
-            if lit.negated:
+            out = _emit(insns, "load", MemRead(abs(lit) - 1))
+            if lit < 0:
                 out = _emit(insns, "xor", out, one)
             acc = out if acc is None else _emit(insns, "or", acc, out)
         clause_results.append(acc)
@@ -197,12 +211,12 @@ def _checksat_phase(instance: SatInstance) -> tuple[list[Instruction], PriorOutp
     return insns, emit_checksat(instance, insns)
 
 
-def build_checksat_program(instance: SatInstance, width: int = 8) -> tuple[Program, int]:
+def build_checksat_program(instance: SatInstance, width: int = 8) -> Program:
     """Standalone program that reads the variables, stores them, and evaluates
-    the clauses; returns (program, index of the result instruction)."""
-    insns, result = _checksat_phase(instance)
+    the clauses; its last instruction gives the result."""
+    insns, _ = _checksat_phase(instance)
     n = instance.num_vars
-    return _binary_program(n, width, max(1, n), insns), result.index
+    return _binary_program(n, width, max(1, n), insns)
 
 
 def reduce_sat_gap(instance: SatInstance, width: int = 8, factor=1) -> GapProgram:
@@ -234,7 +248,7 @@ def reduce_sat_gap(instance: SatInstance, width: int = 8, factor=1) -> GapProgra
         _emit(insns, "mov", zero)
 
     n = instance.num_vars
-    return GapProgram(_binary_program(n, width, max(1, n), insns), decision_len)
+    return GapProgram(_binary_program(n, width, max(1, n), insns))
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +277,8 @@ def serialize_reduced(reduced: ReducedProgram) -> str:
         f"k_var={K_VAR} k_clause={K_CLAUSE} k_sat={K_SAT}"
     ]
     for i in range(1, reduced.num_vars + 1):
-        for lit in (Literal(i, False), Literal(i, True)):
-            lines.append(f"# lit {lit} -> m[{lit_addr(lit)}]")
+        for lit in (i, -i):
+            lines.append(f"# lit {format_literal(lit)} -> m[{lit_addr(lit)}]")
     return "\n".join(lines) + "\n" + serialize_program(reduced.program)
 
 
@@ -280,34 +294,26 @@ def serialize_gap(gap: GapProgram) -> str:
 _META = re.compile(r"#\s*meta\s+(.*)$")
 
 
-def _meta_count(text: str, kind: str, key: str) -> int:
-    """The `key` field, a non-negative decimal integer, of the `# meta`
-    line of a file, which must be of the given kind. The loaders read only
-    what the program itself cannot tell."""
+def _check_kind(text: str, kind: str):
+    """Check that the `# meta` line of a file is key=value fields of the
+    given kind. The loaders take every count from the program."""
     for line in text.splitlines():
         if m := _META.match(line.strip()):
             tokens = m.group(1).split()
             if bare := [token for token in tokens if "=" not in token]:
                 raise CswpError(f"bad '# meta' field {bare[0]!r}, want key=value")
-            fields = dict(token.split("=", 1) for token in tokens)
-            if fields.get("kind") != kind:
-                raise CswpError(f"expected {kind} metadata, got kind={fields.get('kind')!r}")
-            value = fields.get(key)
-            if not (value and value.isascii() and value.isdigit()):
-                got = "missing" if value is None else repr(value)
-                raise CswpError(f"'# meta' field {key} is {got}, want a non-negative integer")
-            return int(value)
+            got = dict(token.split("=", 1) for token in tokens).get("kind")
+            if got != kind:
+                raise CswpError(f"expected {kind} metadata, got kind={got!r}")
+            return
     raise CswpError("no '# meta' line found")
 
 
 def load_reduced(text: str) -> ReducedProgram:
-    clauses = _meta_count(text, "maxsat2", "clauses")
-    return ReducedProgram(parse_program(text), clauses)
+    _check_kind(text, "maxsat2")
+    return ReducedProgram(parse_program(text))
 
 
 def load_gap(text: str) -> GapProgram:
-    decision_len = _meta_count(text, "sat-gap", "decision_len")
-    gap = GapProgram(parse_program(text), decision_len)
-    if gap.switching_len < 1:
-        raise CswpError(f"'# meta' field decision_len={gap.decision_len} leaves no switching phase")
-    return gap
+    _check_kind(text, "sat-gap")
+    return GapProgram(parse_program(text))

@@ -1,42 +1,35 @@
-"""Clause sets for the MAXSAT2 and SAT embeddings: literals, instances,
-satisfaction counting, and the x1/~x2 literal notation used by the CLI and
-program-file metadata."""
+"""Clause sets for the MAXSAT2 and SAT embeddings: instances, satisfaction
+counting, and the x1/~x2 literal notation used by the CLI and program-file
+metadata. A literal is a DIMACS-style signed int: 3 is x3, -3 is ~x3."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import CswpError
-
-
-@dataclass(frozen=True)
-class Literal:
-    """A Boolean variable (1-based index) or its negation."""
-
-    var_index: int
-    negated: bool = False
-
-    def __post_init__(self):
-        if self.var_index < 1:
-            raise ValueError(f"variable index {self.var_index} must be >= 1")
-
-    def __str__(self):
-        return f"~x{self.var_index}" if self.negated else f"x{self.var_index}"
-
 
 _LIT = re.compile(r"([~!-]?)x?(\d+)$")
 
 
-def parse_literal(token: str) -> Literal:
+def parse_literal(token: str) -> int:
+    """x3 -> 3; ~x3, !x3, -x3 or -3 -> -3."""
     m = _LIT.match(token.strip())
-    if not m or int(m.group(2)) < 1:
+    try:
+        index = int(m.group(2)) if m else 0
+    except ValueError:  # more digits than int() converts
+        index = 0
+    if index < 1:
         raise CswpError(f"bad literal {token!r} (want e.g. x3 or ~x3)")
-    return Literal(int(m.group(2)), negated=bool(m.group(1)))
+    return -index if m.group(1) else index
 
 
-def parse_clause(text: str) -> tuple[Literal, ...]:
+def format_literal(lit: int) -> str:
+    return f"~x{-lit}" if lit < 0 else f"x{lit}"
+
+
+def parse_clause(text: str) -> tuple[int, ...]:
     """Space- or comma-separated literals, e.g. 'x1 ~x2'."""
     tokens = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     if not tokens:
@@ -44,26 +37,10 @@ def parse_clause(text: str) -> tuple[Literal, ...]:
     return tuple(parse_literal(t) for t in tokens)
 
 
-def _normalize(clauses: Iterable) -> tuple[tuple[Literal, ...], ...]:
-    out = []
-    for clause in clauses:
-        lits = []
-        for lit in clause:
-            if isinstance(lit, Literal):
-                lits.append(lit)
-            elif isinstance(lit, int) and lit != 0:
-                lits.append(Literal(abs(lit), negated=lit < 0))
-            else:
-                raise CswpError(f"bad literal {lit!r}")
-        out.append(tuple(lits))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class _ClauseSet:
-    """Clauses over the variables x1..x{num_vars}. Clauses accept Literal
-    objects or DIMACS-style signed ints (-3 means ~x3); a subclass states
-    which clause lengths it takes."""
+    """Clauses of nonzero signed ints over the variables x1..x{num_vars}; a
+    subclass states which clause lengths it takes."""
 
     num_vars: int
     clauses: tuple = ()
@@ -71,13 +48,15 @@ class _ClauseSet:
     def __post_init__(self):
         if self.num_vars < 0:
             raise CswpError(f"number of variables {self.num_vars} is negative")
-        object.__setattr__(self, "clauses", _normalize(self.clauses))
+        object.__setattr__(self, "clauses", tuple(map(tuple, self.clauses)))
         for i, clause in enumerate(self.clauses):
             if problem := self._length_problem(clause):
                 raise CswpError(f"clause {i} {problem}")
             for lit in clause:
-                if lit.var_index > self.num_vars:
-                    raise CswpError(f"clause {i}: x{lit.var_index} exceeds {self.num_vars} variables")
+                if type(lit) is not int or lit == 0:  # a bool is not a literal
+                    raise CswpError(f"bad literal {lit!r}")
+                if abs(lit) > self.num_vars:
+                    raise CswpError(f"clause {i}: x{abs(lit)} exceeds {self.num_vars} variables")
 
 
 class SatInstance(_ClauseSet):
@@ -96,9 +75,8 @@ class MaxSat2Instance(_ClauseSet):
         return None if 1 <= len(clause) <= 2 else f"has {len(clause)} literals, want 1 or 2"
 
 
-def literal_value(lit: Literal, assignment: Sequence[bool]) -> bool:
-    value = assignment[lit.var_index - 1]
-    return not value if lit.negated else value
+def literal_value(lit: int, assignment: Sequence[bool]) -> bool:
+    return bool(assignment[abs(lit) - 1]) != (lit < 0)
 
 
 def clause_satisfied(clause, assignment: Sequence[bool]) -> bool:

@@ -373,6 +373,9 @@ class TestMalformedInput:
         ({"p.cswp": f"width 4\nmem 1\no1: mov m[{LONG}]\n"}, ["solve", "p.cswp"]),
         ({"p.cswp": f"width 4\no1: mov #0x0\no2: mov o{LONG}\n"}, ["solve", "p.cswp"]),
         ({"p.cswp": f"width 4\nmem 1\no1: store #0x0 -> m[{LONG}]\n"}, ["solve", "p.cswp"]),
+        ({}, ["reduce-maxsat", "--vars", "1", "--clause", f"x{LONG}"]),
+        ({}, ["reduce-sat-gap", "--vars", "1", "--clause", f"~x{LONG}"]),
+        ({}, ["checksat-verify", "--vars", "1", "--clause", f"x1 {LONG}"]),
         ({}, ["reduce-sat-gap", "--vars", "0", "--factor", "1e308"]),
         ({}, ["reduce-sat-gap", "--vars", "1", "--clause", "x1", "--factor", "262144"]),
         ({"p.cswp": DOUBLING}, ["run", "p.cswp", "--input", "free0=1", "--input", "free0=2"]),

@@ -322,10 +322,11 @@ HEADER = ",".join(energy.CSV_HEADER) + "\n"
 
 
 @st.composite
-def mutated_grid_csv(draw):
+def mutated_grid_csv(draw, mutation=None):
     """(text, mutated): a window of a generated grid's CSV, and whether the
     rows were then mutated into text the csv module reads differently from
-    str.split, or into text with an error."""
+    str.split, or into text with an error. The rows take up to three drawn
+    `CSV_MUTATIONS`, or `mutation` alone where one is given."""
     width = draw(st.integers(1, 8))
     grid = gen_synthetic_grid(
         width,
@@ -338,7 +339,7 @@ def mutated_grid_csv(draw):
     start = draw(st.integers(0, len(grid) - 1))
     window = slice(start, start + draw(st.integers(0, 400)))
     lines = measurements_to_csv(Grid(*[c[window] for c in columns(grid)]), width).split("\n")[:-1]
-    mutations = draw(st.lists(st.sampled_from(CSV_MUTATIONS), max_size=3))
+    mutations = [mutation] if mutation else draw(st.lists(st.sampled_from(CSV_MUTATIONS), max_size=3))
     for mutate in mutations:
         k = draw(st.integers(0, len(lines) - 1))
         lines[k] = mutate(draw, lines[k])
@@ -416,6 +417,18 @@ def assert_same_outcome(got, want):
         assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def assert_reads_like_row_loop(case, rows):
+    """The byte reader at `rows` rows a chunk against the row loop, on a
+    `mutated_grid_csv` case."""
+    text, mutated = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "CSV_CHUNK_ROWS", rows)
+        got = read_outcome(measurements_from_csv, text)
+        if not mutated:  # a generated grid always takes the byte path
+            assert energy._read_bytes(text) is not None
+    assert_same_outcome(got, read_outcome(energy._read_rows, text))
+
+
 class TestCsvReader:
     """The byte column reader against the csv module's row loop: equal
     columns, dtypes and signs, or the same error message."""
@@ -428,13 +441,15 @@ class TestCsvReader:
     @example((HEADER + "0x1,0x2,2,1,3.5e\n", True), 4096)
     @example((HEADER + "0x1,0x2,2,1,3e.5\n", True), 4096)
     def test_matches_row_loop(self, case, rows):
-        text, mutated = case
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(energy, "CSV_CHUNK_ROWS", rows)
-            got = read_outcome(measurements_from_csv, text)
-            if not mutated:  # a generated grid always takes the byte path
-                assert energy._read_bytes(text) is not None
-        assert_same_outcome(got, read_outcome(energy._read_rows, text))
+        assert_reads_like_row_loop(case, rows)
+
+    # every mutation on its own, which the drawn lists above reach only by chance
+    @pytest.mark.parametrize("index", range(len(CSV_MUTATIONS)))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_each_mutation_matches_row_loop(self, index, data):
+        case = data.draw(mutated_grid_csv(CSV_MUTATIONS[index]))
+        assert_reads_like_row_loop(case, data.draw(st.sampled_from([1, 3, 7, 4096])))
 
     @pytest.mark.parametrize("width", [7, 8])
     def test_full_grid_matches_row_loop(self, width):

@@ -1,17 +1,20 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
 from cswp.analysis import brute_force_worst_case
 from cswp import reductions
-from cswp.core import BINARY01, CswpError, execute, validate_program
+from cswp.core import BINARY01, CswpError, Program, execute, validate_program
 from cswp.reductions import (
     K_CLAUSE,
     K_SAT,
     K_VAR,
     MAX_SWITCHING_LEN,
+    GapProgram,
+    ReducedProgram,
     build_checksat_program,
     emit_checksat,
     lit_addr,
@@ -23,8 +26,8 @@ from cswp.reductions import (
     serialize_gap,
     serialize_reduced,
 )
-from cswp.sat import Literal, MaxSat2Instance, SatInstance, count_satisfied
-from cswp.textfmt import serialize_program
+from cswp.sat import MaxSat2Instance, SatInstance, count_satisfied, parse_literal
+from cswp.textfmt import parse_program, serialize_program
 
 from oracles import maxsat_oracle
 
@@ -36,6 +39,11 @@ def all_assignments(n):
 def embed(bools):
     """Truth values, variable-index order, as the embeddings' free inputs."""
     return {str(i): int(b) for i, b in enumerate(bools)}
+
+
+def meta_fields(text):
+    """The key=value fields of a reduction file's `# meta` line, its first."""
+    return dict(token.split("=", 1) for token in text.splitlines()[0].split()[2:])
 
 
 def switching(program, bools):
@@ -105,14 +113,14 @@ class TestReduceMaxsat2:
     def test_literal_addresses_follow_layout(self):
         red = reduce_maxsat2(MaxSat2Instance(3, [[1, -2], [3]]), width=4)
         for i in (1, 2, 3):
-            assert lit_addr(Literal(i, False)) == 2 * (i - 1)
-            assert lit_addr(Literal(i, True)) == 2 * (i - 1) + 1
+            assert lit_addr(i) == 2 * (i - 1)
+            assert lit_addr(-i) == 2 * (i - 1) + 1
         # the program stores each literal's truth value at its address
         for bools in all_assignments(3):
             memory = execute(red.program, embed(bools)).final_memory
             for i, b in enumerate(bools, 1):
-                assert memory[lit_addr(Literal(i, False))] == b
-                assert memory[lit_addr(Literal(i, True))] == (not b)
+                assert memory[lit_addr(i)] == b
+                assert memory[lit_addr(-i)] == (not b)
 
     def test_program_length_is_instance_sized(self):
         # a*n + b*|C| + 1 instructions, independent of any assignment
@@ -148,7 +156,7 @@ class TestProgramLengthLimit:
         for inst in [SatInstance(2, [])] + [random_sat(rng, max_vars=5) for _ in range(30)]:
             literals = sum(len(clause) for clause in inst.clauses)
             bound = 2 * inst.num_vars + 3 * literals + len(inst.clauses) + 1
-            assert bound >= len(build_checksat_program(inst)[0].instructions)
+            assert bound >= len(build_checksat_program(inst).instructions)
             monkeypatch.setattr(reductions, "MAX_PROGRAM_LEN", bound)
             build_checksat_program(inst)
             reduce_sat_gap(inst)  # its decision phase is the clause evaluation and an ite
@@ -161,9 +169,9 @@ class TestProgramLengthLimit:
 
 class TestEmitChecksat:
     def run_checksat(self, instance, bools, width=4):
-        program, result_index = build_checksat_program(instance, width=width)
+        program = build_checksat_program(instance, width=width)
         assignment = {str(i): int(b) for i, b in enumerate(bools)}
-        return execute(program, assignment).outputs[result_index]
+        return execute(program, assignment).outputs[-1]
 
     def test_positive_unit(self):
         assert self.run_checksat(SatInstance(1, [[1]]), [True]) == 1
@@ -196,16 +204,17 @@ class TestEmitChecksat:
         ands = 2
         assert len(insns) == literal_occurrences + negations + ors + ands
 
-    # (instance, width) -> (result index, digest of the program text), computed
-    # before the reductions took every fact from the built program
+    # (instance, width) -> (index of the result, the last instruction, and
+    # digest of the program text), computed before the reductions took every
+    # fact from the built program
     @pytest.mark.parametrize("n, clauses, width, index, digest", [
         (0, [], 8, 0, "aa4b96d1e7db02ce"),
         (2, [[1, 2], [-1]], 4, 9, "632f7151fd2e35b9"),
         (3, [[1, -2, 3], [-3], [2, -1]], 64, 19, "dc3d7982fc969ed8"),
     ])
     def test_program_byte_identical(self, n, clauses, width, index, digest):
-        program, result_index = build_checksat_program(SatInstance(n, clauses), width=width)
-        assert result_index == index
+        program = build_checksat_program(SatInstance(n, clauses), width=width)
+        assert len(program.instructions) - 1 == index
         assert hashlib.sha256(serialize_program(program).encode()).hexdigest()[:16] == digest
 
 
@@ -359,33 +368,24 @@ class TestMetadataRoundTrip:
         phase = len(gap.program.instructions) - gap.decision_len
         assert (back.num_vars, back.switching_len, back.gap_bits) == (2, phase, 4 * (phase - 1))
 
-    @pytest.mark.parametrize("loader, meta, field", [
-        (load_reduced, "kind=maxsat2 vars=2", "clauses"),
-        (load_reduced, "kind=maxsat2 clauses=x", "clauses"),
-        (load_reduced, "kind=maxsat2 clauses=-1", "clauses"),
-        (load_reduced, "kind=maxsat2 clauses=", "clauses"),
-        (load_reduced, "kind=maxsat2 junk clauses=1", "junk"),
-        (load_gap, "kind=sat-gap vars=2", "decision_len"),
-        (load_gap, "kind=sat-gap decision_len=x", "decision_len"),
-        (load_gap, "kind=sat-gap decision_len=-1", "decision_len"),
-        (load_gap, "kind=sat-gap decision_len={n}", "decision_len"),
-        (load_gap, "kind=sat-gap decision_len={n}9", "decision_len"),
-        (load_gap, "kind=sat-gap junk decision_len=0", "junk"),
+    @pytest.mark.parametrize("loader, meta, match", [
+        (load_reduced, "# meta kind=maxsat2 junk clauses=1", "'junk', want key=value"),
+        (load_gap, "# meta kind=sat-gap junk decision_len=0", "'junk', want key=value"),
+        (load_reduced, "# meta kind=sat-gap clauses=2", "expected maxsat2 metadata, got kind='sat-gap'"),
+        (load_gap, "# meta vars=2", "expected sat-gap metadata, got kind=None"),
+        (load_reduced, "# lit x1 -> m[0]", "no '# meta' line"),
+        (load_gap, "", "no '# meta' line"),
     ])
-    def test_malformed_meta_field(self, loader, meta, field):
-        # a field that is missing, not a count, or leaves no switching phase
-        # (n instructions) is a domain error that names it, as is a bare token
-        program = reduce_sat_gap(SatInstance(2, [[1], [-2]]), width=4).program
-        text = f"# meta {meta.format(n=len(program.instructions))}\n" + serialize_program(program)
-        with pytest.raises(CswpError, match=field):
-            loader(text)
-
-    def test_decision_len_bounds(self):
-        program = reduce_sat_gap(SatInstance(2, [[1], [-2]]), width=4).program
-        n = len(program.instructions)
-        for decision_len in (0, n - 1):
-            gap = load_gap(f"# meta kind=sat-gap decision_len={decision_len}\n" + serialize_program(program))
-            assert gap.switching_len == n - decision_len
+    def test_malformed_meta_field(self, loader, meta, match):
+        # a bare token, a wrong or missing kind and a missing `# meta` line
+        # are domain errors, on a program the loader takes with a good line
+        if loader is load_reduced:
+            good, program = "kind=maxsat2", reduce_maxsat2(MaxSat2Instance(2, [[1], [-2]]), width=4).program
+        else:
+            good, program = "kind=sat-gap", reduce_sat_gap(SatInstance(2, [[1], [-2]]), width=4).program
+        loader(f"# meta {good}\n" + serialize_program(program))
+        with pytest.raises(CswpError, match=re.escape(match)):
+            loader(f"{meta}\n" + serialize_program(program))
 
     def test_meta_lines_present(self):
         red = reduce_maxsat2(MaxSat2Instance(1, [[1]]), width=4)
@@ -393,3 +393,88 @@ class TestMetadataRoundTrip:
         assert "# meta kind=maxsat2" in text
         assert "# lit x1 -> m[0]" in text
         assert "# lit ~x1 -> m[1]" in text
+
+
+class TestCountsFromTheProgram:
+    """The clause count is read off the maxsat2 program's length 1 + 5n + 8c
+    and the decision-phase length off the gap program's first `ite`; the
+    `# meta` fields that state them are written but not read."""
+
+    def test_false_clause_count_is_not_read(self):
+        red = reduce_maxsat2(MaxSat2Instance(2, [[1, -2], [2]]), width=4)
+        text = serialize_reduced(red).replace("clauses=2", "clauses=7", 1)
+        assert "clauses=7" in text
+        back = load_reduced(text)
+        assert (back.num_clauses, len(back.program.instructions)) == (2, 27)
+
+    def test_false_decision_len_is_not_read(self):
+        gap = reduce_sat_gap(SatInstance(2, [[1], [-2]]), width=4)
+        text = serialize_gap(gap).replace(f"decision_len={gap.decision_len}", "decision_len=1", 1)
+        assert "decision_len=1 " in text
+        assert load_gap(text).decision_len == gap.decision_len == 9
+
+    def test_meta_counts_equal_the_derived_ones(self):
+        # the decision phase is the clause evaluation and the widening ite
+        rng = random.Random(229)
+        for _ in range(50):
+            inst = random_maxsat2(rng)
+            text = serialize_reduced(reduce_maxsat2(inst, width=rng.randint(1, 8)))
+            assert meta_fields(text)["clauses"] == str(load_reduced(text).num_clauses) == str(len(inst.clauses))
+            inst = random_sat(rng)
+            text = serialize_gap(reduce_sat_gap(inst, width=rng.randint(1, 8), factor=rng.choice([1, 2.5])))
+            decision_len = len(build_checksat_program(inst).instructions) + 1
+            assert meta_fields(text)["decision_len"] == str(load_gap(text).decision_len) == str(decision_len)
+
+    def test_maxsat2_length_must_fit(self):
+        text = serialize_reduced(reduce_maxsat2(MaxSat2Instance(2, [[1, -2], [2]]), width=4))
+        short = text[:text.rindex("o27:")]
+        with pytest.raises(CswpError, match=re.escape("has 1 + 5n + 8c instructions, not 26")):
+            load_reduced(short)
+        # the 27 instructions less a whole clause gadget or two fit; less
+        # any other count, down to inside the variable gadgets, do not
+        program = parse_program(text)
+        for cut in range(1, 18):
+            prefix = Program(width=4, mem_size=4, instructions=program.instructions[:-cut],
+                             free_inputs=program.free_inputs)
+            if cut % 8:
+                with pytest.raises(CswpError, match=f"not {27 - cut}$"):
+                    ReducedProgram(prefix)
+            else:
+                assert ReducedProgram(prefix).num_clauses == 2 - cut // 8
+
+    def test_gap_program_needs_an_ite_before_its_end(self):
+        inst = SatInstance(2, [[1], [-2]])
+        checksat = build_checksat_program(inst, width=4)
+        gap = reduce_sat_gap(inst, width=4)
+        decision = gap.program.instructions[:gap.decision_len]
+        assert decision[-1].mnemonic == "ite"
+        for program in (checksat, Program(width=4, mem_size=2, instructions=decision,
+                                          free_inputs=gap.program.free_inputs)):
+            with pytest.raises(CswpError, match="no ite ends a sat-gap decision phase"):
+                GapProgram(program)
+            with pytest.raises(CswpError, match="no ite ends a sat-gap decision phase"):
+                load_gap("# meta kind=sat-gap\n" + serialize_program(program))
+
+
+class TestLiterals:
+    @pytest.mark.parametrize("token, lit", [
+        ("x3", 3), ("3", 3), (" x12 ", 12), ("~x3", -3), ("!x3", -3), ("-x3", -3), ("-3", -3),
+    ])
+    def test_parse_literal(self, token, lit):
+        assert parse_literal(token) == lit
+
+    @pytest.mark.parametrize("token", [
+        "x0", "~0", "y1", "x", "x1x",
+        # past the digits int() converts
+        pytest.param("x" + "1" * 5000, id="x1...1"),
+        pytest.param("~x" + "0" * 4999 + "1", id="~x0...01"),
+    ])
+    def test_bad_token_rejected(self, token):
+        with pytest.raises(CswpError, match="bad literal"):
+            parse_literal(token)
+
+    @pytest.mark.parametrize("lit", [0, True, False, 1.0, "x1", None])
+    def test_bad_literal_rejected(self, lit):
+        for cls in (SatInstance, MaxSat2Instance):
+            with pytest.raises(CswpError, match="bad literal"):
+                cls(1, [[lit]])
