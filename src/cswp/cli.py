@@ -28,17 +28,40 @@ from .core import CswpError, Program, execute
 from .textfmt import parse_program
 
 
-def _read_text(path: str) -> str:
-    """The UTF-8 text of the file `path` names, with `\r\n` and lone `\r`
-    line ends made `\n`, as text mode reads it."""
+def _read_file(path: str) -> bytes:
     try:
         with open(path, "rb") as fh:
-            text = fh.read().decode()
-    except (OSError, UnicodeDecodeError) as e:
+            return fh.read()
+    except OSError as e:
+        raise CswpError(f"cannot read {path}: {e}") from None
+
+
+def _decode(path: str, data: bytes) -> str:
+    """The UTF-8 text of `data`, the bytes of the file `path` names, with
+    `\r\n` and lone `\r` line ends made `\n`, as text mode reads it."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as e:
         raise CswpError(f"cannot read {path}: {e}") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
+
+
+def _read_text(path: str) -> str:
+    return _decode(path, _read_file(path))
+
+
+def _read_grid(path: str) -> energy.Grid:
+    """The grid `measurements_from_csv(_read_text(path))` gives, read
+    without decoding where it can be: unless they hold a CR, the one byte
+    `_decode` changes, the file's bytes go to the reader as they are, and
+    only bytes its byte reader declines are decoded."""
+    data = _read_file(path)
+    try:
+        return energy.measurements_from_csv(data if b"\r" not in data else _decode(path, data))
+    except UnicodeDecodeError as e:
+        raise CswpError(f"cannot read {path}: {e}") from None
 
 
 def _write_output(path: str | None, text: str):
@@ -176,7 +199,7 @@ def _cmd_checksat_verify(args) -> tuple[list[str], int]:
 
 
 def _cmd_fit(args) -> tuple[list[str], int]:
-    fit = energy.fit_hamming_model(energy.measurements_from_csv(_read_text(args.grid)))
+    fit = energy.fit_hamming_model(_read_grid(args.grid))
     return [f"base_mw={fit.base:.3f}", f"c_in_mw={fit.c_in:.3f}", f"c_out_mw={fit.c_out:.3f}",
             f"mae_mw={fit.mean_abs_error:.3f}"], 0
 
@@ -204,7 +227,7 @@ def _cmd_gen_grid(args) -> str:
 
 
 def _cmd_heatmap(args) -> str:
-    grid = energy.measurements_from_csv(_read_text(args.grid))
+    grid = _read_grid(args.grid)
     model = _model_from_args(args)
     matrix = energy.heatmap_matrix(grid, args.stage, c_in=model.c_in, c_out=model.c_out)
     return energy.heatmap_to_csv(matrix)
@@ -318,12 +341,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_clause(token: str) -> bool:
+    try:
+        sat.parse_clause(token)
+    except CswpError:
+        return False
+    return True
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """The parsed arguments of `argv`. argv that starts with a subcommand
     goes straight to that subcommand's parser, the one the full parser hands
     the rest of argv to, so it is parsed once rather than twice; the full
     parser takes any other argv, and argv that leaves arguments over, so
-    its usage text and errors are unchanged."""
+    its usage text and errors are unchanged.
+
+    argparse takes a value that starts with "-" for an option, so a
+    `--clause` followed by a clause such as `-x3` is first joined into
+    `--clause=-x3`."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] == "--clause" and token.startswith("-") and _is_clause(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    argv = joined
     parser = _build_parser()
     command = parser.subcommands.get(argv[0]) if argv else None
     if command is not None:

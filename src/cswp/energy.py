@@ -199,15 +199,15 @@ def fit_hamming_model(grid: Grid) -> FitResult:
         raise CswpError(f"need at least 3 measurements, got {len(grid)}")
     import numpy as np
 
-    h_in = grid.h_in.astype(float)
-    h_out = grid.h_out.astype(float)
     power = grid.power
-
-    design = np.column_stack([np.ones_like(h_in), h_in, h_out])
+    design = np.empty((len(grid), 3))  # filled from the int columns: no float copies of them stay alive
+    design[:, 0] = 1.0
+    design[:, 1] = grid.h_in
+    design[:, 2] = grid.h_out
     if np.linalg.matrix_rank(design) < 3:
-        if np.ptp(h_in) == 0:
+        if np.ptp(grid.h_in) == 0:
             raise FitRankError("design matrix rank deficient: h_in is constant")
-        if np.ptp(h_out) == 0:
+        if np.ptp(grid.h_out) == 0:
             raise FitRankError("design matrix rank deficient: h_out is constant")
         raise FitRankError("design matrix rank deficient: h_in and h_out are collinear")
 
@@ -256,13 +256,13 @@ _HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
 # Rows (heat-map values) formatted or parsed per chunk. Apart from the text,
 # its bytes, its line ends and the grid itself, no array a CSV call builds
 # holds more than one chunk.
-CSV_CHUNK_ROWS = 4096
+CSV_CHUNK_ROWS = 8192
 
 
 @functools.cache
 def _digit_values() -> np.ndarray:
-    """Byte -> its value as a hex digit, 255 for any other byte, for every
-    base `_number` reads. Built on first use, and from Python values:
+    """Byte -> its value as a hex digit, 255 for any other byte, for the hex
+    fields `_number` reads. Built on first use, and from Python values:
     building it with a numpy ufunc or an index assignment would add ~130 KiB
     to the RSS of a command that makes no such call otherwise."""
     import numpy as np
@@ -342,34 +342,38 @@ def measurements_to_csv(grid: Grid, width: int) -> str:
     return b"".join(parts).decode()
 
 
-def measurements_from_csv(text: str) -> Grid:
+def measurements_from_csv(data: str | bytes) -> Grid:
     """Parse a measurement CSV: operands accept any int() literal with a base
     prefix and blank lines are skipped. Every row has exactly the header's
     fields and a finite power.
 
-    Text in the form `measurements_to_csv` writes is read CSV_CHUNK_ROWS rows
-    at a time straight from its bytes (see `_read_bytes`); any other text,
-    and any text with an error, goes to the row loop, which gives the same
-    grid and reports every error."""
-    grid = _read_bytes(text)
+    `data` is the text or its UTF-8 bytes, such as a file's. Data in the form
+    `measurements_to_csv` writes is read CSV_CHUNK_ROWS rows at a time
+    straight from its bytes (see `_read_bytes`); any other data, and any data
+    with an error, goes to the row loop, which gives the same grid and
+    reports every error. Bytes go there decoded, so bytes that are not UTF-8
+    raise UnicodeDecodeError."""
+    if isinstance(data, str):
+        grid = _read_bytes(data.encode()) if data.isascii() else None
+    else:
+        grid = _read_bytes(data)
+        if grid is None:
+            data = data.decode()
     if grid is None:
-        grid = _read_rows(text)
+        grid = _read_rows(data)
     return grid
 
 
-def _read_bytes(text: str) -> Grid | None:
-    """The grid of text in `measurements_to_csv`'s form, or None where
-    `_read_rows` must decide.
+def _read_bytes(data: bytes) -> Grid | None:
+    """The grid of the bytes `data` in `measurements_to_csv`'s form, or None
+    where `_read_rows` must decide.
 
-    The text starts with the header line, and every row has five fields:
+    The bytes start with the header line, and every row has five fields:
     two operands `0x` or `0X` plus 1 to 15 hex digits, two Hamming counts of
     1 to 18 decimal digits, and a power `[-]digits.digits` with at most 15
     digits after the point and 15 significant digits, so every byte is
     ASCII. Such a power is N / 10**d for integers N < 10**15 and d <= 15,
     both exact in float64, so the one division rounds as float() does."""
-    if not text.isascii():
-        return None
-    data = text.encode()
     if not data.endswith(b"\n"):
         data += b"\n"
     if not data.startswith(_HEADER_LINE):
@@ -382,7 +386,8 @@ def _read_bytes(text: str) -> Grid | None:
     columns = [np.empty(n_rows, np.int64) for _ in range(4)] + [np.empty(n_rows, np.float64)]
     for lo in range(0, n_rows, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, n_rows)
-        chunk = _read_chunk(buf[ends[lo] + 1:ends[hi] + 1], hi - lo)
+        first = ends[lo] + 1
+        chunk = _read_chunk(buf[first:ends[hi] + 1], ends[lo + 1:hi + 1] - first)
         if chunk is None:
             return None
         for column, values in zip(columns, chunk):
@@ -390,29 +395,31 @@ def _read_bytes(text: str) -> Grid | None:
     return Grid(*columns)
 
 
-def _read_chunk(seg: np.ndarray, n: int) -> list[np.ndarray] | None:
-    """The five columns of `n` rows, each ending in "\\n", in the bytes
-    `seg`; None unless every row has `_read_bytes`'s form."""
+def _read_chunk(seg: np.ndarray, lines: np.ndarray) -> list[np.ndarray] | None:
+    """The five columns of the rows of the bytes `seg`, where row r ends at
+    its "\\n" seg[lines[r]]; None unless every row has `_read_bytes`'s form.
+
+    Only the commas and points are searched for: the line ends are given.
+    There must be 4n commas, and the k-th four are taken as row k's. Every
+    field must then hold at least one byte between its own two ends, so each
+    four lie between their row's line ends, which rejects a row of five
+    commas beside one of three."""
     import numpy as np
 
-    stops = np.flatnonzero((seg == ord(",")) | (seg == ord("\n")))
-    # seg holds n line ends, so five stops a row, the fifth a line end,
-    # leave exactly four commas in every row
-    if len(stops) != 5 * n:
+    n = len(lines)
+    commas = np.flatnonzero(seg == ord(","))
+    if len(commas) != 4 * n:
         return None
-    stops = stops.reshape(n, 5).T.copy()  # stops[k]: where field k of each row ends
-    if (seg[stops[4]] != ord("\n")).any():
-        return None
-    starts = np.empty_like(stops)
-    starts[1:] = stops[:-1] + 1
-    starts[0, 0] = 0
-    starts[0, 1:] = stops[4, :-1] + 1
-    prefix = starts[:2]
+    commas = commas.reshape(n, 4).T.copy()  # commas[k]: where field k of each row ends
+    row_starts = np.empty_like(lines)
+    row_starts[0] = 0
+    row_starts[1:] = lines[:-1] + 1
+    prefix = np.stack([row_starts, commas[0] + 1])  # where each operand's "0x" starts
     if (seg[prefix] != ord("0")).any() or (seg[prefix + 1] | 0x20 != ord("x")).any():
         return None
-    ints = [_number(seg, starts[k] + 2, stops[k], 16, 15) for k in (0, 1)]
-    ints += [_number(seg, starts[k], stops[k], 10, 18) for k in (2, 3)]
-    lo, hi = starts[4], stops[4]
+    ints = [_number(seg, prefix[k] + 2, commas[k], 16, 15) for k in (0, 1)]
+    ints += [_number(seg, commas[k - 1] + 1, commas[k], 10, 18) for k in (2, 3)]
+    lo, hi = commas[3] + 1, lines
     negative = seg[lo] == ord("-")
     lo = lo + negative
     points = np.flatnonzero(seg == ord("."))
@@ -432,21 +439,38 @@ def _read_chunk(seg: np.ndarray, n: int) -> list[np.ndarray] | None:
 
 
 def _number(seg: np.ndarray, lo: np.ndarray, hi: np.ndarray, base: int, max_digits: int) -> np.ndarray | None:
-    """The int64 value of each field seg[lo:hi] in `base`, or None unless
-    every field holds 1 to `max_digits` digits of that base."""
+    """The value of each field seg[lo:hi] in `base`, int32 where the longest
+    field's digits always fit it and int64 otherwise, or None unless every
+    field holds 1 to `max_digits` digits of that base.
+
+    Horner's rule over digit columns: each pass takes, for every field at
+    once, the byte j places left of its end, for j from the longest field's
+    length down to 1. A decimal digit is its byte less "0" in uint8, so any
+    other byte wraps to 10 or more; a hex digit is looked up in
+    `_digit_values`. Where j exceeds a field's length the byte lies left of
+    its start (a negative index wraps), and its digit is taken as 0."""
     import numpy as np
 
     count = hi - lo
-    span = int(count.max())
-    if count.min() < 1 or span > max_digits:
+    shortest, span = int(count.min()), int(count.max())
+    if shortest < 1 or span > max_digits:
         return None
-    place = np.arange(span - 1, -1, -1)
-    at = hi - 1 - place[:, None]  # row j: each field's digit of weight base**place[j]
-    digits = _digit_values().take(seg.take(np.maximum(at, 0)))
-    digits[at < lo] = 0
-    if (digits >= base).any():
-        return None
-    return base**place @ digits
+    at = hi - span
+    value = np.zeros(len(hi), np.int32 if base**span < 2**31 else np.int64)
+    for j in range(span, 0, -1):
+        digits = seg.take(at)
+        at += 1
+        if base == 10:
+            digits -= ord("0")
+        else:
+            digits = _digit_values().take(digits)
+        if j > shortest:
+            digits[count < j] = 0
+        if digits.max() >= base:
+            return None
+        value *= base
+        value += digits
+    return value
 
 
 def _read_rows(text: str) -> Grid:

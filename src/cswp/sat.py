@@ -46,6 +46,8 @@ class _ClauseSet:
     clauses: tuple = ()
 
     def __post_init__(self):
+        if type(self.num_vars) is not int:  # a bool is not a count
+            raise CswpError(f"number of variables {self.num_vars!r} is not an int")
         if self.num_vars < 0:
             raise CswpError(f"number of variables {self.num_vars} is negative")
         object.__setattr__(self, "clauses", tuple(map(tuple, self.clauses)))

@@ -6,7 +6,7 @@ import stat
 
 import pytest
 
-from cswp import analysis, cli, core, sat
+from cswp import analysis, cli, core, energy, sat
 from cswp.core import validate_program
 from cswp.energy import HEATMAP_STAGES
 from cswp.cli import main
@@ -143,6 +143,21 @@ class TestReductionCommands:
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == REDUCTION_DIGESTS[argv]
+
+    @pytest.mark.parametrize("command", ["reduce-maxsat", "reduce-sat-gap", "checksat-verify"])
+    @pytest.mark.parametrize("clause", ["-x3", "-3", "-x1 x2", "-x2,-x3"])
+    def test_clause_may_start_with_a_minus(self, capsys, command, clause):
+        # argparse would take a separate "-x3" for an option
+        argv = [command, "--vars", "3", "--clause", "x1"]
+        joined = run_cli(capsys, *argv, f"--clause={clause}")
+        assert joined[0] == 0 and joined[1]
+        assert run_cli(capsys, *argv, "--clause", clause) == joined
+
+    def test_option_after_clause_option_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["reduce-maxsat", "--vars", "3", "--clause", "-o", "x1"])
+        assert e.value.code == 2
+        assert "argument --clause: expected one argument" in capsys.readouterr().err
 
     def test_reduce_then_solve_matches_oracle_formula(self, capsys, tmp_path):
         out_path = tmp_path / "red.cswp"
@@ -768,6 +783,11 @@ def text_mode_read(path):
         raise core.CswpError(f"cannot read {path}: {e}") from None
 
 
+def text_mode_grid(path):
+    """How the grid at `path` read before files were read as bytes."""
+    return energy.measurements_from_csv(text_mode_read(path))
+
+
 def read_outcome(read, path):
     try:
         return read(path)
@@ -805,7 +825,30 @@ class TestReadAsBytes:
     def test_grid_matches_text_mode(self, capsys, workdir, monkeypatch, argv, edit):
         (workdir / "g.csv").write_bytes(edit((workdir / "g.csv").read_bytes()))
         direct = outcome(capsys, argv)
-        monkeypatch.setattr(cli, "_read_text", text_mode_read)
+        monkeypatch.setattr(cli, "_read_grid", text_mode_grid)
+        assert outcome(capsys, argv) == direct
+
+    @pytest.mark.parametrize("argv", [["fit", "g.csv"], ["heatmap", "g.csv", "--stage", "minus-out"]])
+    @pytest.mark.parametrize("edit, code, err", [
+        (lambda data: data.replace(b"\n", b"\r\n"), 0, ""),
+        (lambda data: b"\n".join(b",".join(b'"%s"' % f for f in line.split(b",")) if line else line
+                                 for line in data.split(b"\n")), 0, ""),
+        (lambda data: data[:60] + b"\xff" + data[60:], 1,
+         "error: cannot read g.csv: 'utf-8' codec can't decode byte 0xff in position 60: invalid start byte\n"),
+        (None, 1, "error: cannot read g.csv: [Errno 2] No such file or directory: 'g.csv'\n"),
+    ], ids=["crlf", "quoted", "non-utf8", "missing"])
+    def test_grid_bytes_hand_off(self, capsys, workdir, monkeypatch, argv, edit, code, err):
+        # the byte reader declines each of these files; what the commands
+        # print is what they print on the file's text-mode read
+        expected = outcome(capsys, argv)
+        path = workdir / "g.csv"
+        if edit is None:
+            path.unlink()
+        else:
+            path.write_bytes(edit(path.read_bytes()))
+        direct = outcome(capsys, argv)
+        assert direct == ((expected[0], expected[1], "") if code == 0 else (1, "", err))
+        monkeypatch.setattr(cli, "_read_grid", text_mode_grid)
         assert outcome(capsys, argv) == direct
 
     @pytest.mark.parametrize("argv", [["fit", "g.csv"], ["heatmap", "g.csv", "--stage", "residual"]])

@@ -392,7 +392,7 @@ CSV_MUTATIONS = [
     _in_field(lambda draw, f: draw(st.sampled_from([str(2**63 - 1), str(2**63), str(-2**63), hex(-2**63 - 1)])),
               fields=slice(0, 4)),
     _in_field(lambda draw, f: re.sub("[0-9]", "\u0663", f, count=1)),  # ARABIC-INDIC DIGIT THREE
-    # a hex digit in a decimal field: the byte reader's one digit table maps it below 16
+    # a hex digit in a decimal field
     _in_field(lambda draw, f: f + draw(st.sampled_from(["a", "F", "e"])), fields=slice(2, None)),
     # a literal every column accepts, at and just over the csv field limit
     _in_field(lambda draw, f: " " * (CSV_FIELD_LIMIT - 1 + draw(st.integers(0, 1))) + "1"),
@@ -425,7 +425,7 @@ def assert_reads_like_row_loop(case, rows):
         mp.setattr(energy, "CSV_CHUNK_ROWS", rows)
         got = read_outcome(measurements_from_csv, text)
         if not mutated:  # a generated grid always takes the byte path
-            assert energy._read_bytes(text) is not None
+            assert energy._read_bytes(text.encode()) is not None
     assert_same_outcome(got, read_outcome(energy._read_rows, text))
 
 
@@ -434,12 +434,16 @@ class TestCsvReader:
     columns, dtypes and signs, or the same error message."""
 
     @settings(max_examples=200, deadline=None)
-    @given(mutated_grid_csv(), st.sampled_from([1, 3, 7, 4096]))
+    @given(mutated_grid_csv(), st.sampled_from([1, 3, 7, 8192]))
     # a hex digit in each decimal field, which a random draw reaches only now and then
-    @example((HEADER + "0x1,0x2,2a,1,3.5\n", True), 4096)
-    @example((HEADER + "0x1,0x2,2,1F,3.5\n", True), 4096)
-    @example((HEADER + "0x1,0x2,2,1,3.5e\n", True), 4096)
-    @example((HEADER + "0x1,0x2,2,1,3e.5\n", True), 4096)
+    @example((HEADER + "0x1,0x2,2a,1,3.5\n", True), 8192)
+    @example((HEADER + "0x1,0x2,2,1F,3.5\n", True), 8192)
+    @example((HEADER + "0x1,0x2,2,1,3.5e\n", True), 8192)
+    @example((HEADER + "0x1,0x2,2,1,3e.5\n", True), 8192)
+    # ":" to "?" follow "9": a decimal digit less "0" is below 16 for them
+    @example((HEADER + "0x1,0x2,2:,1,3.5\n", True), 8192)
+    @example((HEADER + "0x1,0x2,2,1,3.?5\n", True), 8192)
+    @example((HEADER + "0x1,0x;,2,1,3.5\n", True), 8192)
     def test_matches_row_loop(self, case, rows):
         assert_reads_like_row_loop(case, rows)
 
@@ -449,13 +453,40 @@ class TestCsvReader:
     @given(data=st.data())
     def test_each_mutation_matches_row_loop(self, index, data):
         case = data.draw(mutated_grid_csv(CSV_MUTATIONS[index]))
-        assert_reads_like_row_loop(case, data.draw(st.sampled_from([1, 3, 7, 4096])))
+        assert_reads_like_row_loop(case, data.draw(st.sampled_from([1, 3, 7, 8192])))
+
+    # rows in the byte form whose fields differ in length within one chunk:
+    # 1 and 15 hex digits, counts of 1 and 18 digits, powers with 1 and 15
+    # places and 1 and 14 digits before the point
+    MIXED_ROWS = [
+        "0x1,0x000000000000001,1,123456789012345678,0.5",
+        "0x000000000000001,0XaBcDeF012345678,123456789012345678,1,-0.123456789012345",
+        "0xf,0x0,0,0,12345678901234.5",
+        "0x00,0x1,10,9,-7.0",
+    ]
+
+    @pytest.mark.parametrize("rows", [1, 3, 7, 8192])
+    def test_mixed_field_lengths_match_row_loop(self, rows):
+        lines = [self.MIXED_ROWS[k % 4] for k in range(11)]
+        assert_reads_like_row_loop((HEADER + "\n".join(lines) + "\n", False), rows)
+
+    # a row of five commas beside one of three: 4n commas in all, so only a
+    # check within each row rejects them; at index 2 and 6 the pair straddles the
+    # chunk boundaries of 3 and 7 rows
+    @pytest.mark.parametrize("rows", [1, 3, 7, 8192])
+    @pytest.mark.parametrize("at", [0, 2, 6])
+    def test_five_commas_beside_three_match_row_loop(self, rows, at):
+        lines = ["0x1,0x2,2,1,3.5"] * 9
+        lines[at:at + 2] = ["0x1,0x2,2,1,1,3.5", "0x1,0x2,2,3.5"]
+        text = HEADER + "\n".join(lines) + "\n"
+        assert energy._read_bytes(text.encode()) is None
+        assert_reads_like_row_loop((text, True), rows)
 
     @pytest.mark.parametrize("width", [7, 8])
     def test_full_grid_matches_row_loop(self, width):
         grid = gen_synthetic_grid(width, "sub", PAPER_MODEL, base=-30.0, noise_sigma=2.0, seed=width)
         text = measurements_to_csv(grid, width)
-        got = energy._read_bytes(text)
+        got = energy._read_bytes(text.encode())
         assert got is not None and len(got) > energy.CSV_CHUNK_ROWS
         assert np.signbit(got.power).any() and not np.signbit(got.power).all()
         assert_same_outcome(got, energy._read_rows(text))
@@ -472,12 +503,13 @@ class TestCsvReader:
         (HEADER + "0x1,0x2,2,1,1e3\n", False),
         (HEADER + "0b10,0o17,2,1,1.0\n", False),
         (HEADER + "0x1,0x1,1\n1,1.0,0x1,0x1,1,1,1.0\n", False),  # 3 and 7 fields
+        (HEADER + "0x1,0x1,1,1,1,1,1,1,1.0\n\n", False),  # 9 fields and a blank line
         (HEADER, True),
         (HEADER.rstrip("\n"), True),
         (HEADER + "0x1,0x2,2,1,1.5\n0x0,0xf,4,0,-2.25", True),  # no final newline
     ])
     def test_form_boundary_matches_row_loop(self, text, fast):
-        assert (energy._read_bytes(text) is not None) == fast
+        assert (energy._read_bytes(text.encode()) is not None) == fast
         assert_same_outcome(read_outcome(measurements_from_csv, text), read_outcome(energy._read_rows, text))
 
     @settings(max_examples=200, deadline=None)
@@ -491,7 +523,7 @@ class TestCsvReader:
             whole, frac = divmod(n, 10**places)
             powers.append(f"{'-' * negative}{whole}.{frac:0{places}d}")
         text = HEADER + "".join(f"0x0,0x0,0,0,{p}\n" for p in powers)
-        got = energy._read_bytes(text)
+        got = energy._read_bytes(text.encode())
         assert got is not None
         assert got.power.tolist() == [float(p) for p in powers]
         assert np.signbit(got.power).tolist() == [p.startswith("-") for p in powers]
@@ -528,7 +560,7 @@ class TestCsvFormatter:
             assert energy._lines(fixed, b"\n").decode().split("\n")[:-1] == ["%.6f" % v for v in values]
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(FIXED6_VALUES, min_size=1, max_size=12), st.integers(1, 4), st.sampled_from([1, 3, 4096]))
+    @given(st.lists(FIXED6_VALUES, min_size=1, max_size=12), st.integers(1, 4), st.sampled_from([1, 3, 8192]))
     def test_heatmap_csv_matches_percent(self, values, n_cols, rows):
         matrix = np.array(values * n_cols).reshape(-1, n_cols)
         with pytest.MonkeyPatch.context() as mp:
@@ -539,7 +571,7 @@ class TestCsvFormatter:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62), st.integers(-1, 2**62),
                               st.integers(0, 99), FIXED6_VALUES), min_size=1, max_size=12),
-           st.integers(1, 64), st.sampled_from([1, 3, 4096]))
+           st.integers(1, 64), st.sampled_from([1, 3, 8192]))
     def test_measurement_csv_matches_percent(self, rows, width, chunk):
         grid = make_grid(rows)
         with pytest.MonkeyPatch.context() as mp:

@@ -478,3 +478,9 @@ class TestLiterals:
         for cls in (SatInstance, MaxSat2Instance):
             with pytest.raises(CswpError, match="bad literal"):
                 cls(1, [[lit]])
+
+    @pytest.mark.parametrize("num_vars, shown", [(2.5, "2.5"), (True, "True"), ("3", "'3'")])
+    def test_num_vars_must_be_an_int(self, num_vars, shown):
+        for cls in (SatInstance, MaxSat2Instance):
+            with pytest.raises(CswpError, match=re.escape(f"number of variables {shown} is not an int")):
+                cls(num_vars, [[1]])
