@@ -106,14 +106,22 @@ def _render_report(pairs: list[str], fmt: str) -> str:
     return "".join(p + "\n" for p in pairs)
 
 
-def _parse_assignment(pairs: list[str]) -> dict[str, int]:
+def _parse_assignment(pairs: list[str], program: Program) -> dict[str, int]:
+    """The assignment of the --input NAME=VALUE pairs. NAME is the free
+    input of that name if `program` declares one, else NAME without a
+    leading "free" (the form `solve` prints); naming an input both ways is
+    an error."""
+    declared = {name for name, _ in program.free_inputs}
     assignment = {}
     for pair in pairs:
-        name, sep, value = pair.partition("=")
+        key, sep, value = pair.partition("=")
         if not sep:
             raise CswpError(f"bad --input {pair!r}, want name=value")
-        if name.startswith("free"):
-            name = name[4:]
+        name = key[4:] if key.startswith("free") else key
+        if key in declared:
+            if name != key and name in declared:
+                raise CswpError(f"--input {key!r} names both free input {key!r} and free input {name!r}")
+            name = key
         if name in assignment:
             raise CswpError(f"--input names {name!r} twice")
         try:
@@ -136,7 +144,8 @@ def _instance_from_args(args, cls):
 # command returns its text
 
 def _cmd_run(args) -> tuple[list[str], int]:
-    trace = execute(_program(args), _parse_assignment(args.input))
+    program = _program(args)
+    trace = execute(program, _parse_assignment(args.input, program))
     pairs = [f"o{i + 1}=0x{v:x}" for i, v in enumerate(trace.outputs)]
     pairs += [f"transition.{i + 1}={t}" for i, t in enumerate(trace.transitions)]
     pairs.append(f"total={sum(trace.transitions)}")
@@ -236,7 +245,7 @@ def _cmd_heatmap(args) -> str:
 def _cmd_energy(args) -> tuple[list[str], int]:
     program = _program(args)
     model = energy.load_model(args.model)
-    trace = execute(program, _parse_assignment(args.input))
+    trace = execute(program, _parse_assignment(args.input, program))
     nj = energy.trace_energy(trace, model, include_input_term=args.input_term)
     return [
         f"switching={sum(trace.transitions)}",

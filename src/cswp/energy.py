@@ -189,7 +189,13 @@ def gen_synthetic_grid(
     result = core.vector_ops(width)[mnemonic](a, b)
     h_in = np.bitwise_count(a).astype(np.int64) + np.bitwise_count(b)
     h_out = np.bitwise_count(result).astype(np.int64)
-    power = base + model.c_in * h_in + model.c_out * h_out + noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = base + model.c_in * h_in + model.c_out * h_out + noise
+    finite = np.isfinite(power)
+    if not finite.all():
+        k = int(finite.argmin())
+        raise CswpError(f"grid power {power[k]} at operands (0x{int(a[k]):x}, 0x{int(b[k]):x}) is not finite: "
+                        "the base, coefficients or noise sigma are too large")
     return Grid(a.astype(np.int64), b.astype(np.int64), h_in, h_out, power)
 
 
@@ -204,14 +210,15 @@ def fit_hamming_model(grid: Grid) -> FitResult:
     design[:, 0] = 1.0
     design[:, 1] = grid.h_in
     design[:, 2] = grid.h_out
-    if np.linalg.matrix_rank(design) < 3:
+    # rcond=None counts the singular values above eps * max(M, N) * the
+    # largest, as matrix_rank does, so the one factorisation gives both
+    coef, _, rank, _ = np.linalg.lstsq(design, power, rcond=None)
+    if rank < 3:
         if np.ptp(grid.h_in) == 0:
             raise FitRankError("design matrix rank deficient: h_in is constant")
         if np.ptp(grid.h_out) == 0:
             raise FitRankError("design matrix rank deficient: h_out is constant")
         raise FitRankError("design matrix rank deficient: h_in and h_out are collinear")
-
-    coef, _, _, _ = np.linalg.lstsq(design, power, rcond=None)
     base, c_in, c_out = (float(c) for c in coef)
     residuals = power - design @ coef
     return FitResult(
@@ -270,6 +277,14 @@ def _digit_values() -> np.ndarray:
     return np.array([int(chr(b), 16) if chr(b) in "0123456789abcdefABCDEF" else 255 for b in range(256)], np.uint8)
 
 
+@functools.cache
+def _three_digits() -> np.ndarray:
+    """The "%03d" text of 0..999 as ASCII bytes, one column per value."""
+    import numpy as np
+
+    return np.frombuffer(b"".join(b"%03d" % k for k in range(1000)), np.uint8).reshape(1000, 3).T.copy()
+
+
 def _digits(values: np.ndarray, base: int, min_digits: int) -> np.ndarray:
     """The ASCII digits of non-negative `values` in `base`, one column per
     value, with NUL for the leading zeros left of `min_digits` digits."""
@@ -291,7 +306,8 @@ def _digits(values: np.ndarray, base: int, min_digits: int) -> np.ndarray:
 
 def _fixed6(x: np.ndarray) -> np.ndarray | None:
     """The "%.6f" text of each value as one NUL-padded column of ASCII bytes,
-    or None if a value is not finite or |x| * 1e6 >= 2**52.
+    or None if a value is not finite or |x| * 1e6 >= 2**52. The first row is
+    the sign, "-" or NUL, only where some value has its sign bit set.
 
     rint(x * 1e6) rounds as "%.6f" does unless the product lies within its
     own rounding error of a half; those few values take their digits from
@@ -307,9 +323,13 @@ def _fixed6(x: np.ndarray) -> np.ndarray | None:
     for k in np.flatnonzero(near_half):
         units[k] = int(("%.6f" % abs(float(x[k]))).replace(".", ""))
     whole, frac = np.divmod(units, 10**6)
-    sign = np.where(np.signbit(x), ord("-"), 0).astype(np.uint8)
-    point = np.full(len(x), ord("."), np.uint8)
-    return np.concatenate([sign[None], _digits(whole, 10, 1), point[None], _digits(frac, 10, 6)])
+    high, low = np.divmod(frac, 1000)
+    rows = [_digits(whole, 10, 1), np.full((1, len(x)), ord("."), np.uint8),
+            _three_digits().take(high, 1), _three_digits().take(low, 1)]
+    negative = np.signbit(x)
+    if negative.any():
+        rows.insert(0, np.where(negative, ord("-"), 0).astype(np.uint8)[None])
+    return np.concatenate(rows)
 
 
 def _lines(*columns: np.ndarray | bytes) -> bytes:
@@ -322,7 +342,7 @@ def _lines(*columns: np.ndarray | bytes) -> bytes:
         c if isinstance(c, np.ndarray) else np.broadcast_to(np.frombuffer(c, np.uint8)[:, None], (len(c), rows))
         for c in columns
     ])
-    return block.T.tobytes().replace(b"\0", b"")
+    return block.T.tobytes().replace(b"\0", b"")  # with no NUL: one scan, no copy
 
 
 def measurements_to_csv(grid: Grid, width: int) -> str:
@@ -530,7 +550,8 @@ def heatmap_matrix(grid: Grid, stage: str, c_in: float, c_out: float) -> np.ndar
         raise CswpError(f"need a full {size}x{size} grid, got {len(grid)} rows")
     import numpy as np
 
-    counts = np.bincount(grid.op_a * size + grid.op_b, minlength=size * size)
+    key = grid.op_a * size + grid.op_b
+    counts = np.bincount(key, minlength=size * size)
     if counts.max() > 1:  # with size*size rows, a repeated pair means a missing one
         a, b = divmod(int(counts.argmax()), size)
         raise CswpError(f"grid pair (0x{a:x}, 0x{b:x}) appears {counts.max()} times, want once")
@@ -540,7 +561,7 @@ def heatmap_matrix(grid: Grid, stage: str, c_in: float, c_out: float) -> np.ndar
     if stage in ("minus-in", "residual"):
         value = value - c_in * grid.h_in
     matrix = np.empty((size, size))
-    matrix[grid.op_a, grid.op_b] = value
+    matrix.ravel()[key] = value  # a view: matrix is C-contiguous
     return matrix
 
 

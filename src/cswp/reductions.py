@@ -227,10 +227,10 @@ def reduce_sat_gap(instance: SatInstance, width: int = 8, factor=1) -> GapProgra
     from fractions import Fraction  # with `decimal`, a few ms that no other command pays
 
     try:
-        factor = Fraction(factor)
+        exact = Fraction(factor)
     except (ValueError, OverflowError):  # NaN or an infinity
         raise CswpError(f"gap factor {factor} must be finite") from None
-    if factor < 1:
+    if exact < 1:
         raise CswpError(f"gap factor {factor} must be >= 1")
 
     # decision phase: store inputs, evaluate clauses, widen to a bit pattern
@@ -239,7 +239,7 @@ def reduce_sat_gap(instance: SatInstance, width: int = 8, factor=1) -> GapProgra
     bit_pattern = _emit(insns, "ite", result, Const((1 << width) - 1), zero)
     decision_len = len(insns)
 
-    reps = math.ceil(factor * decision_len / 2) + 1
+    reps = math.ceil(exact * decision_len / 2) + 1
     if 2 * reps > MAX_SWITCHING_LEN:
         raise CswpError(f"gap factor too large: the switching phase would exceed "
                         f"{MAX_SWITCHING_LEN} instructions")

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import os
 import random
+import re
 import stat
 
 import pytest
@@ -409,6 +410,29 @@ class TestMalformedInput:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, err", [
+        (["reduce-sat-gap", "--vars", "1", "--clause", "x1", "--factor", "0.5"],
+         "error: gap factor 0.5 must be >= 1\n"),
+        (["reduce-sat-gap", "--vars", "1", "--clause", "x1", "--factor", "1e-300"],
+         "error: gap factor 1e-300 must be >= 1\n"),
+        (["reduce-sat-gap", "--vars", "1", "--clause", "x1", "--factor=-inf"],
+         "error: gap factor -inf must be finite\n"),
+    ])
+    def test_factor_named_as_given(self, capsys, argv, err):
+        assert run_cli(capsys, *argv) == (1, "", err)
+
+    @pytest.mark.filterwarnings("error")  # no overflow warning either
+    @pytest.mark.parametrize("options", [
+        ["--width", "1", "--base", "1e308", "--c-out", "1e308"],
+        ["--width", "4", "--sigma", "1e308"],  # at seed 0, a noise draw is -inf
+    ])
+    def test_gen_grid_non_finite_power(self, capsys, tmp_path, options):
+        code, out, err = run_cli(capsys, "gen-grid", "--op", "add", *options, "-o", str(tmp_path / "g.csv"))
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: grid power -?inf at operands \(0x[0-9a-f]+, 0x[0-9a-f]+\) is not finite: "
+                            r"the base, coefficients or noise sigma are too large\n", err)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["solve", "x"],
         ["run", "x"],
@@ -475,6 +499,51 @@ class TestValidation:
         monkeypatch.chdir(tmp_path)
         assert run_cli(capsys, *argv) == (
             1, "", "error: invalid program: instruction 0: forward or self reference to o5\n")
+
+
+class TestInputNames:
+    """An --input key names the declared free input of that name, else the
+    one named by the key less a leading "free"; a key that names inputs
+    both ways is an error."""
+
+    # operands always carry the "free" prefix: freefreeze is the input "freeze"
+    PROGRAM = ("width 4\nfree free full\nfree freeze full\nfree full full\n"
+               "o1: add freefree, freefreeze\no2: xor o1, freefull\n")
+
+    def run(self, capsys, tmp_path, command, program, pairs):
+        path = tmp_path / "p.cswp"
+        path.write_text(program)
+        return run_cli(capsys, command, str(path), *(arg for pair in pairs for arg in ("--input", pair)))
+
+    @pytest.mark.parametrize("command", ["run", "energy"])
+    @pytest.mark.parametrize("pairs", [
+        ["freeze=3", "free=1", "full=2"],
+        ["freefreeze=3", "freefree=1", "freefull=2"],
+        ["full=2", "freefree=0x1", "freeze=3"],
+    ])
+    def test_declared_names_resolve(self, capsys, tmp_path, command, pairs):
+        want = self.run(capsys, tmp_path, command, self.PROGRAM, ["freefreeze=3", "freefree=1", "freefull=2"])
+        assert self.run(capsys, tmp_path, command, self.PROGRAM, pairs) == want
+        if command == "run":
+            assert want == (0, "o1=0x4\no2=0x6\ntransition.1=1\ntotal=1\n", "")
+
+    @pytest.mark.parametrize("command", ["run", "energy"])
+    @pytest.mark.parametrize("program, pairs, err", [
+        (PROGRAM.replace("o1:", "free ze full\no1:"), ["freeze=3", "free=1", "full=2", "ze=4"],
+         "--input 'freeze' names both free input 'freeze' and free input 'ze'"),
+        (PROGRAM, ["freeze=1", "freefreeze=2", "free=1", "full=2"], "--input names 'freeze' twice"),
+        (PROGRAM, ["freefree=1", "free=2", "freeze=3", "full=2"], "--input names 'free' twice"),
+        (PROGRAM, ["freeze=x", "free=1", "full=2"], "bad input value 'x' for 'freeze'"),
+        (PROGRAM, ["freeze=3", "free=1", "full=2", "freebogus=1"], "assignment names undeclared free input 'bogus'"),
+    ], ids=["both-readings", "freeze-twice", "free-twice", "bad-value", "undeclared"])
+    def test_error_names_the_inputs(self, capsys, tmp_path, command, program, pairs, err):
+        assert self.run(capsys, tmp_path, command, program, pairs) == (1, "", f"error: {err}\n")
+
+    @pytest.mark.parametrize("command", ["run", "energy"])
+    def test_name_with_or_without_prefix(self, capsys, tmp_path, command):
+        code, out, _ = self.run(capsys, tmp_path, command, DOUBLING, ["free0=1"])
+        assert code == 0
+        assert self.run(capsys, tmp_path, command, DOUBLING, ["0=1"]) == (0, out, "")
 
 
 class TestParserReuse:

@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -121,6 +122,17 @@ class TestSyntheticGrid:
         with pytest.raises(CswpError):
             gen_synthetic_grid(9, "add", PAPER_MODEL, base=0.0)
 
+    @pytest.mark.parametrize("model, base, sigma", [
+        (EnergyModel(p_idle_single=0.0, c_in=0.0, c_out=1e308), 1e308, 0.0),  # the terms' sum overflows
+        (PAPER_MODEL, 0.0, 1e308),  # at seed 0, a noise draw at width 4 is -inf
+    ])
+    def test_non_finite_power_rejected(self, model, base, sigma):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no overflow warning on the way
+            with pytest.raises(CswpError, match=r"^grid power -?inf at operands \(0x[0-9a-f]+, 0x[0-9a-f]+\) "
+                                                r"is not finite"):
+                gen_synthetic_grid(4, "add", model, base=base, noise_sigma=sigma, seed=0)
+
     def test_unary_mnemonics_rejected(self):
         with pytest.raises(CswpError):
             gen_synthetic_grid(4, "mov", PAPER_MODEL, base=0.0)
@@ -173,6 +185,38 @@ class TestFit:
     def test_too_few_points(self):
         with pytest.raises(CswpError):
             fit_hamming_model(make_grid([(0, 0, 0, 0, 1.0)] * 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 12).flatmap(lambda n: st.tuples(
+        st.one_of(st.integers(0, 16).map(lambda c: [c] * n), st.lists(st.integers(0, 16), min_size=n, max_size=n)),
+        st.one_of(st.just(None), st.tuples(st.integers(-3, 3), st.integers(0, 16)),
+                  st.lists(st.integers(0, 16), min_size=n, max_size=n)),
+        st.lists(st.floats(-100.0, 100.0), min_size=n, max_size=n))))
+    @example(([2, 2, 2], None, [1.0, 2.0, 3.0]))
+    @example(([0, 1, 2, 3], (0, 5), [1.0, 2.0, 3.0, 4.0]))
+    @example(([0, 1, 2, 3], (2, 1), [1.0, 2.0, 3.0, 4.0]))
+    @example(([0, 1, 0, 1], [0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0]))
+    def test_rank_error_where_matrix_rank_is_short(self, case):
+        # h_in is constant or free; h_out is free, an affine image k*h_in + m
+        # of h_in (constant for k = 0), or, for None, h_in itself
+        h_in, h_out, power = case
+        if h_out is None:
+            h_out = h_in
+        elif isinstance(h_out, tuple):
+            h_out = [h_out[0] * h + h_out[1] for h in h_in]
+        grid = make_grid(list(zip([0] * len(h_in), [0] * len(h_in), h_in, h_out, power)))
+        design = np.column_stack([np.ones(len(h_in)), h_in, h_out])
+        if np.linalg.matrix_rank(design) == 3:
+            fit_hamming_model(grid)
+            return
+        if len(set(h_in)) == 1:
+            message = "h_in is constant"
+        elif len(set(h_out)) == 1:
+            message = "h_out is constant"
+        else:
+            message = "h_in and h_out are collinear"
+        with pytest.raises(FitRankError, match=f"^design matrix rank deficient: {message}$"):
+            fit_hamming_model(grid)
 
 
 class TestPredictAndEnergy:
@@ -542,10 +586,41 @@ FIXED6_VALUES = st.one_of(
 )
 
 
-def percent_measurement_csv(grid, width):
+# The writers' three routes through `_fixed6` and `_lines`: non-negative
+# values whose whole parts all have one digit count (no sign row, and no NUL
+# to strip), exactly one value with its sign bit set (a sign row), and -0.0
+# alone (a sign row for a value that is not below zero).
+SAME_DIGIT_COUNT = st.integers(1, 6).flatmap(lambda d: st.lists(
+    st.integers(10 ** (d - 1) * 10**6 if d > 1 else 0, 10**d * 10**6 - 1).map(lambda units: units / 1e6),
+    min_size=1, max_size=12))
+ONE_NEGATIVE = st.tuples(st.lists(FIXED6_VALUES.map(abs), max_size=11), st.integers(0, 11),
+                         FIXED6_VALUES.map(lambda v: -abs(v))).map(
+    lambda case: case[0][:case[1]] + [case[2]] + case[0][case[1]:])
+WRITER_ROUTES = st.one_of(SAME_DIGIT_COUNT, ONE_NEGATIVE, st.just([-0.0]))
+ROUTE_EXAMPLES = ([1.5, 2.25, 9.999999], [12.5, 99.0, 10.000001], [123456.5, 999999.999999],
+                  [1.5, -0.25, 12.0], [-7.5], [0.0, 5e-7, -4e-7], [-0.0])
+
+
+def assert_heatmap_csv_matches_percent(values, n_cols, rows):
+    """heatmap_to_csv at `rows` rows a chunk on `values` repeated in each of
+    `n_cols` columns, against "%.6f"."""
+    matrix = np.array(values * n_cols).reshape(-1, n_cols)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "CSV_CHUNK_ROWS", rows)
+        got = heatmap_to_csv(matrix)
+    assert got == "".join(",".join("%.6f" % v for v in row) + "\n" for row in matrix.tolist())
+
+
+def assert_measurement_csv_matches_percent(rows, width, chunk):
+    """measurements_to_csv at `chunk` rows a chunk on the grid of `rows`,
+    against "%"."""
+    grid = make_grid(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "CSV_CHUNK_ROWS", chunk)
+        got = measurements_to_csv(grid, width)
     digits = max(1, (width + 3) // 4)
     line = f"0x%0{digits}x,0x%0{digits}x,%d,%d,%.6f\n"
-    return HEADER + "".join(line % row for row in zip(*(c.tolist() for c in columns(grid))))
+    assert got == HEADER + "".join(line % row for row in zip(*(c.tolist() for c in columns(grid))))
 
 
 class TestCsvFormatter:
@@ -562,22 +637,59 @@ class TestCsvFormatter:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(FIXED6_VALUES, min_size=1, max_size=12), st.integers(1, 4), st.sampled_from([1, 3, 8192]))
     def test_heatmap_csv_matches_percent(self, values, n_cols, rows):
-        matrix = np.array(values * n_cols).reshape(-1, n_cols)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(energy, "CSV_CHUNK_ROWS", rows)
-            got = heatmap_to_csv(matrix)
-        assert got == "".join(",".join("%.6f" % v for v in row) + "\n" for row in matrix.tolist())
+        assert_heatmap_csv_matches_percent(values, n_cols, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(WRITER_ROUTES)
+    @example(ROUTE_EXAMPLES[0])
+    @example(ROUTE_EXAMPLES[3])
+    @example(ROUTE_EXAMPLES[6])
+    def test_fixed6_sign_row_only_for_a_sign_bit(self, values):
+        fixed = energy._fixed6(np.array(values))
+        if fixed is None:
+            return
+        lengths = {len("%.6f" % abs(v)) for v in values}
+        signs = {math.copysign(1.0, v) < 0 for v in values}
+        assert len(fixed) == max(lengths) + (True in signs)
+        assert (fixed != 0).all() == (len(lengths) == 1 and len(signs) == 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(WRITER_ROUTES, st.integers(1, 4), st.sampled_from([1, 3, 8192]))
+    @example(ROUTE_EXAMPLES[0], 1, 1)
+    @example(ROUTE_EXAMPLES[1], 2, 3)
+    @example(ROUTE_EXAMPLES[2], 1, 8192)
+    @example(ROUTE_EXAMPLES[3], 1, 1)
+    @example(ROUTE_EXAMPLES[3], 3, 3)
+    @example(ROUTE_EXAMPLES[4], 2, 8192)
+    @example(ROUTE_EXAMPLES[5], 1, 3)
+    @example(ROUTE_EXAMPLES[6], 1, 1)
+    @example(ROUTE_EXAMPLES[6], 4, 8192)
+    def test_heatmap_csv_routes_match_percent(self, values, n_cols, rows):
+        assert_heatmap_csv_matches_percent(values, n_cols, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(WRITER_ROUTES, st.integers(1, 64), st.sampled_from([1, 3, 8192]))
+    @example(ROUTE_EXAMPLES[0], 8, 1)
+    @example(ROUTE_EXAMPLES[1], 1, 3)
+    @example(ROUTE_EXAMPLES[3], 4, 8192)
+    @example(ROUTE_EXAMPLES[4], 64, 1)
+    @example(ROUTE_EXAMPLES[6], 1, 3)
+    @example(ROUTE_EXAMPLES[6], 16, 8192)
+    def test_measurement_csv_routes_match_percent(self, powers, width, chunk):
+        # operands of exactly the written digit count and one-digit Hamming
+        # counts, so that only the power decides the sign row and the strip
+        digits = max(1, (width + 3) // 4)
+        low = 16 ** (digits - 1) if digits > 1 else 0
+        rows = [(low + 7919 * k % (16**digits - low), low + 104729 * k % (16**digits - low), k % 10, 9 - k % 10, p)
+                for k, p in enumerate(powers)]
+        assert_measurement_csv_matches_percent(rows, width, chunk)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62), st.integers(-1, 2**62),
                               st.integers(0, 99), FIXED6_VALUES), min_size=1, max_size=12),
            st.integers(1, 64), st.sampled_from([1, 3, 8192]))
     def test_measurement_csv_matches_percent(self, rows, width, chunk):
-        grid = make_grid(rows)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(energy, "CSV_CHUNK_ROWS", chunk)
-            got = measurements_to_csv(grid, width)
-        assert got == percent_measurement_csv(grid, width)
+        assert_measurement_csv_matches_percent(rows, width, chunk)
 
 
 class TestModelLoading:
