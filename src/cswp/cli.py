@@ -358,12 +358,83 @@ def _is_clause(token: str) -> bool:
     return True
 
 
+_PLAIN_KINDS = (argparse._StoreAction, argparse._AppendAction)
+
+
+def _plain_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace `parser.parse_known_args(argv)` returns, built straight
+    from the parser's own actions when argv is in the plain form, or None.
+
+    In the plain form every token that starts with "-" is one of the
+    parser's option strings, spelled out in full; a store or append option
+    takes the next token, which does not start with "-", as its one value; a
+    store_true option takes none; the other tokens, the positionals, form
+    one run, which the positional actions take in order, one token each or
+    the rest for a "*"; and every required option is given. Values pass
+    through argparse's own type conversion and choices check, and each
+    action sets the namespace itself, so a repeated store option keeps its
+    last value and an append option extends a copy of its default."""
+    args = argparse.Namespace()
+    for action in parser._actions:  # the defaults, as parse_known_args sets them
+        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS \
+                and not hasattr(args, action.dest):
+            setattr(args, action.dest, action.default)
+    for dest, value in parser._defaults.items():
+        if not hasattr(args, dest):
+            setattr(args, dest, value)
+    given, run, run_over = set(), [], False
+    tokens = iter(argv)
+    try:
+        for token in tokens:
+            if token[:1] != "-":
+                if run_over:
+                    return None
+                run.append(token)
+                continue
+            run_over = bool(run)
+            action = parser._option_string_actions.get(token)
+            if type(action) is argparse._StoreTrueAction:
+                value = None
+            elif type(action) in _PLAIN_KINDS and action.nargs is None:
+                value = next(tokens, "-")
+                if value[:1] == "-":
+                    return None
+                parser._check_value(action, value := parser._get_value(action, value))
+            else:
+                return None
+            action(parser, args, value, token)
+            given.add(action)
+        taken = 0  # tokens of the run the positionals have taken
+        for action in parser._actions:
+            if action.option_strings:
+                if action in given:
+                    continue
+                if action.required:
+                    return None
+                if isinstance(action.default, str) and getattr(args, action.dest, None) is action.default:
+                    setattr(args, action.dest, parser._get_value(action, action.default))
+            elif type(action) is not argparse._StoreAction:
+                return None
+            elif action.nargs == "*":
+                action(parser, args, parser._get_values(action, run[taken:]))
+                taken = len(run)
+            elif action.nargs is None and taken < len(run):
+                parser._check_value(action, value := parser._get_value(action, run[taken]))
+                action(parser, args, value)
+                taken += 1
+            else:
+                return None
+    except argparse.ArgumentError:
+        return None
+    return args if taken == len(run) else None
+
+
 def _parse_args(argv: list[str]) -> argparse.Namespace:
     """The parsed arguments of `argv`. argv that starts with a subcommand
-    goes straight to that subcommand's parser, the one the full parser hands
-    the rest of argv to, so it is parsed once rather than twice; the full
-    parser takes any other argv, and argv that leaves arguments over, so
-    its usage text and errors are unchanged.
+    and is in the plain form is parsed by `_plain_args` from that
+    subcommand's parser, the one the full parser hands the rest of argv to;
+    the full parser takes any other argv, so its usage text, errors and exit
+    code 2 are argparse's.
 
     argparse takes a value that starts with "-" for an option, so a
     `--clause` followed by a clause such as `-x3` is first joined into
@@ -377,11 +448,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     argv = joined
     parser = _build_parser()
     command = parser.subcommands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extras = command.parse_known_args(argv[1:])
-        if not extras:
-            return args
-    return parser.parse_args(argv)
+    args = None if command is None else _plain_args(command, argv[1:])
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv=None) -> int:

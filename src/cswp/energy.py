@@ -142,7 +142,7 @@ def summarize_power(p_tdual: float, test_powers: Sequence[float]) -> PowerSummar
             f"a test power equals half the dual-core idle power ({p_tsingle:g} mW), "
             "so its dynamic share is undefined"
         )
-    return PowerSummary(
+    summary = PowerSummary(
         p_tdual=p_tdual,
         p_tsingle=p_tsingle,
         p_dmin=p_dmin,
@@ -151,6 +151,11 @@ def summarize_power(p_tdual: float, test_powers: Sequence[float]) -> PowerSummar
         pct_min=p_dmin / (p_tsingle + p_dmin),
         pct_max=p_dmax / (p_tsingle + p_dmax),
     )
+    for item in fields(summary):
+        value = getattr(summary, item.name)
+        if not math.isfinite(value):
+            raise CswpError(f"power summary {item.name} {value} is not finite: the powers are too large")
+    return summary
 
 
 GRID_MNEMONICS = ("add", "sub", "and", "or", "xor", "shl", "shr")
@@ -212,22 +217,22 @@ def fit_hamming_model(grid: Grid) -> FitResult:
     design[:, 2] = grid.h_out
     # rcond=None counts the singular values above eps * max(M, N) * the
     # largest, as matrix_rank does, so the one factorisation gives both
-    coef, _, rank, _ = np.linalg.lstsq(design, power, rcond=None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coef, _, rank, _ = np.linalg.lstsq(design, power, rcond=None)
+        residuals = power - design @ coef
+        mean_abs_error = float(np.mean(np.abs(residuals)))
     if rank < 3:
         if np.ptp(grid.h_in) == 0:
             raise FitRankError("design matrix rank deficient: h_in is constant")
         if np.ptp(grid.h_out) == 0:
             raise FitRankError("design matrix rank deficient: h_out is constant")
         raise FitRankError("design matrix rank deficient: h_in and h_out are collinear")
-    base, c_in, c_out = (float(c) for c in coef)
-    residuals = power - design @ coef
-    return FitResult(
-        base=base,
-        c_in=c_in,
-        c_out=c_out,
-        mean_abs_error=float(np.mean(np.abs(residuals))),
-        residuals=residuals,
-    )
+    fit = FitResult(*(float(c) for c in coef), mean_abs_error, residuals)
+    for name in ("base", "c_in", "c_out", "mean_abs_error"):
+        value = getattr(fit, name)
+        if not math.isfinite(value):
+            raise CswpError(f"fit {name} {value} is not finite: the grid's powers are too large")
+    return fit
 
 
 def trace_energy(trace: ExecutionTrace, model: EnergyModel, include_input_term: bool = False) -> float:
@@ -237,6 +242,8 @@ def trace_energy(trace: ExecutionTrace, model: EnergyModel, include_input_term: 
     on the operand buses, assuming a bus holds its last driven value until
     the next instruction drives it."""
     period_s = 1.0 / model.f
+    if not math.isfinite(period_s):
+        raise CswpError(f"clock period {period_s} s of f {model.f} Hz is not finite")
 
     bus = [0, 0, 0]
     total_mw_cycles = 0.0
@@ -250,7 +257,10 @@ def trace_energy(trace: ExecutionTrace, model: EnergyModel, include_input_term: 
             if include_input_term:
                 p += model.c_in * d
             total_mw_cycles += p
-    return total_mw_cycles * period_s * 1e6  # mW*s -> nJ
+    nj = total_mw_cycles * period_s * 1e6  # mW*s -> nJ
+    if not math.isfinite(nj):
+        raise CswpError(f"trace energy {nj} nJ is not finite: the model's coefficients are too large")
+    return nj
 
 
 # ---------------------------------------------------------------------------
@@ -556,12 +566,18 @@ def heatmap_matrix(grid: Grid, stage: str, c_in: float, c_out: float) -> np.ndar
         a, b = divmod(int(counts.argmax()), size)
         raise CswpError(f"grid pair (0x{a:x}, 0x{b:x}) appears {counts.max()} times, want once")
     value = grid.power
-    if stage in ("minus-out", "residual"):
-        value = value - c_out * grid.h_out
-    if stage in ("minus-in", "residual"):
-        value = value - c_in * grid.h_in
+    with np.errstate(over="ignore", invalid="ignore"):
+        if stage in ("minus-out", "residual"):
+            value = value - c_out * grid.h_out
+        if stage in ("minus-in", "residual"):
+            value = value - c_in * grid.h_in
     matrix = np.empty((size, size))
     matrix.ravel()[key] = value  # a view: matrix is C-contiguous
+    finite = np.isfinite(matrix)
+    if not finite.all():
+        a, b = divmod(int(finite.argmin()), size)
+        raise CswpError(f"heatmap {stage} value {matrix[a, b]} at operands (0x{a:x}, 0x{b:x}) is not finite: "
+                        "the coefficients are too large")
     return matrix
 
 

@@ -1,11 +1,16 @@
 import argparse
+import contextlib
+import functools
 import hashlib
+import io
 import os
 import random
 import re
+import shlex
 import stat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cswp import analysis, cli, core, energy, sat
 from cswp.core import validate_program
@@ -433,6 +438,35 @@ class TestMalformedInput:
                             r"the base, coefficients or noise sigma are too large\n", err)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.filterwarnings("error")  # no overflow warning either
+    @pytest.mark.parametrize("files, argv, err", [
+        ({"p.cswp": DOUBLING, "m.json": '{"p_idle_single_mw": 1, "c_in_mw": 1, "c_out_mw": 1, "f_hz": 1e-320}'},
+         ["energy", "p.cswp", "--input", "free0=1", "--model", "m.json"],
+         "error: clock period inf s of f 1e-320 Hz is not finite\n"),
+        ({"p.cswp": DOUBLING, "m.json": '{"p_idle_single_mw": 1e308, "c_in_mw": 1e308, "c_out_mw": 1e308}'},
+         ["energy", "p.cswp", "--input", "free0=1", "--model", "m.json", "--input-term"],
+         "error: trace energy inf nJ is not finite: the model's coefficients are too large\n"),
+        ({}, ["summarize-power", "--tdual=-1.7e308", "1.7e308"],
+         "error: power summary p_dmin inf is not finite: the powers are too large\n"),
+        ({"g.csv": GRID_HEADER + "0x0,0x0,0,0,1e308\n0x0,0x1,1,1,1.7e308\n0x1,0x0,1,1,-1.7e308\n0x1,0x1,2,1,1\n"},
+         ["fit", "g.csv"],
+         "error: fit mean_abs_error inf is not finite: the grid's powers are too large\n"),
+        ({"g.csv": GRID_HEADER + GRID_2X2}, ["heatmap", "g.csv", "--stage", "residual", "--c-in", "1e308",
+                                             "--c-out", "1e308"],
+         "error: heatmap residual value -inf at operands (0x0, 0x1) is not finite: "
+         "the coefficients are too large\n"),
+        ({"g.csv": GRID_HEADER + GRID_2X2}, ["heatmap", "g.csv", "--stage", "minus-in", "--c-in", "1e308"],
+         "error: heatmap minus-in value -inf at operands (0x1, 0x1) is not finite: "
+         "the coefficients are too large\n"),
+    ])
+    def test_non_finite_result(self, capsys, tmp_path, monkeypatch, files, argv, err):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *argv) == (1, "", err)
+        assert run_cli(capsys, *argv, "-o", "out.txt") == (1, "", err)
+        assert not (tmp_path / "out.txt").exists()
+
     @pytest.mark.parametrize("argv", [
         ["solve", "x"],
         ["run", "x"],
@@ -805,7 +839,9 @@ BAD_VALUES = {
 }
 DISPATCH_CASES = [[], ["frobnicate"], ["frobnicate", "-h"], ["-h"], ["--help"], ["--bogus", "solve", "p.cswp"],
                   ["--", "solve", "p.cswp"], ["solve", "p.cswp", "--form", "csv"],
-                  ["bound", "p.cswp", "--meth", "coarse"], ["bound", "p.cswp", "--method=coarse"]]
+                  ["bound", "p.cswp", "--meth", "coarse"], ["bound", "p.cswp", "--method=coarse"],
+                  ["solve", "p.cswp", "-o", "-"], ["heatmap", "g.csv", "--stage", "raw", "--c-in", "-1"],
+                  ["summarize-power", "1", "--tdual", "5", "2"], ["summarize-power", "--tdual", "5", "-1"]]
 for _argv in REPORTS + FILES:
     _name = _argv[0]
     DISPATCH_CASES += [
@@ -821,8 +857,9 @@ for _argv in REPORTS + FILES:
 
 
 class TestDispatch:
-    """`main` hands argv that starts with a subcommand straight to that
-    subcommand's parser; what it prints and returns is what the full
+    """`main` parses argv that starts with a subcommand and is in the plain
+    form straight from that subcommand's actions, and hands any other argv
+    to the full parser; what it prints and returns is what the full
     parser's route gives."""
 
     def test_every_command_covered(self):
@@ -836,11 +873,109 @@ class TestDispatch:
 
     @pytest.mark.parametrize("argv", REPORTS + FILES, ids=" ".join)
     def test_valid_argv_skips_full_parser(self, capsys, workdir, monkeypatch, argv):
-        def full_parse(*args, **kwargs):
-            raise AssertionError("the full parser parsed a valid argv")
+        def parse(*args, **kwargs):
+            raise AssertionError("argparse parsed a valid argv")
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", full_parse)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", parse)
         assert outcome(capsys, argv)[0] == 0
+
+
+def walkthrough_argvs():
+    """The argv of each `$ cswp` line of README's CLI walkthrough."""
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    section = readme.split("\n## CLI walkthrough\n")[1].split("\n## ")[0]
+    return [shlex.split(line.removeprefix("$ cswp "), comments=True)
+            for line in section.splitlines() if line.startswith("$ cswp ")]
+
+
+# tokens the property draws argv from, besides each subcommand's own option
+# strings: values of every kind the options take, invalid ones, ones that
+# start with "-", and NaN
+PLAIN_VALUES = ["p.cswp", "g.csv", "1", "0x1f", "2.5", "nan", "inf", "", "-", "-1", "-x3", "x1 ~x2", "~x1",
+                "free0=1", "text", "csv", "xml", "coarse", "knownbits", "add", "mul", "raw", "residual", "01"]
+
+
+def _takes(action, value):
+    """Whether `action` takes `value` as its plain value."""
+    try:
+        converted = action.type(value) if action.type else value
+    except ValueError:
+        return False
+    return not value.startswith("-") and (action.choices is None or converted in action.choices)
+
+
+@functools.cache
+def argv_pieces(command):
+    """A strategy for a piece of argv to insert into `command`'s: most
+    often one of its options with a value, often one the option takes, and
+    otherwise one or two tokens of every kind."""
+    parser = subparsers()[command]
+    options = [a for a in parser._actions if a.option_strings]
+    long = [o for a in options for o in a.option_strings if o.startswith("--")]
+    plain = st.one_of([
+        st.sampled_from([[o] for o in a.option_strings]) if a.nargs == 0 else
+        st.tuples(st.sampled_from(a.option_strings),
+                  st.sampled_from([v for v in PLAIN_VALUES if _takes(a, v)]) | st.sampled_from(PLAIN_VALUES),
+                  ).map(list)
+        for a in options])
+    token = st.one_of(
+        st.sampled_from(list(parser._option_string_actions)),
+        st.sampled_from([o[:k] for o in long for k in range(3, len(o))]),  # abbreviations
+        st.builds("{}={}".format, st.sampled_from(long), st.sampled_from(PLAIN_VALUES)),
+        st.sampled_from(PLAIN_VALUES),
+        st.just("--"),
+    )
+    return st.one_of(plain, plain, plain, st.lists(token, min_size=1, max_size=2))
+
+
+@st.composite
+def near_plain_argv(draw, command):
+    """argv for `command` less its name: a valid argv with some of its
+    tokens dropped and `argv_pieces` inserted at random places."""
+    argv = next(argv for argv in REPORTS + FILES if argv[0] == command)[1:]
+    for _ in range(draw(st.integers(0, 2))):
+        if argv and draw(st.integers(0, 3)) == 0:
+            del argv[draw(st.integers(0, len(argv) - 1))]
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(argv)))
+        argv[at:at] = draw(argv_pieces(command))
+    return argv
+
+
+def known_args(parser, argv):
+    """`parser.parse_known_args(argv)`, or its usage error as a string."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            return parser.parse_known_args(argv)
+    except SystemExit:
+        return err.getvalue()
+
+
+class TestPlainParse:
+    """`_plain_args` returns a namespace only where argparse's own parse of
+    the same argv gives an equal one with nothing left over."""
+
+    @pytest.mark.parametrize("command", list(OPTION_SURFACE))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_argparse(self, command, data):
+        parser = subparsers()[command]
+        argv = data.draw(near_plain_argv(command))
+        plain = cli._plain_args(parser, argv)
+        if plain is not None:  # repr, since nan != nan
+            assert repr((plain, [])) == repr(known_args(parser, argv))
+
+    # a Python whose argparse keeps its actions otherwise fails here rather
+    # than silently sending every argv to the full parser
+    @pytest.mark.parametrize("argv", REPORTS + FILES + walkthrough_argvs(), ids=" ".join)
+    def test_takes_every_documented_argv(self, argv):
+        parser = subparsers()[argv[0]]
+        plain = cli._plain_args(parser, argv[1:])
+        assert plain is not None
+        assert repr((plain, [])) == repr(known_args(parser, argv[1:]))
+
+    def test_walkthrough_shows_every_command(self):
+        assert {argv[0] for argv in walkthrough_argvs()} == set(subparsers())
 
 
 def text_mode_read(path):
