@@ -1,16 +1,16 @@
 """Command-line front end.
 
-Subcommands cover the full pipeline: run/solve/bound programs, build and
-verify the two clause-set reductions, generate measurement grids, fit the
-power model, summarize power figures, and estimate trace energy. Each is a
-`_cmd_*` function of the parsed arguments that returns its output: a report
-builds its key=value pairs here, from the values `analysis` and `energy`
-return, and returns them with an exit code, and `--format` renders the pairs
-as text or CSV; any other command returns the text of its one file format.
-`main` writes that output once, to stdout or atomically (write-then-rename)
-to `-o FILE`. An option that several subcommands take is declared once. All
-output is byte-deterministic for fixed inputs and seeds. Exit codes: 0
-success, 1 domain error or a checksat-verify mismatch, 2 usage error.
+Subcommands cover the full pipeline: run/solve/bound programs, build the
+two clause-set reductions, generate measurement grids, fit the power model,
+summarize power figures, and estimate trace energy. Each is a `_cmd_*`
+function of the parsed arguments that returns its output: a report builds
+its key=value pairs here, from the values `analysis` and `energy` return,
+and `--format` renders them as text or CSV; any other command returns the
+text of its one file format. `main` writes that output once, to stdout or
+atomically (write-then-rename) to `-o FILE`. An option that several
+subcommands take is declared once. All output is byte-deterministic for
+fixed inputs and seeds. Exit codes: 0 success, 1 domain error, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -140,23 +140,23 @@ def _instance_from_args(args, cls):
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: a report returns (key=value pairs, exit code), a file
-# command returns its text
+# subcommand bodies: a report returns its key=value pairs, a file command
+# returns its text
 
-def _cmd_run(args) -> tuple[list[str], int]:
+def _cmd_run(args) -> list[str]:
     program = _program(args)
     trace = execute(program, _parse_assignment(args.input, program))
     pairs = [f"o{i + 1}=0x{v:x}" for i, v in enumerate(trace.outputs)]
     pairs += [f"transition.{i + 1}={t}" for i, t in enumerate(trace.transitions)]
     pairs.append(f"total={sum(trace.transitions)}")
-    return pairs, 0
+    return pairs
 
 
-def _cmd_solve(args) -> tuple[list[str], int]:
+def _cmd_solve(args) -> list[str]:
     budget = analysis.DEFAULT_BUDGET if args.budget is None else args.budget
     result = analysis.brute_force_worst_case(_program(args), budget=budget)
     witness = [f"witness.free{name}=0x{value:x}" for name, value in result.witness.items()]
-    return [f"max={result.max_switching}", *witness, f"explored={result.explored}"], 0
+    return [f"max={result.max_switching}", *witness, f"explored={result.explored}"]
 
 
 # looked up in `analysis` at call time, so a wrapper put there is called
@@ -166,8 +166,8 @@ _BOUNDS = {
 }
 
 
-def _cmd_bound(args) -> tuple[list[str], int]:
-    return [f"{args.method}={_BOUNDS[args.method](_program(args))}"], 0
+def _cmd_bound(args) -> list[str]:
+    return [f"{args.method}={_BOUNDS[args.method](_program(args))}"]
 
 
 def _cmd_reduce_maxsat(args) -> str:
@@ -181,36 +181,10 @@ def _cmd_reduce_sat_gap(args) -> str:
     return reductions.serialize_gap(gap)
 
 
-def _cmd_checksat_verify(args) -> tuple[list[str], int]:
-    instance = _instance_from_args(args, sat.SatInstance)
-    program = reductions.build_checksat_program(instance, width=args.width)
-    n = instance.num_vars  # an assignment is its bit string, variable 1 first
-    if args.assign is not None:
-        bits = args.assign.replace(",", "")
-        if set(bits) - {"0", "1"}:
-            raise CswpError(f"bad --assign {args.assign!r}: each value must be 0 or 1")
-        if len(bits) != n:
-            raise CswpError(f"--assign covers {len(bits)} of {n} variables")
-        assignments = [bits]
-    else:
-        analysis.check_budget(1 << n, analysis.DEFAULT_BUDGET)
-        # bit k of i is variable k + 1; the leading 1 keeps all n digits
-        assignments = (bin(1 << n | i)[:2:-1] for i in range(1 << n))
-    pairs = []
-    ok = True
-    for bits in assignments:
-        got = execute(program, {str(k): int(bit) for k, bit in enumerate(bits)}).outputs[-1]
-        expected = int(sat.all_satisfied(instance, [bit == "1" for bit in bits]))
-        ok = ok and got == expected
-        pairs.append(f"assign.{bits or 'none'}=result:{got},expected:{expected}")
-    pairs.append(f"ok={'true' if ok else 'false'}")
-    return pairs, 0 if ok else 1
-
-
-def _cmd_fit(args) -> tuple[list[str], int]:
+def _cmd_fit(args) -> list[str]:
     fit = energy.fit_hamming_model(_read_grid(args.grid))
     return [f"base_mw={fit.base:.3f}", f"c_in_mw={fit.c_in:.3f}", f"c_out_mw={fit.c_out:.3f}",
-            f"mae_mw={fit.mean_abs_error:.3f}"], 0
+            f"mae_mw={fit.mean_abs_error:.3f}"]
 
 
 def _model_from_args(args) -> energy.EnergyModel:
@@ -242,7 +216,7 @@ def _cmd_heatmap(args) -> str:
     return energy.heatmap_to_csv(matrix)
 
 
-def _cmd_energy(args) -> tuple[list[str], int]:
+def _cmd_energy(args) -> list[str]:
     program = _program(args)
     model = energy.load_model(args.model)
     trace = execute(program, _parse_assignment(args.input, program))
@@ -251,7 +225,7 @@ def _cmd_energy(args) -> tuple[list[str], int]:
         f"switching={sum(trace.transitions)}",
         f"transitions={len(trace.transitions)}",
         f"energy_nj={nj:.6f}",
-    ], 0
+    ]
 
 
 def _parse_powers(tokens: list[str]) -> list[float]:
@@ -261,7 +235,7 @@ def _parse_powers(tokens: list[str]) -> list[float]:
         raise CswpError(f"bad power value: {e}") from None
 
 
-def _cmd_summarize_power(args) -> tuple[list[str], int]:
+def _cmd_summarize_power(args) -> list[str]:
     powers = _parse_powers(args.powers)
     if args.powers_file:
         powers += _parse_powers(_read_text(args.powers_file).split())
@@ -269,7 +243,7 @@ def _cmd_summarize_power(args) -> tuple[list[str], int]:
     return [f"p_tdual_mw={summary.p_tdual:.3f}", f"p_tsingle_mw={summary.p_tsingle:.3f}",
             f"p_dmin_mw={summary.p_dmin:.3f}", f"p_dmax_mw={summary.p_dmax:.3f}",
             f"p_drng_mw={summary.p_drng:.3f}", f"pct_min={summary.pct_min:.4f}",
-            f"pct_max={summary.pct_max:.4f}"], 0
+            f"pct_max={summary.pct_max:.4f}"]
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +295,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("reduce-sat-gap", _cmd_reduce_sat_gap, "embed a SAT instance with a switching gap", clauses)
     p.add_argument("--factor", type=float, default=1.0)
-
-    p = add("checksat-verify", _cmd_checksat_verify,
-            "check the emitted clause evaluator against direct evaluation", report, clauses)
-    p.add_argument("--assign", default=None, metavar="BITS", help="single assignment, e.g. 1,0,1 (default: all)")
 
     add("fit", _cmd_fit, "least-squares fit of the Hamming power model", report, grid)
 
@@ -455,16 +425,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def main(argv=None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        if "format" in args:  # a report
-            pairs, code = args.func(args)
-            text = _render_report(pairs, args.format)
-        else:
-            text, code = args.func(args), 0
-        _write_output(args.output, text)
+        output = args.func(args)
+        if "format" in args:  # a report: its key=value pairs
+            output = _render_report(output, args.format)
+        _write_output(args.output, output)
     except CswpError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -132,8 +132,8 @@ def summarize_power(p_tdual: float, test_powers: Sequence[float]) -> PowerSummar
         raise CswpError("need at least one test power")
     if not all(map(math.isfinite, [p_tdual, *test_powers])):
         raise CswpError("dual-core idle and test powers must be finite")
-    if any(p < 0 for p in test_powers):
-        raise CswpError("test powers must be non-negative")
+    if p_tdual < 0 or any(p < 0 for p in test_powers):
+        raise CswpError("dual-core idle and test powers must be non-negative")
     p_tsingle = p_tdual / 2
     p_dmin = min(test_powers) - p_tdual
     p_dmax = max(test_powers) - p_tdual

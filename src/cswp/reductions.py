@@ -54,10 +54,9 @@ K_SAT = 2
 # instructions; a larger factor is rejected before any of the phase is built
 MAX_SWITCHING_LEN = 1 << 20
 
-# the maxsat2 program and the clause evaluation (on its own, or as the gap
-# construction's decision phase) may hold at most this many instructions;
-# a bound on the length, from the instance's size, is checked before any of
-# the program is built
+# the maxsat2 program and the gap construction's clause evaluation may hold
+# at most this many instructions; a bound on the length, from the instance's
+# size, is checked before any of the program is built
 MAX_PROGRAM_LEN = 1 << 20
 
 
@@ -197,28 +196,6 @@ def emit_checksat(instance: SatInstance, insns: list[Instruction]) -> PriorOutpu
     return acc
 
 
-def _checksat_phase(instance: SatInstance) -> tuple[list[Instruction], PriorOutput]:
-    """Read and store every variable, then evaluate the clauses."""
-    # at most 2 per variable, 3 per literal (load, xor, or), 1 per clause
-    # (and) and 1 more (the mov for no clauses)
-    literals = sum(len(clause) for clause in instance.clauses)
-    _check_length(2 * instance.num_vars + 3 * literals + len(instance.clauses) + 1,
-                  "clause evaluation")
-    insns: list[Instruction] = []
-    for i in range(instance.num_vars):
-        value = _emit(insns, "mov", Free(str(i)))
-        _emit(insns, "store", value, mem_dest=i)
-    return insns, emit_checksat(instance, insns)
-
-
-def build_checksat_program(instance: SatInstance, width: int = 8) -> Program:
-    """Standalone program that reads the variables, stores them, and evaluates
-    the clauses; its last instruction gives the result."""
-    insns, _ = _checksat_phase(instance)
-    n = instance.num_vars
-    return _binary_program(n, width, max(1, n), insns)
-
-
 def reduce_sat_gap(instance: SatInstance, width: int = 8, factor=1) -> GapProgram:
     """Embed a SAT instance with a switching phase ceil(factor*decision_len/2)+1
     pattern/zero pairs long; factor=1 gives a phase at least half the whole."""
@@ -233,8 +210,17 @@ def reduce_sat_gap(instance: SatInstance, width: int = 8, factor=1) -> GapProgra
     if exact < 1:
         raise CswpError(f"gap factor {factor} must be >= 1")
 
-    # decision phase: store inputs, evaluate clauses, widen to a bit pattern
-    insns, result = _checksat_phase(instance)
+    # decision phase: store inputs, evaluate clauses, widen to a bit pattern;
+    # at most 2 instructions per variable, 3 per literal (load, xor, or), 1
+    # per clause (and) and 1 more (the mov for no clauses) before the ite
+    n = instance.num_vars
+    literals = sum(len(clause) for clause in instance.clauses)
+    _check_length(2 * n + 3 * literals + len(instance.clauses) + 1, "clause evaluation")
+    insns: list[Instruction] = []
+    for i in range(n):
+        value = _emit(insns, "mov", Free(str(i)))
+        _emit(insns, "store", value, mem_dest=i)
+    result = emit_checksat(instance, insns)
     zero = Const(0)
     bit_pattern = _emit(insns, "ite", result, Const((1 << width) - 1), zero)
     decision_len = len(insns)
@@ -247,7 +233,6 @@ def reduce_sat_gap(instance: SatInstance, width: int = 8, factor=1) -> GapProgra
         _emit(insns, "mov", bit_pattern)
         _emit(insns, "mov", zero)
 
-    n = instance.num_vars
     return GapProgram(_binary_program(n, width, max(1, n), insns))
 
 

@@ -12,7 +12,7 @@ import stat
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cswp import analysis, cli, core, energy, sat
+from cswp import analysis, cli, core, energy
 from cswp.core import validate_program
 from cswp.energy import HEATMAP_STAGES
 from cswp.cli import main
@@ -136,10 +136,6 @@ REDUCTION_DIGESTS = {
      "--clause", "x2 ~x3"): "a8dc0f69b9b00e08",
     ("reduce-sat-gap", "--vars", "3", "--clause", "x1 ~x2 x3", "--clause", "~x1",
      "--clause", "x2 ~x3", "--factor", "2.5", "--width", "64"): "a22982fdb709a379",
-    ("checksat-verify", "--vars", "0"): "c0f2cfeba92f749f",
-    ("checksat-verify", "--vars", "2", "--clause", "x1 x2", "--clause", "~x1"): "5f3b786b3128bdf8",
-    ("checksat-verify", "--vars", "3", "--clause", "x1 ~x2 x3", "--clause", "~x3",
-     "--assign", "1,0,0"): "0325560525d8837c",
 }
 
 
@@ -150,7 +146,7 @@ class TestReductionCommands:
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == REDUCTION_DIGESTS[argv]
 
-    @pytest.mark.parametrize("command", ["reduce-maxsat", "reduce-sat-gap", "checksat-verify"])
+    @pytest.mark.parametrize("command", ["reduce-maxsat", "reduce-sat-gap"])
     @pytest.mark.parametrize("clause", ["-x3", "-3", "-x1 x2", "-x2,-x3"])
     def test_clause_may_start_with_a_minus(self, capsys, command, clause):
         # argparse would take a separate "-x3" for an option
@@ -191,41 +187,6 @@ class TestReductionCommands:
         code, out, _ = run_cli(capsys, "solve", str(out_path))
         assert code == 0
         assert out.startswith("max=23\n")  # 6w - 1 at w=4 with decision_len 4
-
-    def test_checksat_verify_all_assignments(self, capsys):
-        code, out, _ = run_cli(capsys, "checksat-verify", "--vars", "2",
-                               "--clause", "x1 x2", "--clause", "~x1")
-        assert code == 0
-        assert out.endswith("ok=true\n")
-
-    def test_checksat_verify_single_assignment(self, capsys):
-        code, out, _ = run_cli(capsys, "checksat-verify", "--vars", "2",
-                               "--clause", "x1 x2", "--assign", "0,1")
-        assert code == 0
-        assert "assign.01=result:1,expected:1" in out
-
-    def test_checksat_verify_empty_assign_is_one_assignment(self, capsys):
-        # an empty --assign is the empty assignment, not "every assignment"
-        assert run_cli(capsys, "checksat-verify", "--vars", "3", "--clause", "x1 x2", "--assign", "") == (
-            1, "", "error: --assign covers 0 of 3 variables\n")
-        code, out, _ = run_cli(capsys, "checksat-verify", "--vars", "0", "--assign", "")
-        assert code == 0
-        assert out.startswith("assign.none=") and out.endswith("ok=true\n")
-
-    @pytest.mark.parametrize("bits", ["2", "0,x", "1 0", "01-"])
-    def test_checksat_verify_rejects_non_binary_assign(self, capsys, bits):
-        code, out, err = run_cli(capsys, "checksat-verify", "--vars", "1",
-                                 "--clause", "x1", "--assign", bits)
-        assert (code, out) == (1, "")
-        assert err.startswith("error:") and "0 or 1" in err
-
-    def test_checksat_verify_all_assignments_respects_budget(self, capsys, monkeypatch):
-        monkeypatch.setattr(analysis, "DEFAULT_BUDGET", 4)
-        code, out, err = run_cli(capsys, "checksat-verify", "--vars", "3", "--clause", "x1")
-        assert (code, out) == (1, "")
-        assert err == "error: exhaustive search needs 8 assignments, budget is 4\n"
-        code, out, _ = run_cli(capsys, "checksat-verify", "--vars", "2", "--clause", "x1")
-        assert code == 0 and out.endswith("ok=true\n")
 
 
 def grid_outputs_digest(capsys, tmp_path, op, width):
@@ -363,7 +324,6 @@ class TestMalformedInput:
          ["heatmap", "g.csv", "--stage", "raw"]),
         ({"g.csv": GRID_HEADER + "0x0,0x0,0,0,1.0\n0x0,0x1,1,1,2.0\n0x1,0x0,1,1,2.0\n0x1,0x0,1,1,2.0\n"},
          ["heatmap", "g.csv", "--stage", "residual"]),
-        ({}, ["checksat-verify", "--vars", "-1"]),
         ({}, ["reduce-maxsat", "--vars", "-1"]),
         ({}, ["reduce-sat-gap", "--vars", "-1"]),
         ({"p.cswp": "width 2\nfree x-y full\no1: mov #0x0\n"}, ["solve", "p.cswp"]),
@@ -396,16 +356,14 @@ class TestMalformedInput:
         ({"p.cswp": f"width 4\nmem 1\no1: store #0x0 -> m[{LONG}]\n"}, ["solve", "p.cswp"]),
         ({}, ["reduce-maxsat", "--vars", "1", "--clause", f"x{LONG}"]),
         ({}, ["reduce-sat-gap", "--vars", "1", "--clause", f"~x{LONG}"]),
-        ({}, ["checksat-verify", "--vars", "1", "--clause", f"x1 {LONG}"]),
+        ({}, ["reduce-sat-gap", "--vars", "1", "--clause", f"x1 {LONG}"]),
         ({}, ["reduce-sat-gap", "--vars", "0", "--factor", "1e308"]),
         ({}, ["reduce-sat-gap", "--vars", "1", "--clause", "x1", "--factor", "262144"]),
         ({"p.cswp": DOUBLING}, ["run", "p.cswp", "--input", "free0=1", "--input", "free0=2"]),
         ({"p.cswp": DOUBLING}, ["energy", "p.cswp", "--input", "free0=1", "--input", "0=2"]),
         ({}, ["reduce-maxsat", "--vars", "10000000"]),
         ({}, ["reduce-sat-gap", "--vars", "10000000"]),
-        ({}, ["checksat-verify", "--vars", "10000000"]),
-        ({}, ["checksat-verify", "--vars", "1000000000000", "--assign", "1"]),
-        ({}, ["checksat-verify", "--vars", "3", "--clause", "x1 x2", "--assign", ""]),
+        ({}, ["reduce-sat-gap", "--vars", "1000000000000"]),
     ])
     def test_error_line_not_traceback(self, capsys, tmp_path, monkeypatch, files, argv):
         for name, text in files.items():
@@ -414,6 +372,30 @@ class TestMalformedInput:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("files, argv, message", [
+        ({"p.cswp": DOUBLING}, ["run", "p.cswp", "--input", "a"], "bad --input 'a', want name=value"),
+        ({"p.cswp": "width 2\no1: mov #0x0\nfree 0 full\n"}, ["solve", "p.cswp"],
+         "line 3: free declarations must precede instructions"),
+        ({}, ["reduce-maxsat", "--vars", "1", "--clause", ""], "empty clause"),
+        ({}, ["reduce-maxsat", "--vars", "3", "--clause", "x1 x2 x3"], "clause 0 has 3 literals, want 1 or 2"),
+        ({}, ["reduce-maxsat", "--vars", "2", "--clause", "x5"], "clause 0: x5 exceeds 2 variables"),
+        ({"p.cswp": DOUBLING, "m.json": '{"p_idle_single_mw": 164, "c_in_mw": 1.3}'},
+         ["energy", "p.cswp", "--input", "free0=1", "--model", "m.json"],
+         "model file 'm.json' missing key 'c_out_mw'"),
+        ({"p.cswp": DOUBLING, "m.json": '{"p_idle_single_mw": 164, "c_in_mw": [1.3], "c_out_mw": 4.4}'},
+         ["energy", "p.cswp", "--input", "free0=1", "--model", "m.json"],
+         "model file 'm.json' has a non-numeric value: "),
+        ({}, ["summarize-power", "--tdual=-5", "3"], "dual-core idle and test powers must be non-negative"),
+        ({}, ["summarize-power", "--tdual", "5", "3", "-1"], "dual-core idle and test powers must be non-negative"),
+    ])
+    def test_error_names_the_input(self, capsys, tmp_path, monkeypatch, files, argv, message):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, err", [
         (["reduce-sat-gap", "--vars", "1", "--clause", "x1", "--factor", "0.5"],
@@ -446,8 +428,10 @@ class TestMalformedInput:
         ({"p.cswp": DOUBLING, "m.json": '{"p_idle_single_mw": 1e308, "c_in_mw": 1e308, "c_out_mw": 1e308}'},
          ["energy", "p.cswp", "--input", "free0=1", "--model", "m.json", "--input-term"],
          "error: trace energy inf nJ is not finite: the model's coefficients are too large\n"),
-        ({}, ["summarize-power", "--tdual=-1.7e308", "1.7e308"],
-         "error: power summary p_dmin inf is not finite: the powers are too large\n"),
+        # a --tdual of 3 * 2**970 rounds 1.7976931348623157e308 - tdual up
+        # by half an ulp, so the range, tdual added back, rounds to inf
+        ({}, ["summarize-power", "--tdual", "2.9937604643020797e+292", "0", "1.7976931348623157e308"],
+         "error: power summary p_drng inf is not finite: the powers are too large\n"),
         ({"g.csv": GRID_HEADER + "0x0,0x0,0,0,1e308\n0x0,0x1,1,1,1.7e308\n0x1,0x0,1,1,-1.7e308\n0x1,0x1,2,1,1\n"},
          ["fit", "g.csv"],
          "error: fit mean_abs_error inf is not finite: the grid's powers are too large\n"),
@@ -505,7 +489,8 @@ class TestValidation:
         ["solve", "p.cswp"],
         ["bound", "p.cswp", "--method", "coarse"],
         ["bound", "p.cswp", "--method", "knownbits"],
-        ["checksat-verify", "--vars", "2", "--clause", "x1 ~x2"],
+        ["reduce-maxsat", "--vars", "2", "--clause", "x1 ~x2"],
+        ["reduce-sat-gap", "--vars", "2", "--clause", "x1 ~x2"],
     ])
     def test_each_command_validates_once(self, capsys, tmp_path, monkeypatch, argv):
         (tmp_path / "p.cswp").write_text(DOUBLING)
@@ -668,6 +653,27 @@ class TestOutputHandling:
         assert code == 1
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("error, printed", [(OSError(28, "No space left on device"), True),
+                                                (RuntimeError("interrupted"), False)])
+    @pytest.mark.parametrize("old", [None, "old\n"], ids=["new", "existing"])
+    def test_failed_replace_removes_temp_file(self, capsys, tmp_path, monkeypatch, error, printed, old):
+        out_path = tmp_path / "x.cswp"
+        if old is not None:
+            out_path.write_text(old)
+
+        def replace(src, dst):
+            raise error
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+        argv = ["reduce-maxsat", "--vars", "1", "-o", str(out_path)]
+        if printed:
+            assert run_cli(capsys, *argv) == (1, "", f"error: cannot write {out_path}: No space left on device\n")
+        else:
+            with pytest.raises(RuntimeError, match="interrupted"):
+                main(argv)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["x.cswp"])
+        assert old is None or out_path.read_text() == old
+
     def test_reduction_output_reparses(self, capsys, tmp_path):
         out_path = tmp_path / "r.cswp"
         run_cli(capsys, "reduce-maxsat", "--vars", "3", "--clause", "x1 x2",
@@ -721,9 +727,6 @@ OPTION_SURFACE = {
     "reduce-sat-gap": {"help": _HELP, "output": _OUTPUT, "vars": _VARS, "clause": _CLAUSE,
                        "width": _WIDTH,
                        "factor": (("--factor",), 1.0, "float", False, None, "_StoreAction", None, None)},
-    "checksat-verify": {"help": _HELP, "output": _OUTPUT, "format": _FORMAT, "vars": _VARS,
-                        "clause": _CLAUSE, "width": _WIDTH,
-                        "assign": (("--assign",), None, None, False, None, "_StoreAction", None, "BITS")},
     "fit": {"help": _HELP, "output": _OUTPUT, "format": _FORMAT, "grid": _GRID},
     "gen-grid": {"help": _HELP, "output": _OUTPUT,
                  "op": (("--op",), None, None, True, ("add", "sub", "and", "or", "xor", "shl", "shr"),
@@ -762,7 +765,6 @@ REPORTS = [
     ["run", "p.cswp", "--input", "free0=1"],
     ["solve", "p.cswp"],
     ["bound", "p.cswp", "--method", "knownbits"],
-    ["checksat-verify", "--vars", "2", "--clause", "x1 x2", "--clause", "~x1"],
     ["fit", "g.csv"],
     ["energy", "p.cswp", "--input", "free0=1", "--input-term"],
     ["summarize-power", "--tdual", "328", "362", "424"],
@@ -801,16 +803,6 @@ class TestOneWritePath:
         assert run_cli(capsys, *argv, "-o", "out.txt") == (code, "", "")
         assert (workdir / "out.txt").read_bytes() == out.encode()
 
-    def test_checksat_verify_mismatch(self, capsys, workdir, monkeypatch):
-        real = sat.all_satisfied
-        monkeypatch.setattr(sat, "all_satisfied", lambda instance, bits: not real(instance, bits))
-        argv = ["checksat-verify", "--vars", "2", "--clause", "x1 x2", "--clause", "~x1"]
-        expected = ("assign.00=result:0,expected:1\nassign.10=result:0,expected:1\n"
-                    "assign.01=result:1,expected:0\nassign.11=result:0,expected:1\nok=false\n")
-        assert run_cli(capsys, *argv) == (1, expected, "")
-        assert run_cli(capsys, *argv, "-o", "out.txt") == (1, "", "")
-        assert (workdir / "out.txt").read_text() == expected
-
 
 def outcome(capsys, argv):
     """Exit code (or SystemExit code), stdout and stderr of main(argv)."""
@@ -830,7 +822,6 @@ BAD_VALUES = {
     "bound": [["--method", "exact"]],
     "reduce-maxsat": [["--vars", "x"], ["--width", "1.5"]],
     "reduce-sat-gap": [["--factor", "x"]],
-    "checksat-verify": [["--width", "x"]],
     "fit": [["-o"]],
     "gen-grid": [["--op", "mul"], ["--seed", "x"], ["--sigma", "x"]],
     "heatmap": [["--stage", "cooked"], ["--c-in", "x"]],
@@ -880,10 +871,34 @@ class TestDispatch:
         assert outcome(capsys, argv)[0] == 0
 
 
+def readme():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
+        return fh.read()
+
+
+def readme_commands(lead):
+    """The commands, in backticks, of the parenthesised list that follows
+    `lead` in README."""
+    listed = re.search(re.escape(lead).replace(r"\ ", r"\s+") + r"\s*\(([^)]*)\)", readme()).group(1)
+    return re.findall(r"`([^`]+)`", listed)
+
+
+class TestReadmeInventories:
+    """README's lists of the commands that take `--format` and of those that
+    write one file format name every subcommand of the parser."""
+
+    def test_reports_take_format(self):
+        assert readme_commands("The commands that print a `key=value` report") == [
+            name for name, parser in subparsers().items() if "--format" in parser._option_string_actions]
+
+    def test_file_commands_reject_format(self):
+        assert readme_commands("the four that write one file format") == [
+            name for name, parser in subparsers().items() if "--format" not in parser._option_string_actions]
+
+
 def walkthrough_argvs():
     """The argv of each `$ cswp` line of README's CLI walkthrough."""
-    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
-    section = readme.split("\n## CLI walkthrough\n")[1].split("\n## ")[0]
+    section = readme().split("\n## CLI walkthrough\n")[1].split("\n## ")[0]
     return [shlex.split(line.removeprefix("$ cswp "), comments=True)
             for line in section.splitlines() if line.startswith("$ cswp ")]
 

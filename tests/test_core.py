@@ -16,6 +16,7 @@ from cswp.core import (
     PriorOutput,
     Program,
     ProgramValidationError,
+    apply_mnemonic,
     execute,
     hamming_distance,
     validate_program,
@@ -269,6 +270,19 @@ class TestValidateProgram:
         violations = rejected(4, [Instruction("mov", (Const(0),))],
                               free_inputs=[("a", FULL), ("a", BINARY01)])
         assert any("more than once" in v for v in violations)
+
+    @pytest.mark.parametrize("instructions, free_inputs, mem_size, violation", [
+        ([Instruction("mov", (Const(0),))], (), -1, "mem_size -1 is negative"),
+        ([Instruction("mov", (Const(0),))], [("a", "02")], 0, "free input 'a' has unknown domain '02'"),
+        ([Instruction("frob", (Const(0),))], (), 0, "instruction 0: unknown mnemonic 'frob'"),
+    ], ids=["negative mem_size", "unknown domain", "unknown mnemonic"])
+    def test_api_only_violations(self, instructions, free_inputs, mem_size, violation):
+        # the text format cannot state these, so only a Program built in Python meets them
+        assert rejected(4, instructions, free_inputs, mem_size) == [violation]
+
+    def test_apply_mnemonic_rejects_unknown(self):
+        with pytest.raises(ValueError, match="unknown mnemonic 'frob'"):
+            apply_mnemonic("frob", (0,), 4)
 
     def test_oversized_constant(self):
         assert any("does not fit" in v for v in rejected(4, [Instruction("mov", (Const(16),))]))

@@ -311,6 +311,12 @@ class TestCsvAndHeatmap:
         residual = heatmap_matrix(grid, "residual", c_in=fit.c_in, c_out=fit.c_out)
         assert np.ptp(residual) < np.ptp(minus_out) < np.ptp(raw)
 
+    def test_unknown_stage_rejected(self):
+        grid = gen_synthetic_grid(1, "add", PAPER_MODEL, base=0.0)
+        with pytest.raises(CswpError, match="unknown heatmap stage 'cooked', want one of raw, minus-out, "
+                                            "minus-in, residual"):
+            heatmap_matrix(grid, "cooked", c_in=1.3, c_out=4.4)
+
     def test_partial_grid_rejected(self):
         grid = gen_synthetic_grid(4, "add", PAPER_MODEL, base=0.0)
         partial = Grid(*(column[:-1] for column in columns(grid)))

@@ -15,7 +15,6 @@ from cswp.reductions import (
     MAX_SWITCHING_LEN,
     GapProgram,
     ReducedProgram,
-    build_checksat_program,
     emit_checksat,
     lit_addr,
     load_gap,
@@ -44,6 +43,14 @@ def embed(bools):
 def meta_fields(text):
     """The key=value fields of a reduction file's `# meta` line, its first."""
     return dict(token.split("=", 1) for token in text.splitlines()[0].split()[2:])
+
+
+def clause_evaluation(gap):
+    """The gap program's decision phase less its widening `ite`: the clause
+    evaluation, whose last instruction gives the checksat result."""
+    program = gap.program
+    return Program(width=program.width, mem_size=program.mem_size,
+                   instructions=program.instructions[:gap.decision_len - 1], free_inputs=program.free_inputs)
 
 
 def switching(program, bools):
@@ -156,22 +163,22 @@ class TestProgramLengthLimit:
         for inst in [SatInstance(2, [])] + [random_sat(rng, max_vars=5) for _ in range(30)]:
             literals = sum(len(clause) for clause in inst.clauses)
             bound = 2 * inst.num_vars + 3 * literals + len(inst.clauses) + 1
-            assert bound >= len(build_checksat_program(inst).instructions)
             monkeypatch.setattr(reductions, "MAX_PROGRAM_LEN", bound)
-            build_checksat_program(inst)
-            reduce_sat_gap(inst)  # its decision phase is the clause evaluation and an ite
+            # its decision phase is the clause evaluation and an ite
+            assert bound >= reduce_sat_gap(inst).decision_len - 1
             monkeypatch.setattr(reductions, "MAX_PROGRAM_LEN", bound - 1)
-            for build in (build_checksat_program, reduce_sat_gap):
-                with pytest.raises(CswpError, match=f"clause evaluation would hold up to {bound} instructions"):
-                    build(inst)
+            with pytest.raises(CswpError, match=f"clause evaluation would hold up to {bound} instructions"):
+                reduce_sat_gap(inst)
             monkeypatch.undo()
 
 
 class TestEmitChecksat:
+    """The clause evaluation inside the gap program: the `ite` that ends its
+    decision phase takes the checksat result as its condition."""
+
     def run_checksat(self, instance, bools, width=4):
-        program = build_checksat_program(instance, width=width)
-        assignment = {str(i): int(b) for i, b in enumerate(bools)}
-        return execute(program, assignment).outputs[-1]
+        gap = reduce_sat_gap(instance, width=width)
+        return execute(gap.program, embed(bools)).outputs[gap.decision_len - 2]
 
     def test_positive_unit(self):
         assert self.run_checksat(SatInstance(1, [[1]]), [True]) == 1
@@ -205,15 +212,16 @@ class TestEmitChecksat:
         assert len(insns) == literal_occurrences + negations + ors + ands
 
     # (instance, width) -> (index of the result, the last instruction, and
-    # digest of the program text), computed before the reductions took every
-    # fact from the built program
+    # digest of the program text), computed on the standalone clause
+    # evaluation program before the reductions took every fact from the
+    # built program
     @pytest.mark.parametrize("n, clauses, width, index, digest", [
         (0, [], 8, 0, "aa4b96d1e7db02ce"),
         (2, [[1, 2], [-1]], 4, 9, "632f7151fd2e35b9"),
         (3, [[1, -2, 3], [-3], [2, -1]], 64, 19, "dc3d7982fc969ed8"),
     ])
     def test_program_byte_identical(self, n, clauses, width, index, digest):
-        program = build_checksat_program(SatInstance(n, clauses), width=width)
+        program = clause_evaluation(reduce_sat_gap(SatInstance(n, clauses), width=width))
         assert len(program.instructions) - 1 == index
         assert hashlib.sha256(serialize_program(program).encode()).hexdigest()[:16] == digest
 
@@ -414,7 +422,10 @@ class TestCountsFromTheProgram:
         assert load_gap(text).decision_len == gap.decision_len == 9
 
     def test_meta_counts_equal_the_derived_ones(self):
-        # the decision phase is the clause evaluation and the widening ite
+        # the decision phase is a mov and a store per variable, then per
+        # literal a load, an xor if negated and an or after the clause's
+        # first, an and after the first clause (a mov for no clauses), and
+        # the widening ite
         rng = random.Random(229)
         for _ in range(50):
             inst = random_maxsat2(rng)
@@ -422,7 +433,9 @@ class TestCountsFromTheProgram:
             assert meta_fields(text)["clauses"] == str(load_reduced(text).num_clauses) == str(len(inst.clauses))
             inst = random_sat(rng)
             text = serialize_gap(reduce_sat_gap(inst, width=rng.randint(1, 8), factor=rng.choice([1, 2.5])))
-            decision_len = len(build_checksat_program(inst).instructions) + 1
+            literals = [lit for clause in inst.clauses for lit in clause]
+            negated = sum(lit < 0 for lit in literals)
+            decision_len = 2 * inst.num_vars + 2 * len(literals) + negated + 2 * (not inst.clauses)
             assert meta_fields(text)["decision_len"] == str(load_gap(text).decision_len) == str(decision_len)
 
     def test_maxsat2_length_must_fit(self):
@@ -443,13 +456,11 @@ class TestCountsFromTheProgram:
                 assert ReducedProgram(prefix).num_clauses == 2 - cut // 8
 
     def test_gap_program_needs_an_ite_before_its_end(self):
-        inst = SatInstance(2, [[1], [-2]])
-        checksat = build_checksat_program(inst, width=4)
-        gap = reduce_sat_gap(inst, width=4)
+        gap = reduce_sat_gap(SatInstance(2, [[1], [-2]]), width=4)
         decision = gap.program.instructions[:gap.decision_len]
         assert decision[-1].mnemonic == "ite"
-        for program in (checksat, Program(width=4, mem_size=2, instructions=decision,
-                                          free_inputs=gap.program.free_inputs)):
+        for program in (clause_evaluation(gap), Program(width=4, mem_size=2, instructions=decision,
+                                                        free_inputs=gap.program.free_inputs)):
             with pytest.raises(CswpError, match="no ite ends a sat-gap decision phase"):
                 GapProgram(program)
             with pytest.raises(CswpError, match="no ite ends a sat-gap decision phase"):
@@ -478,6 +489,11 @@ class TestLiterals:
         for cls in (SatInstance, MaxSat2Instance):
             with pytest.raises(CswpError, match="bad literal"):
                 cls(1, [[lit]])
+
+    @pytest.mark.parametrize("assignment", [[], [True], [True, False, True]])
+    def test_count_satisfied_needs_a_full_assignment(self, assignment):
+        with pytest.raises(CswpError, match=f"assignment covers {len(assignment)} of 2 variables"):
+            count_satisfied(SatInstance(2, [[1, -2]]), assignment)
 
     @pytest.mark.parametrize("num_vars, shown", [(2.5, "2.5"), (True, "True"), ("3", "'3'")])
     def test_num_vars_must_be_an_int(self, num_vars, shown):

@@ -52,7 +52,6 @@ WITHOUT_NUMPY = [
     ["energy", "p.cswp", "--input", "a=3", "--input", "b=1", "--input-term"],
     ["reduce-maxsat", *CLAUSES],
     ["reduce-sat-gap", *CLAUSES],
-    ["checksat-verify", *CLAUSES],
     ["summarize-power", "--tdual", "328", "362", "424"],
 ]
 WITH_NUMPY = [
