@@ -803,6 +803,19 @@ class TestOneWritePath:
         assert run_cli(capsys, *argv, "-o", "out.txt") == (code, "", "")
         assert (workdir / "out.txt").read_bytes() == out.encode()
 
+    @pytest.mark.parametrize("argv", REPORTS + FILES, ids=" ".join)
+    def test_command_returns_its_output_only(self, capsys, workdir, argv):
+        # a report returns its key=value pairs and a file command its text;
+        # neither carries an exit code, which main alone decides
+        args = cli._parse_args(argv)
+        output = args.func(args)
+        if argv in REPORTS:
+            assert isinstance(output, list) and output
+            assert all(isinstance(pair, str) and "=" in pair and "\n" not in pair for pair in output)
+            output = cli._render_report(output, "text")
+        assert isinstance(output, str)
+        assert run_cli(capsys, *argv) == (0, output, "")
+
 
 def outcome(capsys, argv):
     """Exit code (or SystemExit code), stdout and stderr of main(argv)."""

@@ -190,6 +190,13 @@ class TestEmitChecksat:
         inst = SatInstance(2, [[1, 2], [-1]])
         assert self.run_checksat(inst, [False, True]) == 1
 
+    # (x1 or x2) and not x1 holds only at x1 = 0, x2 = 1
+    @pytest.mark.parametrize("bools, result", [
+        ([False, False], 0), ([True, False], 0), ([False, True], 1), ([True, True], 0),
+    ])
+    def test_two_clause_truth_table(self, bools, result):
+        assert self.run_checksat(SatInstance(2, [[1, 2], [-1]]), bools) == result
+
     def test_matches_direct_evaluation_everywhere(self):
         rng = random.Random(103)
         for _ in range(25):
