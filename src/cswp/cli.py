@@ -36,32 +36,16 @@ def _read_file(path: str) -> bytes:
         raise CswpError(f"cannot read {path}: {e}") from None
 
 
-def _decode(path: str, data: bytes) -> str:
-    """The UTF-8 text of `data`, the bytes of the file `path` names, with
-    `\r\n` and lone `\r` line ends made `\n`, as text mode reads it."""
+def _read_text(path: str) -> str:
+    """The UTF-8 text of the file `path` names, with `\r\n` and lone `\r`
+    line ends made `\n`, as text mode reads it."""
     try:
-        text = data.decode()
+        text = _read_file(path).decode()
     except UnicodeDecodeError as e:
         raise CswpError(f"cannot read {path}: {e}") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text
-
-
-def _read_text(path: str) -> str:
-    return _decode(path, _read_file(path))
-
-
-def _read_grid(path: str) -> energy.Grid:
-    """The grid `measurements_from_csv(_read_text(path))` gives, read
-    without decoding where it can be: unless they hold a CR, the one byte
-    `_decode` changes, the file's bytes go to the reader as they are, and
-    only bytes its byte reader declines are decoded."""
-    data = _read_file(path)
-    try:
-        return energy.measurements_from_csv(data if b"\r" not in data else _decode(path, data))
-    except UnicodeDecodeError as e:
-        raise CswpError(f"cannot read {path}: {e}") from None
 
 
 def _write_output(path: str | None, text: str):
@@ -182,7 +166,7 @@ def _cmd_reduce_sat_gap(args) -> str:
 
 
 def _cmd_fit(args) -> list[str]:
-    fit = energy.fit_hamming_model(_read_grid(args.grid))
+    fit = energy.fit_hamming_model(energy.measurements_from_csv(_read_file(args.grid)))
     return [f"base_mw={fit.base:.3f}", f"c_in_mw={fit.c_in:.3f}", f"c_out_mw={fit.c_out:.3f}",
             f"mae_mw={fit.mean_abs_error:.3f}"]
 
@@ -210,7 +194,7 @@ def _cmd_gen_grid(args) -> str:
 
 
 def _cmd_heatmap(args) -> str:
-    grid = _read_grid(args.grid)
+    grid = energy.measurements_from_csv(_read_file(args.grid))
     model = _model_from_args(args)
     matrix = energy.heatmap_matrix(grid, args.stage, c_in=model.c_in, c_out=model.c_out)
     return energy.heatmap_to_csv(matrix)

@@ -13,11 +13,10 @@ summarizing power and trace energy run without it.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Sequence
 
@@ -65,7 +64,7 @@ PRESETS = {
 
 def load_model(spec: str) -> EnergyModel:
     """A preset name or a JSON file with keys p_idle_single_mw, c_in_mw,
-    c_out_mw, and optional f_hz."""
+    c_out_mw, and optional f_hz, each a JSON number."""
     if spec in PRESETS:
         return PRESETS[spec]
     try:
@@ -77,17 +76,21 @@ def load_model(spec: str) -> EnergyModel:
         raise CswpError(f"model file {spec!r} is not valid JSON: {e}") from None
     if not isinstance(raw, dict):
         raise CswpError(f"model file {spec!r} must hold a JSON object")
-    try:
-        return EnergyModel(
-            p_idle_single=float(raw["p_idle_single_mw"]),
-            c_in=float(raw["c_in_mw"]),
-            c_out=float(raw["c_out_mw"]),
-            f=float(raw.get("f_hz", 500e6)),
-        )
-    except KeyError as e:
-        raise CswpError(f"model file {spec!r} missing key {e}") from None
-    except (TypeError, ValueError) as e:
-        raise CswpError(f"model file {spec!r} has a non-numeric value: {e}") from None
+    values = {}
+    for key, name in (("p_idle_single_mw", "p_idle_single"), ("c_in_mw", "c_in"), ("c_out_mw", "c_out"),
+                      ("f_hz", "f")):
+        if key not in raw:
+            if name == "f":
+                continue
+            raise CswpError(f"model file {spec!r} missing key {key!r}")
+        value = raw[key]
+        if type(value) not in (int, float):  # a JSON number; bool is an int subclass
+            raise CswpError(f"model file {spec!r} has a non-numeric value: {key} is {json.dumps(value)}")
+        try:
+            values[name] = float(value)
+        except OverflowError:
+            raise CswpError(f"model file {spec!r} has a value outside the float range: {key}") from None
+    return EnergyModel(**values)
 
 
 @dataclass
@@ -267,7 +270,8 @@ def trace_energy(trace: ExecutionTrace, model: EnergyModel, include_input_term: 
 # CSV and heat-map export
 
 CSV_HEADER = ["op_a", "op_b", "h_in", "h_out", "power_mw"]
-_HEADER_LINE = (",".join(CSV_HEADER) + "\n").encode()
+_HEADER = ",".join(CSV_HEADER).encode()
+_HEADER_LINE = _HEADER + b"\n"
 
 
 # Rows (heat-map values) formatted or parsed per chunk. Apart from the text,
@@ -372,62 +376,53 @@ def measurements_to_csv(grid: Grid, width: int) -> str:
     return b"".join(parts).decode()
 
 
-def measurements_from_csv(data: str | bytes) -> Grid:
-    """Parse a measurement CSV: operands accept any int() literal with a base
-    prefix and blank lines are skipped. Every row has exactly the header's
-    fields and a finite power.
+def measurements_from_csv(data: bytes) -> Grid:
+    """Parse a measurement CSV from its bytes, such as a file's. Its one
+    grammar, the form `measurements_to_csv` writes:
 
-    `data` is the text or its UTF-8 bytes, such as a file's. Data in the form
-    `measurements_to_csv` writes is read CSV_CHUNK_ROWS rows at a time
-    straight from its bytes (see `_read_bytes`); any other data, and any data
-    with an error, goes to the row loop, which gives the same grid and
-    reports every error. Bytes go there decoded, so bytes that are not UTF-8
-    raise UnicodeDecodeError."""
-    if isinstance(data, str):
-        grid = _read_bytes(data.encode()) if data.isascii() else None
-    else:
-        grid = _read_bytes(data)
-        if grid is None:
-            data = data.decode()
-    if grid is None:
-        grid = _read_rows(data)
-    return grid
+    - the header line op_a,op_b,h_in,h_out,power_mw;
+    - then rows 0x|0X<hex>,0x|0X<hex>,<digits>,<digits>,[-]<digits>.<digits>;
+    - each line ends in \\n or \\r\\n, and the last line may have no line end;
+    - every integer fits in int64, and every power is finite.
 
-
-def _read_bytes(data: bytes) -> Grid | None:
-    """The grid of the bytes `data` in `measurements_to_csv`'s form, or None
-    where `_read_rows` must decide.
-
-    The bytes start with the header line, and every row has five fields:
-    two operands `0x` or `0X` plus 1 to 15 hex digits, two Hamming counts of
-    1 to 18 decimal digits, and a power `[-]digits.digits` with at most 15
-    digits after the point and 15 significant digits, so every byte is
-    ASCII. Such a power is N / 10**d for integers N < 10**15 and d <= 15,
-    both exact in float64, so the one division rounds as float() does."""
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    if not data.startswith(_HEADER_LINE):
-        return None
+    Anything else raises CswpError naming the first line that breaks it. The
+    rows are read CSV_CHUNK_ROWS at a time straight from the bytes by
+    `_read_chunk`; a chunk it declines is read by `_read_lines`, which gives
+    the same columns or names the error."""
+    if data != _HEADER and not data.startswith((_HEADER_LINE, _HEADER + b"\r\n")):
+        raise CswpError(f"CSV line 1: want the header {_HEADER.decode()}")
     import numpy as np
 
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))  # ends[0] ends the header, ends[r + 1] row r
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(data))  # where the last line, which has no line end, stops
     n_rows = len(ends) - 1
+    crlf = b"\r" in data  # one memchr; without a CR, no row's field ends need moving
     columns = [np.empty(n_rows, np.int64) for _ in range(4)] + [np.empty(n_rows, np.float64)]
     for lo in range(0, n_rows, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, n_rows)
         first = ends[lo] + 1
-        chunk = _read_chunk(buf[first:ends[hi] + 1], ends[lo + 1:hi + 1] - first)
-        if chunk is None:
-            return None
-        for column, values in zip(columns, chunk):
+        seg = buf[first:ends[hi] + 1]
+        # `_read_chunk` takes only lines that end in a line end: on a last
+        # line with none, it would read a final lone CR as a CRLF's
+        chunk = _read_chunk(seg, ends[lo + 1:hi + 1] - first, crlf) if ends[hi] < len(data) else None
+        for column, values in zip(columns, chunk or _read_lines(seg.tobytes(), lo + 2)):
             column[lo:hi] = values
     return Grid(*columns)
 
 
-def _read_chunk(seg: np.ndarray, lines: np.ndarray) -> list[np.ndarray] | None:
+def _read_chunk(seg: np.ndarray, lines: np.ndarray, crlf: bool) -> list[np.ndarray] | None:
     """The five columns of the rows of the bytes `seg`, where row r ends at
-    its "\\n" seg[lines[r]]; None unless every row has `_read_bytes`'s form.
+    its "\\n" seg[lines[r]], or None where `_read_lines` must read them.
+    With `crlf` set, a row's fields end at the CR before its "\\n" if it has
+    one.
+
+    It reads rows in `measurements_from_csv`'s grammar whose operands have 1
+    to 15 hex digits, counts 1 to 18 digits, and power at most 15 digits
+    after the point and 15 significant digits. Such a power is N / 10**d for
+    integers N < 10**15 and d <= 15, both exact in float64, so the one
+    division rounds as float() does.
 
     Only the commas and points are searched for: the line ends are given.
     There must be 4n commas, and the k-th four are taken as row k's. Every
@@ -449,7 +444,7 @@ def _read_chunk(seg: np.ndarray, lines: np.ndarray) -> list[np.ndarray] | None:
         return None
     ints = [_number(seg, prefix[k] + 2, commas[k], 16, 15) for k in (0, 1)]
     ints += [_number(seg, commas[k - 1] + 1, commas[k], 10, 18) for k in (2, 3)]
-    lo, hi = commas[3] + 1, lines
+    lo, hi = commas[3] + 1, lines - (seg[lines - 1] == ord("\r")) if crlf else lines
     negative = seg[lo] == ord("-")
     lo = lo + negative
     points = np.flatnonzero(seg == ord("."))
@@ -503,42 +498,42 @@ def _number(seg: np.ndarray, lo: np.ndarray, hi: np.ndarray, base: int, max_digi
     return value
 
 
-def _read_rows(text: str) -> Grid:
-    """The csv module's reading, converting each field as it streams past; it
-    names the line of the first error."""
-    import numpy as np
+# each field's form, as an error names it, the pattern of that form, whose
+# group is its digits less leading zeros (so that no run of zeros meets
+# int()'s digit limit), and their base, None for the power's float()
+_HEX = ("0x<hex>", re.compile(rb"0[xX]0*([0-9a-fA-F]+)"), 16)
+_COUNT = ("<digits>", re.compile(rb"0*([0-9]+)"), 10)
+_FIELD_FORMS = (_HEX, _HEX, _COUNT, _COUNT, ("[-]<digits>.<digits>", re.compile(rb"(-?[0-9]+\.[0-9]+)"), None))
 
-    reader = csv.reader(io.StringIO(text))
-    op_a, op_b, h_in, h_out, power = columns = ([], [], [], [], [])
-    try:
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise CswpError(f"bad measurement CSV header {header!r}, want {CSV_HEADER!r}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(CSV_HEADER):
-                raise CswpError(f"CSV line {reader.line_num}: {len(row)} fields, want {len(CSV_HEADER)}")
-            try:
-                op_a.append(int(row[0], 0))
-                op_b.append(int(row[1], 0))
-                h_in.append(int(row[2]))
-                h_out.append(int(row[3]))
-                power.append(float(row[4]))
-            except ValueError as e:
-                raise CswpError(f"CSV line {reader.line_num}: {e}") from None
-    except csv.Error as e:  # e.g. a field over csv.field_size_limit()
-        raise CswpError(f"CSV line {reader.line_num}: {e}") from None
-    try:
-        grid = Grid(*(np.array(c, dtype=np.int64) for c in columns[:4]),
-                    np.array(power, dtype=np.float64))
-    except OverflowError:
-        raise CswpError("measurement CSV holds an integer outside the int64 range") from None
-    finite = np.isfinite(grid.power)
-    if not finite.all():
-        row = int(finite.argmin())
-        raise CswpError(f"measurement CSV data row {row + 1} has a non-finite power {grid.power[row]}")
-    return grid
+
+def _read_lines(seg: bytes, number: int) -> list[list]:
+    """The five columns of the lines of `seg`, the first of which is line
+    `number` of the file, read a line at a time with int() and float();
+    raises CswpError naming the first line outside `measurements_from_csv`'s
+    grammar and what is wrong with it. `_read_chunk` gives these columns
+    wherever it gives any."""
+    *lines, last = seg.split(b"\n")  # last: b"" after a line end, else a last line that has none
+    lines = [line.removesuffix(b"\r") for line in lines]
+    if last:
+        lines.append(last)
+    columns = [[] for _ in CSV_HEADER]
+    for number, line in enumerate(lines, number):
+        cells = line.split(b",")
+        if len(cells) != len(CSV_HEADER):
+            raise CswpError(f"CSV line {number}: {len(cells)} fields, want {len(CSV_HEADER)}")
+        for column, name, (form, pattern, base), cell in zip(columns, CSV_HEADER, _FIELD_FORMS, cells):
+            match = pattern.fullmatch(cell)
+            if match is None:
+                raise CswpError(f"CSV line {number}: {name} must be {form}")
+            digits = match[1]  # over 19 of them is past 2**63 in base 10 or 16
+            if base is None:
+                value = float(digits)
+                if not math.isfinite(value):
+                    raise CswpError(f"CSV line {number}: {name} is outside the float64 range")
+            elif len(digits) > 19 or (value := int(digits, base)) >= 2**63:
+                raise CswpError(f"CSV line {number}: {name} is outside the int64 range")
+            column.append(value)
+    return columns
 
 
 HEATMAP_STAGES = ("raw", "minus-out", "minus-in", "residual")

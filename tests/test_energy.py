@@ -1,4 +1,3 @@
-import csv
 import math
 import re
 import warnings
@@ -278,7 +277,7 @@ class TestCsvAndHeatmap:
     def test_measurement_csv_round_trip(self):
         grid = gen_synthetic_grid(4, "add", PAPER_MODEL, base=12.0, noise_sigma=0.5, seed=1)
         text = measurements_to_csv(grid, 4)
-        back = measurements_from_csv(text)
+        back = measurements_from_csv(text.encode())
         for name in ("op_a", "op_b", "h_in", "h_out"):
             assert getattr(back, name).dtype == np.int64
             assert np.array_equal(getattr(back, name), getattr(grid, name))
@@ -288,7 +287,7 @@ class TestCsvAndHeatmap:
 
     def test_bad_header_rejected(self):
         with pytest.raises(CswpError):
-            measurements_from_csv("a,b,c\n1,2,3\n")
+            measurements_from_csv(b"a,b,c\n1,2,3\n")
 
     def test_residual_stage_recovers_base(self):
         grid = gen_synthetic_grid(4, "add", PAPER_MODEL, base=50.0)
@@ -334,30 +333,27 @@ class TestCsvAndHeatmap:
         with pytest.raises(CswpError, match=message):
             heatmap_matrix(grid, "raw", c_in=1.3, c_out=4.4)
 
-    def test_csv_field_syntax(self):
-        # int() with base 0 for operands, underscores, blank lines
-        text = ("op_a,op_b,h_in,h_out,power_mw\n"
-                "0x0,0b1,1,0_1,5.5\n\n"
-                "0o2,3,1_0,2,-1e3\n")
-        grid = measurements_from_csv(text)
-        assert [c.tolist() for c in columns(grid)] == [[0, 2], [1, 3], [1, 10], [1, 2], [5.5, -1000.0]]
-
     @pytest.mark.parametrize("row, message", [
         ("0x0,0x0,1", "CSV line 3: 3 fields, want 5"),
         ("0x0,0x0,1,1,5.5,extra", "CSV line 3: 6 fields, want 5"),
-        ("0x0,0x0,1,1,nan", "data row 2 has a non-finite power nan"),
-        ("0x0,0x0,1,1,inf", "data row 2 has a non-finite power inf"),
-        ("0x0,0x0,1,1,-Infinity", "data row 2 has a non-finite power -inf"),
-        ("0x,0x0,1,1,1.0", "CSV line 3: invalid literal for int"),
-        ("0x0,0x0,1,1,watts", "CSV line 3: could not convert string to float"),
-        ("0x0,0x0,1,99999999999999999999,1.0", "outside the int64 range"),
+        ("", "CSV line 3: 1 fields, want 5"),
+        ("0x0,0x0,1,1,nan", r"CSV line 3: power_mw must be \[-\]<digits>.<digits>"),
+        ("0x0,0x0,1,1,-Infinity", r"CSV line 3: power_mw must be \[-\]<digits>.<digits>"),
+        ("0x0,0x0,1,1," + "9" * 309 + ".0", "CSV line 3: power_mw is outside the float64 range"),
+        ("0x,0x0,1,1,1.0", "CSV line 3: op_a must be 0x<hex>"),
+        ("0x0,0b1,1,1,1.0", "CSV line 3: op_b must be 0x<hex>"),
+        ("0x0,0x0,1_0,1,1.0", "CSV line 3: h_in must be <digits>"),
+        ("0x0,0x0,1,1,watts", r"CSV line 3: power_mw must be \[-\]<digits>.<digits>"),
+        ("0x0,0x0,1,99999999999999999999,1.0", "CSV line 3: h_out is outside the int64 range"),
+        ("0x0,0x0,1," + "1" * 5000 + ",1.0", "CSV line 3: h_out is outside the int64 range"),
+        ("0x8000000000000000,0x0,1,1,1.0", "CSV line 3: op_a is outside the int64 range"),
         ("0,0,1,1\n0,0,1,1,2,3", "CSV line 3: 4 fields, want 5"),
-        ("0x0,0x0\r,1,1,1.0", "CSV line 3: new-line character seen in unquoted field"),
-        ("0x0,0x0,1,1," + " " * 140_000 + "1", r"CSV line 3: field larger than field limit \(131072\)"),
+        ("0x0,0x0\r,1,1,1.0", "CSV line 3: op_b must be 0x<hex>"),
+        ("0x0,0x0,1,1," + " " * 140_000 + "1", r"CSV line 3: power_mw must be \[-\]<digits>.<digits>"),
     ])
     def test_csv_errors_name_line(self, row, message):
         with pytest.raises(CswpError, match=message):
-            measurements_from_csv("op_a,op_b,h_in,h_out,power_mw\n0x1,0x1,2,1,3.0\n" + row + "\n")
+            measurements_from_csv(f"{HEADER}0x1,0x1,2,1,3.0\n{row}\n".encode())
 
     def test_heatmap_csv_shape(self):
         grid = gen_synthetic_grid(3, "or", PAPER_MODEL, base=1.0)
@@ -367,16 +363,15 @@ class TestCsvAndHeatmap:
         assert all(len(r.split(",")) == 8 for r in rows)
 
 
-CSV_FIELD_LIMIT = csv.field_size_limit()
 HEADER = ",".join(energy.CSV_HEADER) + "\n"
 
 
 @st.composite
 def mutated_grid_csv(draw, mutation=None):
-    """(text, mutated): a window of a generated grid's CSV, and whether the
-    rows were then mutated into text the csv module reads differently from
-    str.split, or into text with an error. The rows take up to three drawn
-    `CSV_MUTATIONS`, or `mutation` alone where one is given."""
+    """(data, mutated): the bytes of a window of a generated grid's CSV, with
+    LF or CRLF line ends, and whether its rows were then mutated. The rows
+    take up to three drawn `CSV_MUTATIONS`, or `mutation` alone where one is
+    given."""
     width = draw(st.integers(1, 8))
     grid = gen_synthetic_grid(
         width,
@@ -393,8 +388,9 @@ def mutated_grid_csv(draw, mutation=None):
     for mutate in mutations:
         k = draw(st.integers(0, len(lines) - 1))
         lines[k] = mutate(draw, lines[k])
-    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
-    return text, bool(mutations)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return text.encode(), bool(mutations)
 
 
 def _in_field(mutate, fields=slice(None)):
@@ -428,31 +424,40 @@ def _split_unevenly(draw, line):
     return ",".join(fields[:short]) + "\n" + ",".join(fields[short:])
 
 
+# runs of zeros: one short of, at and past the column reader's digit
+# limits, and past int()'s 4,300-digit limit
+ZERO_RUNS = st.sampled_from([1, 3, 14, 15, 16, 300, 5000]).map(lambda n: "0" * n)
+
 CSV_MUTATIONS = [
     lambda draw, line: line + "\n",  # a blank line
-    _in_field(lambda draw, f: f + "\r"),  # CRLF after the last field, a lone CR elsewhere
+    _in_field(lambda draw, f: f + "\r"),  # CRCRLF or CRLF after the last field, a lone CR elsewhere
+    _in_field(lambda draw, f: draw(st.sampled_from(["\r", "\r\n"])) + f),
     lambda draw, line: line + "," + line.rsplit(",", 1)[-1],
     _drop_field,
     _in_field(lambda draw, f: f'"{f}"'),
     _in_field(_insert_underscore),
     _in_field(lambda draw, f: draw(st.sampled_from([bin, oct]))(draw(st.integers(0, 300)))),
     _in_field(lambda draw, f: draw(st.sampled_from([" ", "\t", "\x0c"])) + f + draw(st.sampled_from(["", " "]))),
-    _in_field(lambda draw, f: draw(st.sampled_from(["nan", "inf", "-Infinity"])), fields=slice(-1, None)),
+    _in_field(lambda draw, f: draw(st.sampled_from(["nan", "inf", "-Infinity", "5.", ".5", "+1.0", "1e3"])),
+              fields=slice(-1, None)),
     _in_field(lambda draw, f: draw(st.sampled_from(["-0.0", "-0.000000", "-0"])), fields=slice(-1, None)),
-    _in_field(lambda draw, f: draw(st.sampled_from([str(2**63 - 1), str(2**63), str(-2**63), hex(-2**63 - 1)])),
-              fields=slice(0, 4)),
+    _in_field(lambda draw, f: draw(st.sampled_from([str(2**63 - 1), str(2**63), str(-2**63), hex(2**63 - 1),
+                                                     hex(2**63), hex(-2**63 - 1)])), fields=slice(0, 4)),
     _in_field(lambda draw, f: re.sub("[0-9]", "\u0663", f, count=1)),  # ARABIC-INDIC DIGIT THREE
     # a hex digit in a decimal field
     _in_field(lambda draw, f: f + draw(st.sampled_from(["a", "F", "e"])), fields=slice(2, None)),
-    # a literal every column accepts, at and just over the csv field limit
-    _in_field(lambda draw, f: " " * (CSV_FIELD_LIMIT - 1 + draw(st.integers(0, 1))) + "1"),
+    # zeros after a field's first two bytes: leading zeros of an operand,
+    # or more digits of a count or a power, past the column limits
+    _in_field(lambda draw, f: f[:2] + draw(ZERO_RUNS) + f[2:]),
+    # leading zeros of a count
+    _in_field(lambda draw, f: draw(ZERO_RUNS) + f, fields=slice(2, 4)),
     _split_unevenly,
 ]
 
 
-def read_outcome(read, text):
+def read_outcome(read, data):
     try:
-        return read(text)
+        return read(data)
     except CswpError as e:
         return f"CswpError: {e}"
 
@@ -467,45 +472,64 @@ def assert_same_outcome(got, want):
         assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def assert_reads_like_row_loop(case, rows):
-    """The byte reader at `rows` rows a chunk against the row loop, on a
-    `mutated_grid_csv` case."""
-    text, mutated = case
+def read_by_lines(data):
+    """The reference reading of `data`: its header, then all its rows read
+    by one `_read_lines` call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy, "CSV_CHUNK_ROWS", len(data) + 1)
+        mp.setattr(energy, "_read_chunk", lambda *args: None)
+        return read_outcome(measurements_from_csv, data)
+
+
+def read_counting_lines(data, rows=energy.CSV_CHUNK_ROWS):
+    """(outcome, calls): `measurements_from_csv` at `rows` rows a chunk, and
+    how many chunks went to `_read_lines`."""
+    calls = []
+    read_lines = energy._read_lines
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(energy, "CSV_CHUNK_ROWS", rows)
-        got = read_outcome(measurements_from_csv, text)
-        if not mutated:  # a generated grid always takes the byte path
-            assert energy._read_bytes(text.encode()) is not None
-    assert_same_outcome(got, read_outcome(energy._read_rows, text))
+        mp.setattr(energy, "_read_lines", lambda seg, number: calls.append(number) or read_lines(seg, number))
+        return read_outcome(measurements_from_csv, data), len(calls)
+
+
+def assert_reads_like_lines(case, rows):
+    """The reader at `rows` rows a chunk against `read_by_lines`, on a
+    `mutated_grid_csv` case."""
+    data, mutated = case
+    got, calls = read_counting_lines(data, rows)
+    if not mutated and data.endswith(b"\n"):  # a generated grid takes the column path
+        assert calls == 0
+    assert_same_outcome(got, read_by_lines(data))
 
 
 class TestCsvReader:
-    """The byte column reader against the csv module's row loop: equal
-    columns, dtypes and signs, or the same error message."""
+    """The column reader against `_read_lines`, the one-line-at-a-time
+    reading of the same grammar: equal columns, dtypes and signs, or the
+    same error message."""
 
     @settings(max_examples=200, deadline=None)
     @given(mutated_grid_csv(), st.sampled_from([1, 3, 7, 8192]))
     # a hex digit in each decimal field, which a random draw reaches only now and then
-    @example((HEADER + "0x1,0x2,2a,1,3.5\n", True), 8192)
-    @example((HEADER + "0x1,0x2,2,1F,3.5\n", True), 8192)
-    @example((HEADER + "0x1,0x2,2,1,3.5e\n", True), 8192)
-    @example((HEADER + "0x1,0x2,2,1,3e.5\n", True), 8192)
+    @example(((HEADER + "0x1,0x2,2a,1,3.5\n").encode(), True), 8192)
+    @example(((HEADER + "0x1,0x2,2,1F,3.5\n").encode(), True), 8192)
+    @example(((HEADER + "0x1,0x2,2,1,3.5e\n").encode(), True), 8192)
+    @example(((HEADER + "0x1,0x2,2,1,3e.5\n").encode(), True), 8192)
     # ":" to "?" follow "9": a decimal digit less "0" is below 16 for them
-    @example((HEADER + "0x1,0x2,2:,1,3.5\n", True), 8192)
-    @example((HEADER + "0x1,0x2,2,1,3.?5\n", True), 8192)
-    @example((HEADER + "0x1,0x;,2,1,3.5\n", True), 8192)
-    def test_matches_row_loop(self, case, rows):
-        assert_reads_like_row_loop(case, rows)
+    @example(((HEADER + "0x1,0x2,2:,1,3.5\n").encode(), True), 8192)
+    @example(((HEADER + "0x1,0x2,2,1,3.?5\n").encode(), True), 8192)
+    @example(((HEADER + "0x1,0x;,2,1,3.5\n").encode(), True), 8192)
+    def test_matches_line_reader(self, case, rows):
+        assert_reads_like_lines(case, rows)
 
     # every mutation on its own, which the drawn lists above reach only by chance
     @pytest.mark.parametrize("index", range(len(CSV_MUTATIONS)))
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
-    def test_each_mutation_matches_row_loop(self, index, data):
+    def test_each_mutation_matches_line_reader(self, index, data):
         case = data.draw(mutated_grid_csv(CSV_MUTATIONS[index]))
-        assert_reads_like_row_loop(case, data.draw(st.sampled_from([1, 3, 7, 8192])))
+        assert_reads_like_lines(case, data.draw(st.sampled_from([1, 3, 7, 8192])))
 
-    # rows in the byte form whose fields differ in length within one chunk:
+    # rows in the column form whose fields differ in length within one chunk:
     # 1 and 15 hex digits, counts of 1 and 18 digits, powers with 1 and 15
     # places and 1 and 14 digits before the point
     MIXED_ROWS = [
@@ -516,51 +540,72 @@ class TestCsvReader:
     ]
 
     @pytest.mark.parametrize("rows", [1, 3, 7, 8192])
-    def test_mixed_field_lengths_match_row_loop(self, rows):
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_mixed_field_lengths_match_line_reader(self, rows, end):
         lines = [self.MIXED_ROWS[k % 4] for k in range(11)]
-        assert_reads_like_row_loop((HEADER + "\n".join(lines) + "\n", False), rows)
+        assert_reads_like_lines(((HEADER + end.join(lines) + end).encode(), False), rows)
 
     # a row of five commas beside one of three: 4n commas in all, so only a
     # check within each row rejects them; at index 2 and 6 the pair straddles the
     # chunk boundaries of 3 and 7 rows
     @pytest.mark.parametrize("rows", [1, 3, 7, 8192])
     @pytest.mark.parametrize("at", [0, 2, 6])
-    def test_five_commas_beside_three_match_row_loop(self, rows, at):
+    def test_five_commas_beside_three_match_line_reader(self, rows, at):
         lines = ["0x1,0x2,2,1,3.5"] * 9
         lines[at:at + 2] = ["0x1,0x2,2,1,1,3.5", "0x1,0x2,2,3.5"]
-        text = HEADER + "\n".join(lines) + "\n"
-        assert energy._read_bytes(text.encode()) is None
-        assert_reads_like_row_loop((text, True), rows)
+        data = (HEADER + "\n".join(lines) + "\n").encode()
+        assert read_counting_lines(data, rows) == (f"CswpError: CSV line {at + 2}: 6 fields, want 5", 1)
+        assert_reads_like_lines((data, True), rows)
 
     @pytest.mark.parametrize("width", [7, 8])
-    def test_full_grid_matches_row_loop(self, width):
+    def test_full_grid_matches_line_reader(self, width):
         grid = gen_synthetic_grid(width, "sub", PAPER_MODEL, base=-30.0, noise_sigma=2.0, seed=width)
-        text = measurements_to_csv(grid, width)
-        got = energy._read_bytes(text.encode())
-        assert got is not None and len(got) > energy.CSV_CHUNK_ROWS
+        data = measurements_to_csv(grid, width).encode()
+        got, calls = read_counting_lines(data)
+        assert calls == 0 and len(got) > energy.CSV_CHUNK_ROWS
         assert np.signbit(got.power).any() and not np.signbit(got.power).all()
-        assert_same_outcome(got, energy._read_rows(text))
+        assert_same_outcome(got, read_by_lines(data))
 
-    @pytest.mark.parametrize("text, fast", [
-        (HEADER + "0x1,0x2,2,1,123456789.123456\n", True),  # 15 significant digits
-        (HEADER + "0x1,0x2,2,1,-0.000000000000001\n", True),  # 15 after the point
-        (HEADER + "0x1,0x2,2,1,1234567890.123456\n", False),  # 16 significant digits
-        (HEADER + "0x1,0x2,2,1,0.0000000000000001\n", False),  # 16 after the point
-        (HEADER + "0X1F,0x2,2,1,1.0\n", True),
-        (HEADER + "0x1,0x2,2,1,5.\n", False),
-        (HEADER + "0x1,0x2,2,1,.5\n", False),
-        (HEADER + "0x1,0x2,2,1,+1.0\n", False),
-        (HEADER + "0x1,0x2,2,1,1e3\n", False),
-        (HEADER + "0b10,0o17,2,1,1.0\n", False),
-        (HEADER + "0x1,0x1,1\n1,1.0,0x1,0x1,1,1,1.0\n", False),  # 3 and 7 fields
-        (HEADER + "0x1,0x1,1,1,1,1,1,1,1.0\n\n", False),  # 9 fields and a blank line
-        (HEADER, True),
-        (HEADER.rstrip("\n"), True),
-        (HEADER + "0x1,0x2,2,1,1.5\n0x0,0xf,4,0,-2.25", True),  # no final newline
+    # "column" where every chunk takes the column path, "lines" where one
+    # goes to `_read_lines` and reads, or the error
+    @pytest.mark.parametrize("text, route", [
+        (HEADER + "0x1,0x2,2,1,123456789.123456\n", "column"),  # 15 significant digits
+        (HEADER + "0x1,0x2,2,1,-0.000000000000001\n", "column"),  # 15 after the point
+        (HEADER + "0x1,0x2,2,1,1234567890.123456\n", "lines"),  # 16 significant digits
+        (HEADER + "0x1,0x2,2,1,0.0000000000000001\n", "lines"),  # 16 after the point
+        (HEADER + "0x1,0x2,0000000000000000001,1,1.0\n", "lines"),  # 19 count digits
+        (HEADER + "0x1,0x2," + "0" * 5000 + "2,1,1.0\n", "lines"),  # past int()'s digit limit, but 2
+        (HEADER + "0x" + "0" * 30 + "1,0x2,2,1,1.0\n", "lines"),
+        (HEADER + "0X1F,0x2,2,1,1.0\n", "column"),
+        (HEADER, "column"),
+        (HEADER.rstrip("\n"), "column"),
+        (HEADER.replace("\n", "\r\n") + "0x1,0x2,2,1,1.5\r\n0x0,0xf,4,0,-2.25\r\n", "column"),
+        (HEADER + "0x1,0x2,2,1,1.5\n0x0,0xf,4,0,-2.25", "lines"),  # no final line end
+        (HEADER + "0x1,0x2,2,1,1.5\r\n0x0,0xf,4,0,-2.25", "lines"),
+        (HEADER + "0x1,0x2,2,1,5.\n", "CSV line 2: power_mw must be [-]<digits>.<digits>"),
+        (HEADER + "0x1,0x2,2,1,.5\n", "CSV line 2: power_mw must be [-]<digits>.<digits>"),
+        (HEADER + "0x1,0x2,2,1,+1.0\n", "CSV line 2: power_mw must be [-]<digits>.<digits>"),
+        (HEADER + "0x1,0x2,2,1,1e3\n", "CSV line 2: power_mw must be [-]<digits>.<digits>"),
+        (HEADER + "0x1,0x2,2,1,1.5\r", "CSV line 2: power_mw must be [-]<digits>.<digits>"),  # a lone CR
+        (HEADER + "0x1,0x2,2,1,1.5\r\r\n", "CSV line 2: power_mw must be [-]<digits>.<digits>"),
+        (HEADER + "0x1,0x2,2,1,1.5\r0x1,0x2,2,1,1.5\n", "CSV line 2: 9 fields, want 5"),
+        (HEADER + "0b10,0o17,2,1,1.0\n", "CSV line 2: op_a must be 0x<hex>"),
+        (HEADER + "0x1,0x2,+2,1,1.0\n", "CSV line 2: h_in must be <digits>"),
+        (HEADER + "0x1,0x2,2,1,1.0\n\n", "CSV line 3: 1 fields, want 5"),
+        (HEADER + "0x1,0x1,1\n1,1.0,0x1,0x1,1,1,1.0\n", "CSV line 2: 3 fields, want 5"),
+        ('"op_a","op_b","h_in","h_out","power_mw"\n', "CSV line 1: want the header op_a,op_b,h_in,h_out,power_mw"),
+        ("\ufeff" + HEADER, "CSV line 1: want the header op_a,op_b,h_in,h_out,power_mw"),
+        (HEADER.rstrip("\n") + "\r", "CSV line 1: want the header op_a,op_b,h_in,h_out,power_mw"),
+        ("", "CSV line 1: want the header op_a,op_b,h_in,h_out,power_mw"),
     ])
-    def test_form_boundary_matches_row_loop(self, text, fast):
-        assert (energy._read_bytes(text.encode()) is not None) == fast
-        assert_same_outcome(read_outcome(measurements_from_csv, text), read_outcome(energy._read_rows, text))
+    def test_form_boundary(self, text, route):
+        data = text.encode()
+        got, calls = read_counting_lines(data)
+        assert_same_outcome(got, read_by_lines(data))
+        if route in ("column", "lines"):
+            assert not isinstance(got, str) and calls == (route == "lines")
+        else:
+            assert got == f"CswpError: {route}"
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 10**15 - 1), st.integers(1, 15)),
@@ -572,11 +617,34 @@ class TestCsvReader:
         for negative, n, places in draws:
             whole, frac = divmod(n, 10**places)
             powers.append(f"{'-' * negative}{whole}.{frac:0{places}d}")
-        text = HEADER + "".join(f"0x0,0x0,0,0,{p}\n" for p in powers)
-        got = energy._read_bytes(text.encode())
-        assert got is not None
+        got, calls = read_counting_lines((HEADER + "".join(f"0x0,0x0,0,0,{p}\n" for p in powers)).encode())
+        assert calls == 0
         assert got.power.tolist() == [float(p) for p in powers]
         assert np.signbit(got.power).tolist() == [p.startswith("-") for p in powers]
+
+    # every grid gen-grid writes reads back to its written digits, on the
+    # column path or, past its limits (bases of 1e9 and up), `_read_lines`;
+    # widths 7 and 8 only as examples, as writing 1e300 at width 8 takes ~1.5 s
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from(GRID_MNEMONICS),
+           st.sampled_from([-200.0, 0.0, 164.0, 1e9, 5e9, 1e300]), st.sampled_from([0.0, 1.5]),
+           st.sampled_from(["\n", "\r\n"]))
+    @example(8, "add", 1e300, 1.5, "\r\n")
+    @example(8, "sub", 5e9, 0.0, "\n")
+    @example(8, "xor", -200.0, 1.5, "\r\n")
+    @example(7, "shl", 1e9, 1.5, "\n")
+    @example(7, "and", 0.0, 0.0, "\r\n")
+    def test_round_trip_gives_written_digits(self, width, mnemonic, base, sigma, end):
+        grid = gen_synthetic_grid(width, mnemonic, PAPER_MODEL, base=base, noise_sigma=sigma, seed=width)
+        text = measurements_to_csv(grid, width)
+        back = measurements_from_csv(text.replace("\n", end).encode())
+        written = list(zip(*(line.split(",") for line in text.splitlines()[1:])))
+        assert back.op_a.tolist() == [int(f, 16) for f in written[0]]
+        assert back.op_b.tolist() == [int(f, 16) for f in written[1]]
+        assert back.h_in.tolist() == [int(f) for f in written[2]]
+        assert back.h_out.tolist() == [int(f) for f in written[3]]
+        assert back.power.tolist() == [float(f) for f in written[4]]
+        assert np.signbit(back.power).tolist() == [f.startswith("-") for f in written[4]]
 
 
 FIXED6_LIMIT = 2.0**52 / 1e6  # |x| from which the writers hand a call to %-formatting

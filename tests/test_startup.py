@@ -1,5 +1,6 @@
-"""`cswp` as a process: which commands load NumPy and `fractions`, and what
-a fresh interpreter running the command line prints.
+"""`cswp` as a process: which commands load NumPy and `fractions` (and that
+none loads `csv`), and what a fresh interpreter running the command line
+prints.
 
 Each case starts its own interpreter with `PYTHONPATH` set to this
 checkout's `src/`, so nothing an earlier test imported can hide an import.
@@ -16,17 +17,18 @@ from cswp.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+GRID = "op_a,op_b,h_in,h_out,power_mw\n0x0,0x0,0,0,1.0\n0x0,0x1,1,1,2.0\n0x1,0x0,1,1,2.0\n0x1,0x1,2,1,3.0\n"
 PROGRAM = ("width 8\nfree a full\nfree b 01\n"
            "o1: mov freea\no2: shl o1, freeb\no3: xor o2, #0x5a\no4: ite freeb, o3, o1\n")
 
 # Runs `cli.main` on its arguments with stdout captured, then prints the
-# exit code and whether NumPy and `fractions` were loaded.
+# exit code and whether NumPy, `fractions` and `csv` were loaded.
 CHILD = """
 import contextlib, io, sys
 from cswp import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, "numpy" in sys.modules, "fractions" in sys.modules)
+print(code, "numpy" in sys.modules, "fractions" in sys.modules, "csv" in sys.modules)
 """
 
 
@@ -39,6 +41,7 @@ def python(*args, cwd):
 @pytest.fixture
 def workdir(tmp_path):
     (tmp_path / "p.cswp").write_text(PROGRAM)
+    (tmp_path / "g.csv").write_text(GRID)
     return tmp_path
 
 
@@ -57,6 +60,8 @@ WITHOUT_NUMPY = [
 WITH_NUMPY = [
     ["solve", "p.cswp"],
     ["gen-grid", "--op", "add", "--width", "3"],
+    ["fit", "g.csv"],
+    ["heatmap", "g.csv", "--stage", "residual"],
 ]
 
 
@@ -68,19 +73,20 @@ def fractions_loaded(argv) -> str:
 class TestNumpyStaysOut:
     @pytest.mark.parametrize("module", ["cswp", "cswp.cli"])
     def test_import(self, tmp_path, module):
-        done = python("-c", f"import sys, {module}; print('numpy' in sys.modules, 'fractions' in sys.modules)",
+        done = python("-c", f"import sys, {module}; "
+                            "print('numpy' in sys.modules, 'fractions' in sys.modules, 'csv' in sys.modules)",
                       cwd=tmp_path)
-        assert (done.stdout, done.stderr) == (b"False False\n", b"")
+        assert (done.stdout, done.stderr) == (b"False False False\n", b"")
 
     @pytest.mark.parametrize("argv", WITHOUT_NUMPY, ids=" ".join)
     def test_command_without_arrays(self, workdir, argv):
         done = python("-c", CHILD, *argv, cwd=workdir)
-        assert (done.stdout, done.stderr) == (f"0 False {fractions_loaded(argv)}\n".encode(), b"")
+        assert (done.stdout, done.stderr) == (f"0 False {fractions_loaded(argv)} False\n".encode(), b"")
 
     @pytest.mark.parametrize("argv", WITH_NUMPY, ids=" ".join)
     def test_command_with_arrays(self, workdir, argv):
         done = python("-c", CHILD, *argv, cwd=workdir)
-        assert (done.stdout, done.stderr) == (f"0 True {fractions_loaded(argv)}\n".encode(), b"")
+        assert (done.stdout, done.stderr) == (f"0 True {fractions_loaded(argv)} False\n".encode(), b"")
 
 
 class TestProcess:
