@@ -199,28 +199,62 @@ def _scan_chunk(lowered: _Lowered, lo: int, hi: int) -> np.ndarray:
     """Switching totals (int64) of enumeration indices [lo, hi), with the
     cached column op table of `lowered.width`, in `lowered.dtype`.
 
-    Each distinct transition is counted once, times its multiplicity, in a
-    `lowered.acc_dtype` accumulator; `np.bitwise_count` gives uint8, so a
-    count is widened to that dtype before the multiplication, which would
-    otherwise wrap at 256."""
+    The inputs are decoded from a uint32 enumeration index when the chunk's
+    last index fits one, else from a uint64 one. Each distinct transition is
+    counted once, times its multiplicity: its xor and its popcount go to two
+    scratch columns reused across the chunk (a transition against the
+    constant 0 is the other slot's popcount, with no xor), and the counts
+    add up in a uint8 partial column. A transition adds at most `width *
+    multiplicity`, so before one that could wrap the partial column, the
+    partial column is added to the `lowered.acc_dtype` accumulator and
+    zeroed. A transition with `width * multiplicity` past 255 instead widens
+    its popcount to the accumulator's dtype before the multiplication, which
+    would otherwise wrap."""
     import numpy as np
 
-    ops = vector_ops(lowered.width)
-    dtype, acc_type = lowered.dtype, lowered.acc_dtype.type
-    index = np.arange(lo, hi, dtype=np.uint64)
-    env = [None if v is None else dtype.type(v) for v in lowered.constants]
+    width, dtype, acc_type, constants = lowered.width, lowered.dtype, lowered.acc_dtype.type, lowered.constants
+    ops = vector_ops(width)
+    rows = hi - lo
+    index_type, top = (np.uint32, (1 << 32) - 1) if hi <= 1 << 32 else (np.uint64, (1 << 64) - 1)
+    index = np.arange(lo, hi, dtype=index_type)  # a field's bits past the index's are 0: its mask is cut
+    env = [None if v is None else dtype.type(v) for v in constants]
     for k, (shift, mask) in enumerate(lowered.fields):
-        env[k] = ((index >> np.uint64(shift)) & np.uint64(mask)).astype(dtype, copy=False)
-    acc = np.zeros(hi - lo, dtype=lowered.acc_dtype)
+        env[k] = ((index >> index_type(shift)) & index_type(mask & top)).astype(dtype, copy=False)
+    acc = np.zeros(rows, dtype=lowered.acc_dtype)
+    # A uint8 accumulator is its own partial column. It never flushes: the
+    # coarse bound, at most 255 there, caps the sum of `width *
+    # multiplicity` over the transitions.
+    part = acc if acc_type is np.uint8 else np.zeros(rows, dtype=np.uint8)
+    xor, flips = np.empty(rows, dtype=dtype), np.empty(rows, dtype=np.uint8)
+    room = 255  # what the partial column can still take without wrapping
     for mnemonic, dest, srcs, pair, dead in lowered.steps:
         if mnemonic is not None:
             env[dest] = ops[mnemonic](*[env[s] for s in srcs])
         if pair is not None:
             a, b, count = pair
-            flips = np.bitwise_count(env[a] ^ env[b])
-            acc += flips if count == 1 else flips * acc_type(count)
+            if constants[a] == 0:
+                column = env[b]
+            elif constants[b] == 0:
+                column = env[a]
+            else:
+                column = np.bitwise_xor(env[a], env[b], xor)
+            np.bitwise_count(column, flips)
+            weight = width * count
+            if weight > 255:
+                acc += flips * acc_type(count)
+            else:
+                if weight > room:
+                    acc += part
+                    part.fill(0)
+                    room = 255
+                if count > 1:
+                    flips *= np.uint8(count)
+                part += flips
+                room -= weight
         for s in dead:
             env[s] = None
+    if part is not acc:
+        acc += part
     totals = acc.astype(np.int64)
     totals += lowered.base
     return totals

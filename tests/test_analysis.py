@@ -220,6 +220,79 @@ class TestVectorizedEngine:
         assert [sum(execute(p, combo).transitions) for combo in combos] == totals
         assert brute_force_worst_case(p).max_switching == max(totals)
 
+    # The scan sums popcounts in a uint8 partial column and adds it to the
+    # accumulator before a transition of weight width * multiplicity that
+    # could wrap it; a weight past 255 is widened instead.
+    def assert_scan_matches_execute(self, p):
+        totals, combos = scalar_worst_case(p)
+        lowered = analysis._lower(p)
+        assert lowered.acc_dtype != np.uint8  # so the partial column is not the accumulator
+        vector = analysis._scan_chunk(lowered, 0, len(totals))
+        assert list(vector) == totals
+        assert [sum(execute(p, combo).transitions) for combo in combos] == totals
+        return lowered, totals
+
+    @pytest.mark.parametrize("width, count", [(8, 31), (5, 51), (8, 32)])
+    def test_weight_at_partial_column_limit(self, width, count):
+        # one pair recurring `count` times (weight 248, 255 or 256), then one
+        # transition that flips every bit: at a = top, c = 0 the pair fills
+        # the partial column to its weight, and the last transition only fits
+        # after a flush
+        a, c = Instruction("mov", (Free("a"),)), Instruction("mov", (Free("c"),))
+        p = prog(width, [(a, c)[k % 2] for k in range(count + 1)] + [Instruction("not", (PriorOutput(count),))],
+                 free_inputs=[("a", FULL), ("c", BINARY01)])
+        lowered, totals = self.assert_scan_matches_execute(p)
+        assert [pair[2] for _, _, _, pair, _ in lowered.steps if pair][0] == count
+        assert max(totals) == width * (count + 1)
+
+    def test_partial_column_flushes_several_times(self):
+        # 99 transitions of weight 8, so the partial column takes at most 31
+        # before each flush; the totals reach past 255
+        steps = [Instruction("mov", (Free("a"),))]
+        for k in range(1, 100):
+            op = ("add", "xor", "sub")[k % 3]
+            steps.append(Instruction(op, (PriorOutput(k - 1), Free("a") if k % 2 else Free("c"))))
+        p = prog(8, steps, free_inputs=[("a", FULL), ("c", BINARY01)])
+        _, totals = self.assert_scan_matches_execute(p)
+        assert max(totals) > 255
+
+    @pytest.mark.parametrize("first", [0, 5])
+    def test_transition_against_constant(self, first):
+        # the constant's slot comes before the sum's and after the input's, so
+        # it is the first slot of one pair and the second of the other; 0 is
+        # counted without the xor, 5 with it
+        steps = [Instruction("mov", (Const(first),)), Instruction("add", (Free("a"), Const(1))),
+                 Instruction("mov", (Const(first),)), Instruction("mov", (Free("a"),))]
+        p = prog(8, steps * 9, free_inputs=[("a", FULL)])
+        lowered, _ = self.assert_scan_matches_execute(p)
+        slot = lowered.constants.index(first)
+        sides = {pair.index(slot) for _, _, _, pair, _ in lowered.steps if pair and slot in pair[:2]}
+        assert sides == {0, 1}
+
+    @pytest.mark.parametrize("width", [32, 64])
+    @pytest.mark.parametrize("binary_first", [False, True])
+    def test_index_past_uint32(self, width, binary_first):
+        # a chunk whose last index passes 2**32 decodes from a uint64 index;
+        # one that ends at 2**32 from a uint32 one, whose shift past its bits
+        # gives 0 and whose mask is cut to its bits
+        inputs = [("x", FULL), ("c", BINARY01)]
+        if binary_first:
+            inputs.reverse()
+        p = prog(width, [
+            Instruction("add", (Free("x"), Free("c"))),
+            Instruction("mov", (Free("x"),)),
+            Instruction("xor", (Free("x"), Free("c"))),
+            Instruction("sub", (Const(0), Free("c"))),
+        ], free_inputs=inputs)
+        lowered = analysis._lower(p)
+        bits = [1 if domain == BINARY01 else width for _, domain in inputs]
+        for lo, hi in [(2**32 - 3, 2**32 + 3), (2**32 - 6, 2**32), (0, 6)]:
+            vector = analysis._scan_chunk(lowered, lo, hi)
+            for row, index in enumerate(range(lo, hi)):
+                combo = {name: (index >> sum(bits[k + 1:])) & ((1 << bits[k]) - 1)
+                         for k, (name, _) in enumerate(inputs)}
+                assert vector[row] == sum(execute(p, combo).transitions), (lo, combo)
+
 
 class TestMaxsatOracle:
     def test_complementary_units(self):

@@ -1019,17 +1019,18 @@ class TestPlainParse:
         assert plain is not None
         assert repr((plain, [])) == repr(known_args(parser, argv[1:]))
 
-    # a positional that is not a plain store: an append one, which the guard
-    # on the action's class declines, and a "+" one, which no nargs case takes
-    @pytest.mark.parametrize("first, want", [({"action": "append"}, ["a"]), ({}, "a")])
-    def test_declines_positional_that_is_not_a_plain_store(self, first, want):
+    # a positional that is not a plain store, last in a run of positionals
+    # that is otherwise plain: an append one, which the guard on the
+    # action's class declines, and a "+" one, which no nargs case takes
+    @pytest.mark.parametrize("last", [{"action": "append"}, {"nargs": "+"}])
+    def test_declines_positional_that_is_not_a_plain_store(self, last):
         parser = argparse.ArgumentParser()
         parser.add_argument("--flag", action="store_true")
-        parser.add_argument("first", **first)
-        parser.add_argument("rest", nargs="+")
-        argv = ["a", "--flag", "b", "c"]
+        parser.add_argument("first")
+        parser.add_argument("last", **last)
+        argv = ["--flag", "a", "b"]
         assert cli._plain_args(parser, argv) is None
-        assert parser.parse_known_args(argv) == (argparse.Namespace(flag=True, first=want, rest=["b", "c"]), [])
+        assert parser.parse_known_args(argv) == (argparse.Namespace(flag=True, first="a", last=["b"]), [])
 
     def test_walkthrough_shows_every_command(self):
         assert {argv[0] for argv in walkthrough_argvs()} == set(subparsers())

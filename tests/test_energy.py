@@ -571,7 +571,11 @@ class TestCsvReader:
     @pytest.mark.parametrize("text, route", [
         (HEADER + "0x1,0x2,2,1,123456789.123456\n", "column"),  # 15 significant digits
         (HEADER + "0x1,0x2,2,1,-0.000000000000001\n", "column"),  # 15 after the point
-        (HEADER + "0x1,0x2,2,1,1234567890.123456\n", "lines"),  # 16 significant digits
+        (HEADER + "0x1,0x2,2,1,1234567890.123456\n", "column"),  # 16 significant digits below 2**53
+        (HEADER + "0x1,0x2,2,1,-9007199254.740991\n", "column"),  # 2**53 - 1
+        (HEADER + "0x1,0x2,2,1,9007199254.740992\n", "lines"),  # 2**53
+        (HEADER + "0x1,0x2,2,1,9.999999999999999\n", "lines"),  # 16 digits past 2**53
+        (HEADER + "0x1,0x2,2,1,1.5\n0x1,0x2,2,1,12345678901.123456\n", "lines"),  # 17 significant digits
         (HEADER + "0x1,0x2,2,1,0.0000000000000001\n", "lines"),  # 16 after the point
         (HEADER + "0x1,0x2,0000000000000000001,1,1.0\n", "lines"),  # 19 count digits
         (HEADER + "0x1,0x2," + "0" * 5000 + "2,1,1.0\n", "lines"),  # past int()'s digit limit, but 2
@@ -622,8 +626,33 @@ class TestCsvReader:
         assert got.power.tolist() == [float(p) for p in powers]
         assert np.signbit(got.power).tolist() == [p.startswith("-") for p in powers]
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(10**15, 2**53 - 1), st.integers(1, 15)),
+                    min_size=1, max_size=30))
+    def test_sixteen_digit_powers_below_2_53_read_as_float(self, draws):
+        # and for 16 significant digits, while N stays exact in float64
+        powers = []
+        for negative, n, places in draws:
+            whole, frac = divmod(n, 10**places)
+            powers.append(f"{'-' * negative}{whole}.{frac:0{places}d}")
+        got, calls = read_counting_lines((HEADER + "".join(f"0x0,0x0,0,0,{p}\n" for p in powers)).encode())
+        assert calls == 0
+        assert got.power.tolist() == [float(p) for p in powers]
+        assert np.signbit(got.power).tolist() == [p.startswith("-") for p in powers]
+
+    # gen-grid's powers have 16 significant digits from base 1e9 and 17 from
+    # 1e10: through 9e9 every chunk takes the column path
+    @pytest.mark.parametrize("base, route", [(1e9, "column"), (5e9, "column"), (-9e9, "column"),
+                                             (9e9, "column"), (1e10, "lines")])
+    def test_wide_base_grid_route(self, base, route):
+        grid = gen_synthetic_grid(8, "add", PAPER_MODEL, base=base, noise_sigma=1.5, seed=8)
+        data = measurements_to_csv(grid, 8).encode()
+        got, calls = read_counting_lines(data)
+        assert calls == (0 if route == "column" else -(-len(grid) // energy.CSV_CHUNK_ROWS))
+        assert_same_outcome(got, read_by_lines(data))
+
     # every grid gen-grid writes reads back to its written digits, on the
-    # column path or, past its limits (bases of 1e9 and up), `_read_lines`;
+    # column path or, past its limits (bases of 1e10 and up), `_read_lines`;
     # widths 7 and 8 only as examples, as writing 1e300 at width 8 takes ~1.5 s
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6), st.sampled_from(GRID_MNEMONICS),

@@ -73,6 +73,16 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_program("width 4\no1: add free0\n")
 
+    # a line with a mnemonic and no operands, also before a memory destination
+    @pytest.mark.parametrize("line, message", [
+        ("o1: mov", "line 3: mov needs 1 input(s), got 0"),
+        ("o1: store -> m[0]", "line 3: store needs 1 input(s), got 0"),
+    ])
+    def test_no_operands_is_a_parse_error_with_line(self, line, message):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program(f"width 4\nmem 1\n{line}\n")
+        assert str(excinfo.value) == message
+
     def test_nonsequential_index_rejected(self):
         with pytest.raises(ParseError, match="o3"):
             parse_program("width 4\no3: mov #0x0\n")
@@ -402,5 +412,7 @@ def parse_outcome(parse, text):
 @example("".join(f"# {i}{b}" for i, b in enumerate(LINE_BREAKS)) + "width 4\no1: mov #0x1# c\no2: frob\n")
 @example(f"width 4\nmem 1\no1: mov #0x1\no2: store o1 -> m[{'9' * 4301}]\n")  # serializer form, too long
 @example("width 4\nfree a 01\no01: mov freea\no2:\tadd o1,  o1\n")  # the first row is not serializer form
+@example("width 4\nmem 1\no1: mov\n")  # a mnemonic with no operands
+@example("width 4\nmem 1\no1: store -> m[0]\n")
 def test_parser_matches_reference_parser(text):
     assert parse_outcome(parse_program, text) == parse_outcome(refparse.parse_program, text)
