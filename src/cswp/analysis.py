@@ -103,21 +103,25 @@ class _Lowered:
     outputs: list
     base: int
 
-    @functools.cached_property
+    @property
     def dtype(self) -> np.dtype:
         """The narrowest unsigned dtype that holds the width, the one the
         scan's columns take."""
-        import numpy as np
+        return _unsigned_dtype(self.width)
 
-        return np.min_scalar_type((1 << self.width) - 1)
-
-    @functools.cached_property
+    @property
     def acc_dtype(self) -> np.dtype:
         """The narrowest unsigned dtype that holds the coarse bound, which
         no total exceeds."""
-        import numpy as np
+        return _unsigned_dtype(self.coarse_bound.bit_length())
 
-        return np.min_scalar_type(self.coarse_bound)
+
+@functools.cache  # one per bit count: a fresh _Lowered per solve looks its dtypes up here
+def _unsigned_dtype(bits: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds every `bits`-bit value."""
+    import numpy as np
+
+    return np.min_scalar_type((1 << bits) - 1)
 
 
 def _lower(program: Program) -> _Lowered:
@@ -200,16 +204,17 @@ def _scan_chunk(lowered: _Lowered, lo: int, hi: int) -> np.ndarray:
     cached column op table of `lowered.width`, in `lowered.dtype`.
 
     The inputs are decoded from a uint32 enumeration index when the chunk's
-    last index fits one, else from a uint64 one. Each distinct transition is
-    counted once, times its multiplicity: its xor and its popcount go to two
-    scratch columns reused across the chunk (a transition against the
-    constant 0 is the other slot's popcount, with no xor), and the counts
-    add up in a uint8 partial column. A transition adds at most `width *
-    multiplicity`, so before one that could wrap the partial column, the
-    partial column is added to the `lowered.acc_dtype` accumulator and
-    zeroed. A transition with `width * multiplicity` past 255 instead widens
-    its popcount to the accumulator's dtype before the multiplication, which
-    would otherwise wrap."""
+    last index fits one, else from a uint64 one, by a shift and a mask given
+    as Python ints, which NumPy casts to the index's dtype. Each distinct
+    transition is counted once, times its multiplicity: its xor and its
+    popcount go to two scratch columns reused across the chunk (a transition
+    against the constant 0 is the other slot's popcount, with no xor), and
+    the counts add up in a uint8 partial column. A transition adds at most
+    `width * multiplicity`, so before one that could wrap the partial
+    column, the partial column is added to the `lowered.acc_dtype`
+    accumulator and zeroed. A transition with `width * multiplicity` past
+    255 instead widens its popcount to the accumulator's dtype before the
+    multiplication, which would otherwise wrap."""
     import numpy as np
 
     width, dtype, acc_type, constants = lowered.width, lowered.dtype, lowered.acc_dtype.type, lowered.constants
@@ -219,7 +224,7 @@ def _scan_chunk(lowered: _Lowered, lo: int, hi: int) -> np.ndarray:
     index = np.arange(lo, hi, dtype=index_type)  # a field's bits past the index's are 0: its mask is cut
     env = [None if v is None else dtype.type(v) for v in constants]
     for k, (shift, mask) in enumerate(lowered.fields):
-        env[k] = ((index >> index_type(shift)) & index_type(mask & top)).astype(dtype, copy=False)
+        env[k] = ((index >> shift) & (mask & top)).astype(dtype, copy=False)
     acc = np.zeros(rows, dtype=lowered.acc_dtype)
     # A uint8 accumulator is its own partial column. It never flushes: the
     # coarse bound, at most 255 there, caps the sum of `width *

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import os
 import stat
@@ -29,11 +30,34 @@ from .textfmt import parse_program
 
 
 def _read_file(path: str) -> bytes:
+    """The bytes of the file `path` names, those `open(path, "rb").read()`
+    returns, read with no file object: one `os.read` asks for a byte more
+    than `fstat` gives. Reading goes on to EOF only where that read got some
+    bytes but not the size: the extra byte (a file holding more than its
+    size says, as under /proc), a short read (a regular file past the 2 GiB
+    a Linux `read` returns at most), or any bytes of a file that is not
+    regular (a pipe, whose size on some systems counts the bytes buffered).
+    Each failure is the OSError `open()` raises, with its message; a
+    directory is caught from the `fstat`, as `os.read` would report it
+    without the path."""
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        fd = os.open(path, os.O_RDONLY)  # not inherited by child processes (PEP 446)
+        try:
+            st = os.fstat(fd)
+            mode, size = st.st_mode, st.st_size
+            if stat.S_ISDIR(mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            data = os.read(fd, size + 1)
+            if data and (len(data) != size or not stat.S_ISREG(mode)):
+                chunks = [data]
+                while data := os.read(fd, max(size, 1 << 16)):
+                    chunks.append(data)
+                data = b"".join(chunks)
+        finally:
+            os.close(fd)
     except OSError as e:
         raise CswpError(f"cannot read {path}: {e}") from None
+    return data
 
 
 def _read_text(path: str) -> str:

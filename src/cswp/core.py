@@ -249,7 +249,7 @@ def validate_program(program: Program) -> list[str]:
         if mnemonic == "load" and inputs and type(inputs[0]) is not MemRead:
             violations.append("load input must be a memory read")
         if mem_dest is not None and not 0 <= mem_dest < mem_size:
-            violations.append(f"mem_dest {mem_dest} outside 0..{mem_size - 1}")
+            violations.append(_outside_memory(f"mem_dest {mem_dest}", mem_size))
         # by exact class, commonest first: an instance of a subclass is no
         # operand, so every later walk dispatches on type(src) alone
         for src in inputs:
@@ -265,12 +265,19 @@ def validate_program(program: Program) -> list[str]:
                     violations.append(f"free input {src.name!r} not declared")
             elif kind is MemRead:
                 if not 0 <= src.addr < mem_size:
-                    violations.append(f"memory address {src.addr} outside 0..{mem_size - 1}")
+                    violations.append(_outside_memory(f"memory address {src.addr}", mem_size))
             else:
                 violations.append(f"unknown operand source {src!r}")
         if len(violations) > first:
             violations[first:] = [f"instruction {idx}: {v}" for v in violations[first:]]
     return violations
+
+
+def _outside_memory(what: str, mem_size: int) -> str:
+    """The violation of a memory address past the declared memory."""
+    if mem_size > 0:
+        return f"{what} outside 0..{mem_size - 1}"
+    return f"{what}, but the program declares no memory"
 
 
 def _check_assignment(program: Program, assignment: Mapping) -> dict[str, int]:

@@ -38,16 +38,16 @@ from .core import (
 )
 
 # The four operand classes, keyed by their distinct first characters. Each
-# pattern has one group, around the number or name; each converter makes the
-# source of a token that its pattern matches, without another regex.
+# pattern has one group, around the number or name; each class's one field
+# takes its value from a token that its pattern matches, without another regex.
 _OPERAND_CLASSES = {
-    "#": (r"#0x([0-9a-fA-F]+)", lambda token: Const(int(token[3:], 16))),
-    "m": (r"m\[(\d+)\]", lambda token: MemRead(int(token[2:-1]))),
-    "o": (r"o(\d+)", lambda token: PriorOutput(int(token[1:]) - 1)),
-    "f": (rf"free({NAME_PATTERN})", lambda token: Free(token[4:])),
+    "#": (r"#0x([0-9a-fA-F]+)", Const, lambda token: int(token[3:], 16)),
+    "m": (r"m\[(\d+)\]", MemRead, lambda token: int(token[2:-1])),
+    "o": (r"o(\d+)", PriorOutput, lambda token: int(token[1:]) - 1),
+    "f": (rf"free({NAME_PATTERN})", Free, lambda token: token[4:]),
 }
-_CONVERT = {kind: convert for kind, (_, convert) in _OPERAND_CLASSES.items()}
-_OPERAND = re.compile("|".join(pattern for pattern, _ in _OPERAND_CLASSES.values()))
+_CONVERT = {kind: (cls, cls.__match_args__[0], value) for kind, (_, cls, value) in _OPERAND_CLASSES.items()}
+_OPERAND = re.compile("|".join(pattern for pattern, _, _ in _OPERAND_CLASSES.values()))
 _MEM_DEST = re.compile(_OPERAND_CLASSES["m"][0])
 # an instruction's index has the syntax of a prior output that names it
 _INSN = re.compile(_OPERAND_CLASSES["o"][0] + r":\s*([a-z]+)\s*(.*)$")
@@ -56,7 +56,7 @@ _INSN = re.compile(_OPERAND_CLASSES["o"][0] + r":\s*([a-z]+)\s*(.*)$")
 # classes narrowed to ASCII digits and lower-case hex. It must follow a "\n",
 # which the search finds fast, and not the first line, which cannot be an
 # instruction of a valid program anyway.
-_ASCII = {kind: p.replace(r"\d", "[0-9]").replace("A-F", "") for kind, (p, _) in _OPERAND_CLASSES.items()}
+_ASCII = {kind: p.replace(r"\d", "[0-9]").replace("A-F", "") for kind, (p, _, _) in _OPERAND_CLASSES.items()}
 _TOKEN = "|".join(pattern.replace("(", "(?:") for pattern in _ASCII.values())
 _ROW = re.compile(rf"\n{_ASCII['o']}: ([a-z]+) ({_TOKEN})(?:, ({_TOKEN}))?(?:, ({_TOKEN}))?"
                   rf"(?: -> {_ASCII['m']})?(?=\n|\Z)")
@@ -105,15 +105,25 @@ def parse_program(text: str) -> Program:
     return parse.program()
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
 class _Sources(dict):
     """Operand token -> source, for one parse_program call: operand classes
     are frozen, so instructions may share one, and only successes are kept,
     so each error still names its own line. Indexing converts a token that
-    `_OPERAND` or `_ROW` matched on first sight, through its class's
-    converter, or raises ValueError for a number too long for int()."""
+    `_OPERAND` or `_ROW` matched on first sight, through its class's row of
+    `_CONVERT`, or raises ValueError for a number too long for int().
+
+    The source is built as the class's generated `__init__` builds it, by
+    `object.__setattr__` of its one field, without that `__init__`'s frame:
+    the operand classes have no `__post_init__`."""
 
     def __missing__(self, token: str):
-        source = self[token] = _CONVERT[token[0]](token)
+        cls, field, value = _CONVERT[token[0]]
+        source = _new(cls)
+        _set(source, field, value(token))
+        self[token] = source
         return source
 
 

@@ -8,6 +8,7 @@ import random
 import re
 import shlex
 import stat
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1102,3 +1103,95 @@ class TestReadAsBytes:
         else:
             path.write_bytes(edit(path.read_bytes()))
         assert outcome(capsys, argv) == (expected if err is None else (1, "", f"error: {err}\n"))
+
+    @staticmethod
+    def open_read(path):
+        """How `cli._read_file` read before it read with `os.read`."""
+        try:
+            with open(path, "rb") as fh:
+                return fh.read()
+        except OSError as e:
+            raise core.CswpError(f"cannot read {path}: {e}") from None
+
+    @pytest.mark.parametrize("name", ["d", "d/", "missing", "f/", "d/missing"])
+    def test_read_errors_match_open(self, capsys, tmp_path, monkeypatch, name):
+        # a directory, a missing file and a regular file named as a directory
+        # (ENOTDIR) each end in the line the open() read gave
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_text(DOUBLING)
+        expected = read_outcome(self.open_read, name)
+        assert expected.startswith(f"CswpError: cannot read {name}: [Errno ")
+        assert read_outcome(cli._read_file, name) == expected
+        line = f"error: {expected.removeprefix('CswpError: ')}\n"
+        assert outcome(capsys, ["bound", name, "--method", "coarse"]) == (1, "", line)
+        assert outcome(capsys, ["fit", name]) == (1, "", line)
+
+    @pytest.mark.parametrize("size", [0, 1, 4095, 4096, 3 << 20])
+    def test_regular_file_bytes_match_open(self, tmp_path, size):
+        path = str(tmp_path / "x")
+        with open(path, "wb") as fh:
+            fh.write(random.Random(size).randbytes(size))
+        assert cli._read_file(path) == self.open_read(path)
+
+    def test_file_holding_more_than_its_size(self):
+        # /proc files report a size of 0 but hold bytes
+        path = "/proc/self/cmdline"
+        if not os.path.exists(path):
+            pytest.skip("no /proc")
+        assert os.stat(path).st_size == 0
+        data = cli._read_file(path)
+        assert data and data == self.open_read(path)
+
+    def test_short_read_reads_on(self, tmp_path, monkeypatch):
+        # a read that returns less than the size, as Linux's does past 2 GiB
+        path = str(tmp_path / "x")
+        with open(path, "wb") as fh:
+            fh.write(random.Random(5).randbytes(10_000))
+        read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, 999)))
+        assert cli._read_file(path) == self.open_read(path)
+
+    def test_pipe_read_to_eof(self, tmp_path):
+        # a FIFO (size 0 on Linux) reads on to EOF, however the writer
+        # splits its bytes
+        path = str(tmp_path / "fifo")
+        os.mkfifo(path)
+        data = random.Random(3).randbytes(200_000)
+
+        def write():
+            with open(path, "wb", buffering=0) as fh:
+                for k in range(0, len(data), 30_000):
+                    fh.write(data[k:k + 30_000])
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            assert cli._read_file(path) == data
+        finally:
+            writer.join()
+
+    def test_file_not_regular_reads_on_past_its_size(self, tmp_path, monkeypatch):
+        # on some systems a pipe's size counts only the bytes buffered, so a
+        # first read may return just that size with more to come
+        path = str(tmp_path / "x")
+        data = random.Random(4).randbytes(10_000)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        fstat, read = os.fstat, os.read
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result((stat.S_IFIFO | 0o600, *fstat(fd)[1:6], 4000,
+                                                                    *fstat(fd)[7:10])))
+        monkeypatch.setattr(os, "read", lambda fd, n: read(fd, min(n, 4000)))
+        assert cli._read_file(path) == data
+
+    def test_reads_leave_no_descriptor_open(self, tmp_path):
+        fds = "/proc/self/fd"
+        if not os.path.isdir(fds):
+            pytest.skip("no /proc")
+        (tmp_path / "d").mkdir()
+        (tmp_path / "f").write_text(DOUBLING)
+        paths = [str(tmp_path / name) for name in ("f", "d", "missing", "f/")]
+        before = len(os.listdir(fds))
+        for k in range(200):
+            read_outcome(cli._read_file, paths[k % len(paths)])
+        assert len(os.listdir(fds)) == before

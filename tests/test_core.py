@@ -258,6 +258,22 @@ class TestValidateProgram:
         violations = rejected(4, [Instruction("load", (MemRead(3),))], mem_size=2)
         assert any("address 3" in v for v in violations)
 
+    @pytest.mark.parametrize("text, message", [
+        ("width 4\no1: load m[0]\n", "memory address 0, but the program declares no memory"),
+        ("width 4\nmem 0\no1: load m[3]\n", "memory address 3, but the program declares no memory"),
+        ("width 4\no1: store #0x1 -> m[0]\n", "mem_dest 0, but the program declares no memory"),
+        ("width 4\nmem 0\no1: store #0x1 -> m[2]\n", "mem_dest 2, but the program declares no memory"),
+        ("width 4\nmem 1\no1: load m[1]\n", "memory address 1 outside 0..0"),
+        ("width 4\nmem 2\no1: load m[2]\n", "memory address 2 outside 0..1"),
+        ("width 4\nmem 1\no1: store #0x1 -> m[1]\n", "mem_dest 1 outside 0..0"),
+        ("width 4\nmem 2\no1: store #0x1 -> m[7]\n", "mem_dest 7 outside 0..1"),
+    ], ids=["load-no-mem-line", "load-mem-0", "store-no-mem-line", "store-mem-0",
+            "load-mem-1", "load-mem-2", "store-mem-1", "store-mem-2"])
+    def test_address_past_memory_message(self, text, message):
+        with pytest.raises(ProgramValidationError) as excinfo:
+            parse_program(text)
+        assert str(excinfo.value) == f"invalid program: instruction 0: {message}"
+
     def test_undeclared_free_input(self):
         assert any("not declared" in v for v in rejected(4, [Instruction("mov", (Free("a"),))]))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 import typing
@@ -147,10 +148,10 @@ def test_operand_classes_agree():
     tokens = {"#": "#0x1f", "m": "m[2]", "o": "o3", "f": "freea"}
     assert tokens.keys() == textfmt._OPERAND_CLASSES.keys() == textfmt._CONVERT.keys()
     built = set()
-    for kind, (pattern, convert) in textfmt._OPERAND_CLASSES.items():
+    for kind, (pattern, cls, _) in textfmt._OPERAND_CLASSES.items():
         assert re.fullmatch(pattern, tokens[kind])
-        source = convert(tokens[kind])
-        assert textfmt._FORMAT[type(source)](source) == tokens[kind]
+        source = textfmt._Sources()[tokens[kind]]
+        assert type(source) is cls and textfmt._FORMAT[cls](source) == tokens[kind]
         built.add(type(source))
     assert built == classes
 
@@ -195,6 +196,27 @@ class TestRoundTrip:
         except ProgramValidationError:
             return
         assert parse_program(serialize_program(p)) == p
+
+    @given(st.integers(0, 2**32), st.sampled_from([4, 64]), st.booleans())
+    def test_parsed_operands_are_constructed_ones(self, seed, max_width, loop):
+        # the parser builds operands without the dataclass __init__; each
+        # must be what that __init__ builds: the exact class, equal with an
+        # equal hash and repr, and frozen. `loop` puts a space before each
+        # comma, which sends every instruction line to the per-line loop.
+        p = random_program(random.Random(seed), max_instructions=12, max_width=max_width)
+        text = serialize_program(p)
+        if loop:
+            text = text.replace(", ", " , ")
+        q = parse_program(text)
+        assert q == p
+        for insn, original in zip(q.instructions, p.instructions):
+            for source, src in zip(insn.inputs, original.inputs):
+                field = dataclasses.fields(src)[0].name
+                built = type(src)(getattr(src, field))
+                assert type(source) is type(src)
+                assert source == built and hash(source) == hash(built) and repr(source) == repr(built)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(source, field, getattr(src, field))
 
 
 def watch_loop(monkeypatch, strict):
