@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 from .core import (
     BINARY01,
+    COPIES,
     Const,
     CswpError,
     Free,
@@ -57,8 +58,8 @@ class WorstCaseResult:
 # Rows per chunk of the vectorized scan at uint64: the live columns of a
 # chunk, not the whole assignment space, set the scan's memory. A narrower
 # dtype takes more rows, as many as keep a column within the bytes of a
-# CHUNK_ROWS uint64 column, but at most 4 * CHUNK_ROWS, since the uint64
-# enumeration index grows with the rows too.
+# CHUNK_ROWS uint64 column, but at most 4 * CHUNK_ROWS, since the index
+# column (uint32 below 2**32, else uint64) grows with the rows too.
 CHUNK_ROWS = 4096
 
 
@@ -161,7 +162,7 @@ def _lower(program: Program) -> _Lowered:
                 known = False
             srcs.append(s)
         mnemonic = None
-        if op in ("mov", "store", "load"):
+        if op in COPIES:
             dest = srcs[0]
         elif op == "ite" and value[srcs[0]] is not None:
             dest = srcs[1] if value[srcs[0]] else srcs[2]

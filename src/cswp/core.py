@@ -41,6 +41,8 @@ ARITY = {
     "ite": 3,
 }
 MNEMONICS = frozenset(ARITY)
+# the copies: each outputs its one operand's value
+COPIES = frozenset({"mov", "store", "load"})
 
 
 class CswpError(Exception):
@@ -159,7 +161,7 @@ class ExecutionTrace:
 def apply_mnemonic(mnemonic: str, args: Sequence[int], width: int) -> int:
     """Compute one instruction's output value, modulo 2**width."""
     mask = (1 << width) - 1
-    if mnemonic in ("mov", "store", "load"):
+    if mnemonic in COPIES:
         return args[0] & mask
     if mnemonic == "add":
         return (args[0] + args[1]) & mask
@@ -187,11 +189,11 @@ def apply_mnemonic(mnemonic: str, args: Sequence[int], width: int) -> int:
 @functools.cache  # one table per width, at most MAX_WIDTH of them
 def vector_ops(width: int) -> dict:
     """Column forms of `apply_mnemonic` over unsigned integer arrays of any
-    dtype that holds `width` bits (mov, store and load are copies and have
-    none). The masks and shift widths are Python ints, which NumPy 2 casts
-    to the column's dtype, so every result keeps its operands' dtype. NumPy
-    is imported here, not with this module, so that a command which
-    computes no columns never loads it."""
+    dtype that holds `width` bits, but for the `COPIES`, which the lowering
+    resolves to their operand's column. The masks and shift widths are Python
+    ints, which NumPy 2 casts to the column's dtype, so every result keeps its
+    operands' dtype. NumPy is imported here, not with this module, so that a
+    command which computes no columns never loads it."""
     import numpy as np
 
     mask = (1 << width) - 1

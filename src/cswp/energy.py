@@ -161,7 +161,7 @@ def summarize_power(p_tdual: float, test_powers: Sequence[float]) -> PowerSummar
     return summary
 
 
-GRID_MNEMONICS = ("add", "sub", "and", "or", "xor", "shl", "shr")
+GRID_MNEMONICS = tuple(mnemonic for mnemonic, arity in core.ARITY.items() if arity == 2)
 MAX_GRID_WIDTH = 8
 
 

@@ -92,16 +92,9 @@ def _ite(w, cond, then, orelse):
     return _join(w, then, orelse)
 
 
-def _copy(w, a):
-    return a
-
-
-# mnemonic -> transfer function over masks; `load` and `store` are copies
-# here, since the caller resolves memory state before calling
+# mnemonic -> transfer function over masks, for each mnemonic but the
+# copies of `core.COPIES`, which the lowering resolves to their operand
 TRANSFER = {
-    "mov": _copy,
-    "store": _copy,
-    "load": _copy,
     "not": _not,
     "eqz": _eqz,
     "and": _and,

@@ -13,8 +13,8 @@ by its first whitespace-separated token. `#` starts a comment
 unless immediately followed by `0x` (hex constants). Free-input names match
 core.NAME_PATTERN. The operand syntax is stated once, in `_OPERAND_CLASSES`:
 the per-line loop's operand and memory-destination checks, the pattern of
-serializer-form lines and the one operand converter all come from it. Text
-that is well-formed line by line but describes an invalid program raises
+serializer-form lines and the one reader and writer of each class come from it.
+Text that is well-formed line by line but describes an invalid program raises
 core.ProgramValidationError from the Program it builds.
 parse(serialize(p)) == p for every valid program.
 """
@@ -37,26 +37,32 @@ from .core import (
     Program,
 )
 
-# The four operand classes, keyed by their distinct first characters. Each
-# pattern has one group, around the number or name; each class's one field
-# takes its value from a token that its pattern matches, without another regex.
+# The four operand classes, keyed by their distinct first characters. A row
+# is a class's token pattern, with one group around the number or name; the
+# class; its reader, which takes the class's one field from a token that the
+# pattern matches without another regex; and its writer, from field to token.
 _OPERAND_CLASSES = {
-    "#": (r"#0x([0-9a-fA-F]+)", Const, lambda token: int(token[3:], 16)),
-    "m": (r"m\[(\d+)\]", MemRead, lambda token: int(token[2:-1])),
-    "o": (r"o(\d+)", PriorOutput, lambda token: int(token[1:]) - 1),
-    "f": (rf"free({NAME_PATTERN})", Free, lambda token: token[4:]),
+    "#": (r"#0x([0-9a-fA-F]+)", Const, lambda token: int(token[3:], 16), lambda value: f"#0x{value:x}"),
+    "m": (r"m\[(\d+)\]", MemRead, lambda token: int(token[2:-1]), lambda addr: f"m[{addr}]"),
+    "o": (r"o(\d+)", PriorOutput, lambda token: int(token[1:]) - 1, lambda index: f"o{index + 1}"),
+    "f": (rf"free({NAME_PATTERN})", Free, lambda token: token[4:], lambda name: f"free{name}"),
 }
-_CONVERT = {kind: (cls, cls.__match_args__[0], value) for kind, (_, cls, value) in _OPERAND_CLASSES.items()}
-_OPERAND = re.compile("|".join(pattern for pattern, _, _ in _OPERAND_CLASSES.values()))
-_MEM_DEST = re.compile(_OPERAND_CLASSES["m"][0])
-# an instruction's index has the syntax of a prior output that names it
+_CONVERT = {kind: (cls, cls.__match_args__[0], read) for kind, (_, cls, read, _) in _OPERAND_CLASSES.items()}
+# each class's writer, keyed by the exact class: a valid program's
+# operands are instances of these four and of no subclass
+_FORMAT = {cls: write for _, cls, _, write in _OPERAND_CLASSES.values()}
+_OPERAND = re.compile("|".join(row[0] for row in _OPERAND_CLASSES.values()))
+# an instruction's index has the syntax of a prior output that names it, and
+# a store's destination that of a memory read of its address
 _INSN = re.compile(_OPERAND_CLASSES["o"][0] + r":\s*([a-z]+)\s*(.*)$")
+_MEM_DEST = re.compile(_OPERAND_CLASSES["m"][0])
+_WRITE_INDEX, _WRITE_MEM = _OPERAND_CLASSES["o"][3], _OPERAND_CLASSES["m"][3]
 # an instruction line exactly as serialize_program writes it: index,
 # mnemonic, one to three operand tokens and any destination, in the operand
 # classes narrowed to ASCII digits and lower-case hex. It must follow a "\n",
 # which the search finds fast, and not the first line, which cannot be an
 # instruction of a valid program anyway.
-_ASCII = {kind: p.replace(r"\d", "[0-9]").replace("A-F", "") for kind, (p, _, _) in _OPERAND_CLASSES.items()}
+_ASCII = {kind: row[0].replace(r"\d", "[0-9]").replace("A-F", "") for kind, row in _OPERAND_CLASSES.items()}
 _TOKEN = "|".join(pattern.replace("(", "(?:") for pattern in _ASCII.values())
 _ROW = re.compile(rf"\n{_ASCII['o']}: ([a-z]+) ({_TOKEN})(?:, ({_TOKEN}))?(?:, ({_TOKEN}))?"
                   rf"(?: -> {_ASCII['m']})?(?=\n|\Z)")
@@ -165,7 +171,8 @@ class _Parse:
                 digits, mnemonic, rest = m.groups()
                 index = _decimal(digits, lineno)
                 if index != len(instructions) + 1:
-                    raise ParseError(lineno, f"instruction numbered o{index}, expected o{len(instructions) + 1}")
+                    raise ParseError(lineno, f"instruction numbered {_WRITE_INDEX(index - 1)}, "
+                                             f"expected {_WRITE_INDEX(len(instructions))}")
                 if mnemonic not in MNEMONICS:
                     raise ParseError(lineno, f"unknown mnemonic {mnemonic!r}")
 
@@ -182,16 +189,13 @@ class _Parse:
                     raise ParseError(lineno, f"{mnemonic} needs {ARITY[mnemonic]} input(s), got 0")
                 sources = []
                 for token in rest.split(","):
-                    source = known_sources.get(token)
-                    if source is None:
-                        operand = _OPERAND.fullmatch(token.strip())
-                        if operand is None:
-                            raise ParseError(lineno, f"unrecognized operand source {token.strip()!r}")
-                        try:
-                            source = known_sources[token] = known_sources[operand[0]]
-                        except ValueError:
-                            raise _too_long(operand[operand.lastindex], lineno) from None
-                    sources.append(source)
+                    operand = _OPERAND.fullmatch(token.strip())
+                    if operand is None:
+                        raise ParseError(lineno, f"unrecognized operand source {token.strip()!r}")
+                    try:
+                        sources.append(known_sources[operand[0]])
+                    except ValueError:
+                        raise _too_long(operand[operand.lastindex], lineno) from None
                 if len(sources) != ARITY[mnemonic]:
                     raise ParseError(
                         lineno, f"{mnemonic} needs {ARITY[mnemonic]} input(s), got {len(sources)}"
@@ -233,25 +237,15 @@ class _Parse:
                        instructions=tuple(self.instructions), free_inputs=tuple(self.free_inputs))
 
 
-# the text of each operand class, keyed by the exact class: a valid
-# program's operands are instances of these four and of no subclass
-_FORMAT = {
-    Const: lambda src: f"#0x{src.value:x}",
-    MemRead: lambda src: f"m[{src.addr}]",
-    PriorOutput: lambda src: f"o{src.index + 1}",
-    Free: lambda src: f"free{src.name}",
-}
-
-
 def serialize_program(program: Program) -> str:
     """Emit the canonical text form (always includes the mem header)."""
     lines = [f"width {program.width}", f"mem {program.mem_size}"]
     for name, domain in program.free_inputs:
         lines.append(f"free {name} {domain}")
     for idx, (mnemonic, inputs, mem_dest) in enumerate(program.instructions):
-        srcs = ", ".join([_FORMAT[type(s)](s) for s in inputs])
-        line = f"o{idx + 1}: {mnemonic} {srcs}"
+        srcs = ", ".join([_FORMAT[type(s)](getattr(s, s.__match_args__[0])) for s in inputs])
+        line = f"{_WRITE_INDEX(idx)}: {mnemonic} {srcs}"
         if mem_dest is not None:
-            line += f" -> m[{mem_dest}]"
+            line += f" -> {_WRITE_MEM(mem_dest)}"
         lines.append(line)
     return "\n".join(lines) + "\n"

@@ -1,22 +1,33 @@
-"""Line coverage of `src/cswp` by the test suite, with the standard library
-only (the `coverage` package is not a dependency).
+"""Line coverage of `src/cswp` with the standard library only (the
+`coverage` package is not a dependency), by the test suite or by the
+benchmark's jobs.
 
     python tests/linecov.py [pytest arguments]
+    python tests/linecov.py --workloads [--seed N]   (seed 7 by default)
 
-Runs pytest in this process (by default on the whole suite, quietly) under a
-`sys.settrace` hook that records every line executed in `src/cswp`, then
-prints each executable line that never ran as `path:line: source`, and a
-total. A file's executable lines are the line numbers of every code object
-compiled from it. Code run in a subprocess (the start-up tests) is not seen.
-The exit status is pytest's. This file is not a test module: pytest does not
-collect it, and it is no part of the tier-1 run. The hook slows the suite
-down about twofold.
+The first form runs pytest in this process (by default on the whole suite,
+quietly); the second writes every job of the three benchmark workloads, at
+the full size that the benchmark scores, with `perfbench/workloads.py` to a
+temporary directory and runs them in order as `perfbench/run.py` runs one
+job: through `cswp.cli.main`, and a solve job of a reduction with its
+read-back. Either runs under a `sys.settrace` hook that records every line
+executed in `src/cswp`, then prints each executable line that never ran as
+`path:line: source`, and a total: with `--workloads`, the lines that no
+benchmark job reaches. A file's executable lines are the line
+numbers of every code object compiled from it. Code run in a subprocess (the
+start-up tests) is not seen. The exit status is pytest's, or with
+`--workloads` 1 if a job failed. The benchmark's modules are imported
+without writing bytecode next to them. This file is not a test module: pytest
+does not collect it, and it is no part of the tier-1 run. The hook slows the
+suite down about twofold.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
+import tempfile
 import threading
 import types
 
@@ -35,9 +46,8 @@ def executable_lines(path: str) -> set[int]:
     return lines
 
 
-def main(args: list[str]) -> int:
-    import pytest
-
+def traced(run) -> tuple[object, dict[str, set[int]]]:
+    """`run()`'s result and the lines of `src/cswp` it executed, by file."""
     ran: dict[str, set[int]] = {}  # source file -> lines seen
     ours: dict[str, set[int] | None] = {}  # co_filename -> its set in `ran`, None outside src/cswp
 
@@ -60,11 +70,14 @@ def main(args: list[str]) -> int:
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        status = pytest.main(args or ["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests")])
+        result = run()
     finally:
         sys.settrace(None)
         threading.settrace(None)
+    return result, ran
 
+
+def report(ran: dict[str, set[int]]):
     total = missed = 0
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
@@ -78,7 +91,48 @@ def main(args: list[str]) -> int:
             missed += 1
             print(f"{os.path.relpath(path, ROOT)}:{number}: {source[number - 1].strip()}")
     print(f"{total - missed} of {total} executable lines in src/cswp ran; {missed} did not")
+
+
+def run_suite(args: list[str]) -> int:
+    import pytest
+
+    args = args or ["-q", "-p", "no:cacheprovider", os.path.join(ROOT, "tests")]
+    status, ran = traced(lambda: pytest.main(args))
+    report(ran)
     return int(status)
+
+
+def run_workloads(seed: int) -> int:
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.dirname(SRC)]
+    import run
+    import workloads
+
+    def run_jobs():
+        # traced, since a benchmark run imports it too; run_job finds it in sys.modules
+        import cswp.cli  # noqa: F401
+
+        return [run.run_job(job) for job in jobs]
+
+    with tempfile.TemporaryDirectory() as work:
+        jobs = [job for name in workloads.WORKLOADS
+                for job in workloads.build(name, seed, os.path.join(work, name))]
+        results, ran = traced(run_jobs)
+    failed = [(job, r) for job, r in zip(jobs, results) if r.rc != 0 or r.error]
+    for job, r in failed:
+        print(f"failed: {job.name} (exit {r.rc}) {r.error or r.stderr.strip()}", file=sys.stderr)
+    report(ran)
+    print(f"{len(jobs)} jobs at seed {seed}; {len(failed)} failed")
+    return int(bool(failed))
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] != ["--workloads"]:
+        return run_suite(argv)
+    parser = argparse.ArgumentParser(prog="linecov.py --workloads")
+    parser.add_argument("--seed", type=int, default=7)
+    options = parser.parse_args(argv[1:])
+    return run_workloads(options.seed)
 
 
 if __name__ == "__main__":

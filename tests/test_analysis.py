@@ -15,6 +15,7 @@ from cswp.analysis import (
 )
 from cswp.core import (
     BINARY01,
+    COPIES,
     FULL,
     Const,
     Free,
@@ -449,3 +450,15 @@ class TestBounds:
         ], free_inputs=[("x", FULL)], mem_size=1)
         assert brute_force_worst_case(p).max_switching == 0
         assert knownbits_upper_bound(p) == 0
+
+
+def test_lowering_resolves_every_copy():
+    # known bits and the column ops have no entry for a copy, so no step of a
+    # lowered program may name one: the lowering aliases a copy's operand
+    rng = random.Random(30)
+    programs = [random_program(rng) for _ in range(20)]
+    programs += [reduce_maxsat2(MaxSat2Instance(3, [[1, -2], [2], [-3, 1]]), width=4).program,
+                 reduce_sat_gap(SatInstance(3, [[1, -2, 3], [-1, 2]]), width=8).program]
+    assert {i.mnemonic for p in programs for i in p.instructions} >= COPIES
+    for p in programs:
+        assert not any(step[0] in COPIES for step in analysis._lower(p).steps)

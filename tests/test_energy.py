@@ -132,6 +132,10 @@ class TestSyntheticGrid:
                                                 r"is not finite"):
                 gen_synthetic_grid(4, "add", model, base=base, noise_sigma=sigma, seed=0)
 
+    def test_grid_mnemonics_are_the_two_input_ones(self):
+        # the gen-grid --op choices, in this order
+        assert GRID_MNEMONICS == ("add", "sub", "and", "or", "xor", "shl", "shr")
+
     def test_unary_mnemonics_rejected(self):
         with pytest.raises(CswpError):
             gen_synthetic_grid(4, "mov", PAPER_MODEL, base=0.0)

@@ -148,10 +148,10 @@ def test_operand_classes_agree():
     tokens = {"#": "#0x1f", "m": "m[2]", "o": "o3", "f": "freea"}
     assert tokens.keys() == textfmt._OPERAND_CLASSES.keys() == textfmt._CONVERT.keys()
     built = set()
-    for kind, (pattern, cls, _) in textfmt._OPERAND_CLASSES.items():
+    for kind, (pattern, cls, _, _) in textfmt._OPERAND_CLASSES.items():
         assert re.fullmatch(pattern, tokens[kind])
         source = textfmt._Sources()[tokens[kind]]
-        assert type(source) is cls and textfmt._FORMAT[cls](source) == tokens[kind]
+        assert type(source) is cls and textfmt._FORMAT[cls](getattr(source, cls.__match_args__[0])) == tokens[kind]
         built.add(type(source))
     assert built == classes
 
