@@ -347,11 +347,13 @@ def _plain_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     parser's option strings, spelled out in full; a store or append option
     takes the next token, which does not start with "-", as its one value; a
     store_true option takes none; the other tokens, the positionals, form
-    one run, which the positional actions take in order, one token each or
-    the rest for a "*"; and every required option is given. Values pass
-    through argparse's own type conversion and choices check, and each
-    action sets the namespace itself, so a repeated store option keeps its
-    last value and an append option extends a copy of its default."""
+    one run, which the store positionals take in order, one token each or
+    the rest for a "*"; and every required option is given. These are the
+    action kinds cswp's parsers declare. Values pass through argparse's own
+    type conversion and choices check, and each action sets the namespace
+    itself, so a repeated store option keeps its last value and an append
+    option extends a copy of its default. No cswp option has a string
+    default and a `type`, so defaults land as argparse puts them."""
     args = argparse.Namespace()
     for action in parser._actions:  # the defaults, as parse_known_args sets them
         if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS \
@@ -385,14 +387,8 @@ def _plain_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
         taken = 0  # tokens of the run the positionals have taken
         for action in parser._actions:
             if action.option_strings:
-                if action in given:
-                    continue
-                if action.required:
+                if action.required and action not in given:
                     return None
-                if isinstance(action.default, str) and getattr(args, action.dest, None) is action.default:
-                    setattr(args, action.dest, parser._get_value(action, action.default))
-            elif type(action) is not argparse._StoreAction:
-                return None
             elif action.nargs == "*":
                 action(parser, args, parser._get_values(action, run[taken:]))
                 taken = len(run)

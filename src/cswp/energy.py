@@ -291,14 +291,6 @@ def _digit_values() -> np.ndarray:
     return np.array([int(chr(b), 16) if chr(b) in "0123456789abcdefABCDEF" else 255 for b in range(256)], np.uint8)
 
 
-@functools.cache
-def _three_digits() -> np.ndarray:
-    """The "%03d" text of 0..999 as ASCII bytes, one column per value."""
-    import numpy as np
-
-    return np.frombuffer(b"".join(b"%03d" % k for k in range(1000)), np.uint8).reshape(1000, 3).T.copy()
-
-
 def _digits(values: np.ndarray, base: int, min_digits: int) -> np.ndarray:
     """The ASCII digits of non-negative `values` in `base`, one column per
     value, with NUL for the leading zeros left of `min_digits` digits."""
@@ -323,9 +315,10 @@ def _fixed6(x: np.ndarray) -> np.ndarray | None:
     or None if a value is not finite or |x| * 1e6 >= 2**52. The first row is
     the sign, "-" or NUL, only where some value has its sign bit set.
 
-    rint(x * 1e6) rounds as "%.6f" does unless the product lies within its
-    own rounding error of a half; those few values take their digits from
-    "%.6f" itself. The sign is x's own, as in "-0.000000"."""
+    Its digits are those of the micro-units rint(x * 1e6), at least seven,
+    with "." above the last six. rint rounds as "%.6f" does unless x * 1e6
+    lies within its own rounding error of a half; those few values take
+    their digits from "%.6f" itself. The sign is x's own, as in "-0.000000"."""
     import numpy as np
 
     with np.errstate(over="ignore"):
@@ -336,10 +329,8 @@ def _fixed6(x: np.ndarray) -> np.ndarray | None:
     near_half = np.abs(scaled - np.floor(scaled) - 0.5) <= np.abs(scaled) * 2.0**-52
     for k in np.flatnonzero(near_half):
         units[k] = int(("%.6f" % abs(float(x[k]))).replace(".", ""))
-    whole, frac = np.divmod(units, 10**6)
-    high, low = np.divmod(frac, 1000)
-    rows = [_digits(whole, 10, 1), np.full((1, len(x)), ord("."), np.uint8),
-            _three_digits().take(high, 1), _three_digits().take(low, 1)]
+    text = _digits(units, 10, 7)
+    rows = [text[:-6], np.full((1, len(x)), ord("."), np.uint8), text[-6:]]
     negative = np.signbit(x)
     if negative.any():
         rows.insert(0, np.where(negative, ord("-"), 0).astype(np.uint8)[None])

@@ -1,12 +1,11 @@
-"""Clause sets for the MAXSAT2 and SAT embeddings: instances, satisfaction
-counting, and the x1/~x2 literal notation used by the CLI and program-file
-metadata. A literal is a DIMACS-style signed int: 3 is x3, -3 is ~x3."""
+"""Clause sets for the MAXSAT2 and SAT embeddings: instances and the x1/~x2
+literal notation used by the CLI and program-file metadata. A literal is a
+DIMACS-style signed int: 3 is x3, -3 is ~x3."""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 from .core import CswpError
 
@@ -76,21 +75,3 @@ class MaxSat2Instance(_ClauseSet):
     def _length_problem(clause) -> str | None:
         return None if 1 <= len(clause) <= 2 else f"has {len(clause)} literals, want 1 or 2"
 
-
-def literal_value(lit: int, assignment: Sequence[bool]) -> bool:
-    return bool(assignment[abs(lit) - 1]) != (lit < 0)
-
-
-def clause_satisfied(clause, assignment: Sequence[bool]) -> bool:
-    return any(literal_value(lit, assignment) for lit in clause)
-
-
-def count_satisfied(instance, assignment: Sequence[bool]) -> int:
-    """Number of satisfied clauses under a full truth assignment."""
-    if len(assignment) != instance.num_vars:
-        raise CswpError(f"assignment covers {len(assignment)} of {instance.num_vars} variables")
-    return sum(clause_satisfied(c, assignment) for c in instance.clauses)
-
-
-def all_satisfied(instance, assignment: Sequence[bool]) -> bool:
-    return count_satisfied(instance, assignment) == len(instance.clauses)

@@ -1,11 +1,32 @@
-"""Boolean-side oracles, independent of program execution: truth-table
-maximum and satisfiability that the reduction tests check the switching
-engine against."""
+"""Boolean-side oracles, independent of program execution: clause counting
+under a truth assignment, and the truth-table maximum and satisfiability
+that the reduction tests check the switching engine against."""
 
 import itertools
+from typing import Sequence
 
 from cswp.analysis import DEFAULT_BUDGET, check_budget
-from cswp.sat import MaxSat2Instance, SatInstance, all_satisfied, count_satisfied
+from cswp.core import CswpError
+from cswp.sat import MaxSat2Instance, SatInstance
+
+
+def literal_value(lit: int, assignment: Sequence[bool]) -> bool:
+    return bool(assignment[abs(lit) - 1]) != (lit < 0)
+
+
+def clause_satisfied(clause, assignment: Sequence[bool]) -> bool:
+    return any(literal_value(lit, assignment) for lit in clause)
+
+
+def count_satisfied(instance, assignment: Sequence[bool]) -> int:
+    """Number of satisfied clauses under a full truth assignment."""
+    if len(assignment) != instance.num_vars:
+        raise CswpError(f"assignment covers {len(assignment)} of {instance.num_vars} variables")
+    return sum(clause_satisfied(c, assignment) for c in instance.clauses)
+
+
+def all_satisfied(instance, assignment: Sequence[bool]) -> bool:
+    return count_satisfied(instance, assignment) == len(instance.clauses)
 
 
 def maxsat_oracle(

@@ -27,10 +27,10 @@ from cswp.reductions import (
     reduce_maxsat2,
     reduce_sat_gap,
 )
-from cswp.sat import MaxSat2Instance, SatInstance, count_satisfied
+from cswp.sat import MaxSat2Instance, SatInstance
 from cswp.textfmt import parse_program, serialize_program
 
-from oracles import maxsat_oracle, sat_oracle
+from oracles import count_satisfied, maxsat_oracle, sat_oracle
 from randprog import random_program
 from tnum import abstract_outputs, contains
 

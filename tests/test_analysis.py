@@ -30,7 +30,7 @@ from cswp.core import (
 from cswp.reductions import reduce_maxsat2, reduce_sat_gap
 from cswp.sat import MaxSat2Instance, SatInstance
 
-from oracles import maxsat_oracle, sat_oracle
+from oracles import all_satisfied, count_satisfied, maxsat_oracle, sat_oracle
 from randprog import random_program
 from tnum import abstract_outputs, contains
 
@@ -315,7 +315,6 @@ class TestMaxsatOracle:
             ]
             inst = MaxSat2Instance(n, clauses)
             best, assignment = maxsat_oracle(inst)
-            from cswp.sat import count_satisfied
             scores = [count_satisfied(inst, a)
                       for a in itertools.product((False, True), repeat=n)]
             assert best == max(scores)
@@ -340,7 +339,6 @@ class TestSatOracle:
         inst = SatInstance(3, [[1, -2], [-1, 3], [2, 3]])
         satisfiable, model = sat_oracle(inst)
         assert satisfiable
-        from cswp.sat import all_satisfied
         assert all_satisfied(inst, model)
 
 

@@ -378,6 +378,8 @@ class TestMalformedInput:
         ({"p.cswp": DOUBLING}, ["run", "p.cswp", "--input", "a"], "bad --input 'a', want name=value"),
         ({"p.cswp": "width 2\no1: mov #0x0\nfree 0 full\n"}, ["solve", "p.cswp"],
          "line 3: free declarations must precede instructions"),
+        ({"p.cswp": "width 4\nmem 1\nfree a full\no1: mov freea\no2: mov #0x1 -> q[0]\n"}, ["solve", "p.cswp"],
+         "line 5: bad memory destination 'q[0]'\n"),
         ({}, ["reduce-maxsat", "--vars", "1", "--clause", ""], "empty clause"),
         ({}, ["reduce-maxsat", "--vars", "3", "--clause", "x1 x2 x3"], "clause 0 has 3 literals, want 1 or 2"),
         ({}, ["reduce-maxsat", "--vars", "2", "--clause", "x5"], "clause 0: x5 exceeds 2 variables"),
@@ -1021,9 +1023,8 @@ class TestPlainParse:
         assert repr((plain, [])) == repr(known_args(parser, argv[1:]))
 
     # a positional that is not a plain store, last in a run of positionals
-    # that is otherwise plain: an append one, which the guard on the
-    # action's class declines, and a "+" one, which no nargs case takes
-    @pytest.mark.parametrize("last", [{"action": "append"}, {"nargs": "+"}])
+    # that is otherwise plain: a "+" one, which no nargs case takes
+    @pytest.mark.parametrize("last", [{"nargs": "+"}])
     def test_declines_positional_that_is_not_a_plain_store(self, last):
         parser = argparse.ArgumentParser()
         parser.add_argument("--flag", action="store_true")

@@ -733,8 +733,14 @@ def assert_measurement_csv_matches_percent(rows, width, chunk):
 class TestCsvFormatter:
     """The byte "%.6f" formatter and both CSV writers against "%" itself."""
 
+    # micro-units of up to seven digits; near-half rounding; and a value on
+    # either side of the uint32 switch in `_digits`
     @settings(max_examples=300, deadline=None)
     @given(st.lists(FIXED6_VALUES, min_size=1, max_size=12))
+    @example([0.0, 1e-6, 0.999999, 1.0])
+    @example([9.9999995, -0.0000005])
+    @example([4294.967295])
+    @example([4294.967296])
     def test_fixed6_matches_percent(self, values):
         fixed = energy._fixed6(np.array(values))
         assert (fixed is not None) == all(abs(v) * 1e6 < 2**52 for v in values)

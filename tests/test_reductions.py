@@ -25,10 +25,10 @@ from cswp.reductions import (
     serialize_gap,
     serialize_reduced,
 )
-from cswp.sat import MaxSat2Instance, SatInstance, count_satisfied, parse_literal
+from cswp.sat import MaxSat2Instance, SatInstance, parse_literal
 from cswp.textfmt import parse_program, serialize_program
 
-from oracles import maxsat_oracle
+from oracles import count_satisfied, maxsat_oracle
 
 
 def all_assignments(n):

@@ -1,11 +1,13 @@
 """`cswp` as a process: which commands load NumPy and `fractions` (and that
 none loads `csv`), and what a fresh interpreter running the command line
-prints.
+prints; and, read from the source, that the package holds no code that
+only tests call.
 
-Each case starts its own interpreter with `PYTHONPATH` set to this
+Each process case starts its own interpreter with `PYTHONPATH` set to this
 checkout's `src/`, so nothing an earlier test imported can hide an import.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import cswp
 from cswp.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -107,3 +110,23 @@ class TestProcess:
         assert (done.returncode, done.stdout) == (1, b"")
         lines = done.stderr.decode().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and "o5" in lines[0]
+
+
+class TestNoTestOnlyCode:
+    """Every top-level function and class of `src/cswp/` is referenced
+    outside its own body, by a name, an attribute or an import, somewhere in
+    `src/cswp/` or `perfbench/`, or is exported in `cswp.__all__`. A helper
+    that only tests call belongs with the tests."""
+
+    def test_every_definition_has_a_reference(self):
+        paths = sorted((SRC / "cswp").glob("*.py")) + sorted((SRC.parent / "perfbench").glob("*.py"))
+        statements = [(path, statement) for path in paths for statement in ast.parse(path.read_bytes()).body]
+        names = [{node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                  else node.name for node in ast.walk(statement)
+                  if isinstance(node, (ast.Name, ast.Attribute, ast.alias))} for _, statement in statements]
+        unreferenced = [
+            f"{path.stem}.{statement.name}" for i, (path, statement) in enumerate(statements)
+            if path.parent.name == "cswp" and isinstance(statement, (ast.FunctionDef, ast.ClassDef))
+            and statement.name not in cswp.__all__
+            and not any(statement.name in other for j, other in enumerate(names) if j != i)]
+        assert unreferenced == []

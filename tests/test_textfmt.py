@@ -84,6 +84,11 @@ class TestParse:
             parse_program(f"width 4\nmem 1\n{line}\n")
         assert str(excinfo.value) == message
 
+    def test_bad_memory_destination_is_a_parse_error_with_line(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_program("width 4\nmem 1\nfree a full\no1: mov freea\no2: mov #0x1 -> q[0]\n")
+        assert str(excinfo.value) == "line 5: bad memory destination 'q[0]'"
+
     def test_nonsequential_index_rejected(self):
         with pytest.raises(ParseError, match="o3"):
             parse_program("width 4\no3: mov #0x0\n")
