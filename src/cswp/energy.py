@@ -303,7 +303,8 @@ def _digits(values: np.ndarray, base: int, min_digits: int) -> np.ndarray:
     text = np.empty((count, len(values)), np.uint8)
     for row in range(count - 1, -1, -1):
         quotient = rest // base
-        text[row] = digit_bytes.take(rest - quotient * base)
+        remainder = rest - quotient * base
+        text[row] = remainder + ord("0") if base == 10 else digit_bytes.take(remainder)
         rest = quotient
     lead = count - min_digits
     text[:lead][values < base ** np.arange(count - 1, min_digits - 1, -1)[:, None]] = 0
@@ -378,36 +379,33 @@ def measurements_from_csv(data: bytes) -> Grid:
 
     Anything else raises CswpError naming the first line that breaks it. The
     rows are read CSV_CHUNK_ROWS at a time straight from the bytes by
-    `_read_chunk`; a chunk it declines is read by `_read_lines`, which gives
-    the same columns or names the error."""
-    if data != _HEADER and not data.startswith((_HEADER_LINE, _HEADER + b"\r\n")):
-        raise CswpError(f"CSV line 1: want the header {_HEADER.decode()}")
+    `_read_chunk`, at line bounds found once for the file; `_read_lines`
+    reads a chunk it declines, and gives the same columns or names the error."""
     import numpy as np
 
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))  # ends[0] ends the header, ends[r + 1] row r
-    if not data.endswith(b"\n"):
-        ends = np.append(ends, len(data))  # where the last line, which has no line end, stops
+    stops = ends - (buf[ends - 1] == ord("\r")) if b"\r" in data else ends  # one memchr; LF data: no copy
+    if not data.endswith(b"\n"):  # a last line with no line end ends, and its fields stop, at len(data)
+        ends, stops = np.append(ends, len(data)), np.append(stops, len(data))
+    if data[:stops[0]] != _HEADER:  # a leading "\n" wraps stops[0] to -1 or keeps 0: rejected either way
+        raise CswpError(f"CSV line 1: want the header {_HEADER.decode()}")
     n_rows = len(ends) - 1
-    crlf = b"\r" in data  # one memchr; without a CR, no row's field ends need moving
     columns = [np.empty(n_rows, np.int64) for _ in range(4)] + [np.empty(n_rows, np.float64)]
     for lo in range(0, n_rows, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, n_rows)
         first = ends[lo] + 1
         seg = buf[first:ends[hi] + 1]
-        # `_read_chunk` takes only lines that end in a line end: on a last
-        # line with none, it would read a final lone CR as a CRLF's
-        chunk = _read_chunk(seg, ends[lo + 1:hi + 1] - first, crlf) if ends[hi] < len(data) else None
+        chunk = _read_chunk(seg, ends[lo:hi] + 1 - first, stops[lo + 1:hi + 1] - first)
         for column, values in zip(columns, chunk or _read_lines(seg.tobytes(), lo + 2)):
             column[lo:hi] = values
     return Grid(*columns)
 
 
-def _read_chunk(seg: np.ndarray, lines: np.ndarray, crlf: bool) -> list[np.ndarray] | None:
-    """The five columns of the rows of the bytes `seg`, where row r ends at
-    its "\\n" seg[lines[r]], or None where `_read_lines` must read them.
-    With `crlf` set, a row's fields end at the CR before its "\\n" if it has
-    one.
+def _read_chunk(seg: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[np.ndarray] | None:
+    """The five columns of the rows of the bytes `seg`, where row r starts at
+    starts[r] and its fields stop at stops[r], its line end or the end of
+    `seg`, or None where `_read_lines` must read them.
 
     It reads rows in `measurements_from_csv`'s grammar whose operands have 1
     to 15 hex digits, counts 1 to 18 digits, and power at most 15 digits
@@ -416,35 +414,32 @@ def _read_chunk(seg: np.ndarray, lines: np.ndarray, crlf: bool) -> list[np.ndarr
     N < 2**53 and d <= 15, both exact in float64, so the one division
     rounds as float() does.
 
-    Only the commas and points are searched for: the line ends are given.
+    Only the commas and points are searched for: the line bounds are given.
     There must be 4n commas, and the k-th four are taken as row k's. Every
     field must then hold at least one byte between its own two ends, so each
-    four lie between their row's line ends, which rejects a row of five
-    commas beside one of three."""
+    four lie between their row's bounds, which rejects a row of five commas
+    beside one of three. The "0x" and sign bytes are read only once their
+    fields are found nonempty, as the last row may end where `seg` does."""
     import numpy as np
 
-    n = len(lines)
+    n = len(starts)
     commas = np.flatnonzero(seg == ord(","))
     if len(commas) != 4 * n:
         return None
     commas = commas.reshape(n, 4).T.copy()  # commas[k]: where field k of each row ends
-    row_starts = np.empty_like(lines)
-    row_starts[0] = 0
-    row_starts[1:] = lines[:-1] + 1
-    prefix = np.stack([row_starts, commas[0] + 1])  # where each operand's "0x" starts
-    if (seg[prefix] != ord("0")).any() or (seg[prefix + 1] | 0x20 != ord("x")).any():
-        return None
+    prefix = np.stack([starts, commas[0] + 1])  # where each operand's "0x" starts
     ints = [_number(seg, prefix[k] + 2, commas[k], 16, 15) for k in (0, 1)]
     ints += [_number(seg, commas[k - 1] + 1, commas[k], 10, 18) for k in (2, 3)]
-    lo, hi = commas[3] + 1, lines - (seg[lines - 1] == ord("\r")) if crlf else lines
+    lo, hi = commas[3] + 1, stops
+    points = np.flatnonzero(seg == ord("."))
+    if (any(c is None for c in ints) or len(points) != n or ((points < lo) | (points >= hi)).any()
+            or (seg[prefix] != ord("0")).any() or (seg[prefix + 1] | 0x20 != ord("x")).any()):
+        return None
     negative = seg[lo] == ord("-")
     lo = lo + negative
-    points = np.flatnonzero(seg == ord("."))
-    if len(points) != n or ((points < lo) | (points >= hi)).any():
-        return None
     whole = _number(seg, lo, points, 10, 15)
     frac = _number(seg, points + 1, hi, 10, 15)
-    if any(c is None for c in (*ints, whole, frac)):
+    if whole is None or frac is None:
         return None
     places = hi - points - 1  # 1 to 15, as `_number` accepted frac
     pow10 = 10 ** np.arange(17)  # looked up: `10 ** places` costs ~10x a lookup per row

@@ -501,7 +501,7 @@ def assert_reads_like_lines(case, rows):
     `mutated_grid_csv` case."""
     data, mutated = case
     got, calls = read_counting_lines(data, rows)
-    if not mutated and data.endswith(b"\n"):  # a generated grid takes the column path
+    if not mutated:  # a generated grid takes the column path, with or without a final line end
         assert calls == 0
     assert_same_outcome(got, read_by_lines(data))
 
@@ -545,9 +545,10 @@ class TestCsvReader:
 
     @pytest.mark.parametrize("rows", [1, 3, 7, 8192])
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
-    def test_mixed_field_lengths_match_line_reader(self, rows, end):
+    @pytest.mark.parametrize("terminated", [True, False])
+    def test_mixed_field_lengths_match_line_reader(self, rows, end, terminated):
         lines = [self.MIXED_ROWS[k % 4] for k in range(11)]
-        assert_reads_like_lines(((HEADER + end.join(lines) + end).encode(), False), rows)
+        assert_reads_like_lines(((HEADER + end.join(lines) + end * terminated).encode(), False), rows)
 
     # a row of five commas beside one of three: 4n commas in all, so only a
     # check within each row rejects them; at index 2 and 6 the pair straddles the
@@ -588,8 +589,17 @@ class TestCsvReader:
         (HEADER, "column"),
         (HEADER.rstrip("\n"), "column"),
         (HEADER.replace("\n", "\r\n") + "0x1,0x2,2,1,1.5\r\n0x0,0xf,4,0,-2.25\r\n", "column"),
-        (HEADER + "0x1,0x2,2,1,1.5\n0x0,0xf,4,0,-2.25", "lines"),  # no final line end
-        (HEADER + "0x1,0x2,2,1,1.5\r\n0x0,0xf,4,0,-2.25", "lines"),
+        (HEADER.replace("\n", "\r\n"), "column"),
+        (HEADER + "0x1,0x2,2,1,1.5\n0x0,0xf,4,0,-2.25", "column"),  # no final line end
+        (HEADER + "0x1,0x2,2,1,1.5\r\n0x0,0xf,4,0,-2.25", "column"),
+        # a lone CR at the end of a last line with no line end is inside its field
+        (HEADER + "0x1,0x2,2,1,1.5\n0x0,0xf,4,0,-2.25\r", "CSV line 3: power_mw must be [-]<digits>.<digits>"),
+        (HEADER.replace("\n", "\r\n") + "0x1,0x2,2,1,1.5\r\n0x0,0xf,4,0,-2.25\r",
+         "CSV line 3: power_mw must be [-]<digits>.<digits>"),
+        # a last line with no line end whose last byte is a comma, or a "0" that 4n
+        # commas in all would take as a row's start: nothing is read past the end
+        (HEADER + "0x1,0x2,2,1,", "CSV line 2: power_mw must be [-]<digits>.<digits>"),
+        (HEADER + "0x1,0x2,2,1,0x,0,,,\n0", "CSV line 2: 9 fields, want 5"),
         (HEADER + "0x1,0x2,2,1,5.\n", "CSV line 2: power_mw must be [-]<digits>.<digits>"),
         (HEADER + "0x1,0x2,2,1,.5\n", "CSV line 2: power_mw must be [-]<digits>.<digits>"),
         (HEADER + "0x1,0x2,2,1,+1.0\n", "CSV line 2: power_mw must be [-]<digits>.<digits>"),
@@ -604,6 +614,8 @@ class TestCsvReader:
         ('"op_a","op_b","h_in","h_out","power_mw"\n', "CSV line 1: want the header op_a,op_b,h_in,h_out,power_mw"),
         ("\ufeff" + HEADER, "CSV line 1: want the header op_a,op_b,h_in,h_out,power_mw"),
         (HEADER.rstrip("\n") + "\r", "CSV line 1: want the header op_a,op_b,h_in,h_out,power_mw"),
+        # a first byte "\n" before a last byte "\r" takes the header line's field stop to -1
+        ("\n" + HEADER + "0x1,0x2,2,1,1.5\r", "CSV line 1: want the header op_a,op_b,h_in,h_out,power_mw"),
         ("", "CSV line 1: want the header op_a,op_b,h_in,h_out,power_mw"),
     ])
     def test_form_boundary(self, text, route):
@@ -801,6 +813,11 @@ class TestCsvFormatter:
     @given(st.lists(st.tuples(st.integers(0, 2**62), st.integers(0, 2**62), st.integers(-1, 2**62),
                               st.integers(0, 99), FIXED6_VALUES), min_size=1, max_size=12),
            st.integers(1, 64), st.sampled_from([1, 3, 8192]))
+    # each hex digit a to f in several places of an operand, which a decimal
+    # digit's byte (remainder + "0") would write as ":" to "?"
+    @example([(0x3fedcba987654321, 0xabcdef, 10, 99, 1.5), (0xabcdef, 0xfedcba9, 0, 0, -2.25)], 8, 8192)
+    @example([(0x3fedcba987654321, 0xabcdef, 10, 99, 1.5), (0xabcdef, 0xfedcba9, 0, 0, -2.25)], 64, 1)
+    @example([(0xabcdef, 0xfedcba, 1, 2, 0.5), (0xfacade, 0xc0ffee, 3, 4, 12.75)], 24, 3)
     def test_measurement_csv_matches_percent(self, rows, width, chunk):
         assert_measurement_csv_matches_percent(rows, width, chunk)
 
