@@ -61,15 +61,12 @@ def _read_file(path: str) -> bytes:
 
 
 def _read_text(path: str) -> str:
-    """The UTF-8 text of the file `path` names, with `\r\n` and lone `\r`
-    line ends made `\n`, as text mode reads it."""
+    """The UTF-8 text of the file `path` names, with its line ends as
+    written: `parse_program` and `str.split` read every one."""
     try:
-        text = _read_file(path).decode()
+        return _read_file(path).decode()
     except UnicodeDecodeError as e:
         raise CswpError(f"cannot read {path}: {e}") from None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
 
 
 def _write_output(path: str | None, text: str):

@@ -31,9 +31,9 @@ class FitRankError(CswpError):
     """The fit's design matrix is rank deficient; names the collinear column."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnergyModel:
-    """Per-bit power coefficients plus the clock.
+    """Per-bit power coefficients plus the clock; frozen, as presets are shared.
 
     p_idle_single is the single-core idle power (mW), c_in/c_out the mW per
     input/output Hamming unit, f the clock (Hz).
@@ -409,10 +409,9 @@ def _read_chunk(seg: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[
 
     It reads rows in `measurements_from_csv`'s grammar whose operands have 1
     to 15 hex digits, counts 1 to 18 digits, and power at most 15 digits
-    after the point and 15 significant digits, or 16 where its digits read
-    as an integer below 2**53. Such a power is N / 10**d for integers
-    N < 2**53 and d <= 15, both exact in float64, so the one division
-    rounds as float() does.
+    after the point and 15 significant digits. Such a power is N / 10**d for
+    integers N < 10**15 < 2**53 and d <= 15, both exact in float64, so the
+    one division rounds as float() does.
 
     Only the commas and points are searched for: the line bounds are given.
     There must be 4n commas, and the k-th four are taken as row k's. Every
@@ -442,15 +441,11 @@ def _read_chunk(seg: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[
     if whole is None or frac is None:
         return None
     places = hi - points - 1  # 1 to 15, as `_number` accepted frac
-    pow10 = 10 ** np.arange(17)  # looked up: `10 ** places` costs ~10x a lookup per row
-    wide = (whole >= pow10[15 - places]).any()  # a power past 15 significant digits
-    if wide and (whole >= pow10[16 - places]).any():
+    pow10 = 10 ** np.arange(16)  # looked up: `10 ** places` costs ~10x a lookup per row
+    if (whole >= pow10[15 - places]).any():  # a power past 15 significant digits
         return None
     scale = pow10[places]
-    power = whole * scale + frac  # below 10**16, so inside int64
-    if wide and (power >= 2**53).any():
-        return None
-    power = power / scale
+    power = (whole * scale + frac) / scale
     return ints + [np.where(negative, -power, power)]
 
 

@@ -24,7 +24,6 @@ x3, -3 is ~x3), and every count of an embedding is read off its program.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -201,13 +200,11 @@ def reduce_sat_gap(instance: SatInstance, width: int = 8, factor=1) -> GapProgra
     pattern/zero pairs long; factor=1 gives a phase at least half the whole."""
     if not 1 <= width <= MAX_WIDTH:
         raise CswpError(f"width {width} outside 1..{MAX_WIDTH}")
-    from fractions import Fraction  # with `decimal`, a few ms that no other command pays
-
     try:
-        exact = Fraction(factor)
+        num, den = factor.as_integer_ratio()  # the exact value, den > 0
     except (ValueError, OverflowError):  # NaN or an infinity
         raise CswpError(f"gap factor {factor} must be finite") from None
-    if exact < 1:
+    if num < den:
         raise CswpError(f"gap factor {factor} must be >= 1")
 
     # decision phase: store inputs, evaluate clauses, widen to a bit pattern;
@@ -225,7 +222,7 @@ def reduce_sat_gap(instance: SatInstance, width: int = 8, factor=1) -> GapProgra
     bit_pattern = _emit(insns, "ite", result, Const((1 << width) - 1), zero)
     decision_len = len(insns)
 
-    reps = math.ceil(exact * decision_len / 2) + 1
+    reps = -(-num * decision_len // (2 * den)) + 1  # ceil(factor * decision_len / 2) + 1
     if 2 * reps > MAX_SWITCHING_LEN:
         raise CswpError(f"gap factor too large: the switching phase would exceed "
                         f"{MAX_SWITCHING_LEN} instructions")

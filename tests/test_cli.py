@@ -13,10 +13,12 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cswp import analysis, cli, core, energy
+from cswp import analysis, cli, core, energy, reductions, textfmt
 from cswp.core import validate_program
 from cswp.energy import HEATMAP_STAGES
 from cswp.cli import main
+from cswp.sat import MaxSat2Instance, SatInstance
+from randprog import random_program
 
 
 def run_cli(capsys, *argv):
@@ -1039,9 +1041,9 @@ class TestPlainParse:
 
 
 def text_mode_read(path):
-    """How the file at `path` read before files were read as bytes."""
+    """The file at `path` read in text mode with no newline translation."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise core.CswpError(f"cannot read {path}: {e}") from None
@@ -1056,9 +1058,9 @@ def read_outcome(read, path):
 
 class TestReadAsBytes:
     """Files are read as bytes. Programs and power lists come out as text
-    mode read them: UTF-8, with `\r\n` and lone `\r` line ends made `\n`,
-    and the same error for bytes that are not UTF-8. A grid's bytes go to
-    the CSV reader as they are, undecoded."""
+    mode with no newline translation reads them: UTF-8, with their line ends
+    as written, and the same error for bytes that are not UTF-8. A grid's
+    bytes go to the CSV reader as they are, undecoded."""
 
     PIECES = [b"a", b"0", b" ", b"\r", b"\n", b"\r\n", b"\xff", b"\xc3", b"\xc3\xa9", b"\xe2\x80\xa8",
               b"\xef\xbb\xbf", b"\x85"]
@@ -1073,6 +1075,52 @@ class TestReadAsBytes:
             with open(path, "wb") as fh:
                 fh.write(data)
             assert read_outcome(cli._read_text, path) == read_outcome(text_mode_read, path), data
+
+    # each program file's line ends as written, from its LF text: the parser
+    # and `str.split` read every one, so each gives the LF file's output
+    LINE_ENDS = {
+        "crlf": lambda text: text.replace("\n", "\r\n"),
+        "cr": lambda text: text.replace("\n", "\r"),
+        "mixed": lambda text: "".join(line + ("\n", "\r\n", "\r")[i % 3]
+                                      for i, line in enumerate(text.splitlines())),
+        "no-final-lf": lambda text: text.removesuffix("\n"),
+        "crlf-no-final-crlf": lambda text: text.replace("\n", "\r\n").removesuffix("\r\n"),
+    }
+
+    @staticmethod
+    def line_end_programs():
+        """LF texts of `tests/randprog.py` programs, both reductions (with
+        their `#` comment lines) and a program with a bad `width` line."""
+        rng = random.Random(33)
+        texts = [textfmt.serialize_program(random_program(rng)) for _ in range(20)]
+        texts.append(reductions.serialize_reduced(reductions.reduce_maxsat2(
+            MaxSat2Instance(3, [(1, -2), (2, 3), (-1,)]), width=4)))
+        texts.append(reductions.serialize_gap(reductions.reduce_sat_gap(
+            SatInstance(2, [(1, 2), (-1,)]), width=4, factor=1.5)))
+        return texts + ["width\nfree a full\no1: mov freea\n"]
+
+    def test_program_line_ends(self, capsys, tmp_path):
+        path = str(tmp_path / "p.cswp")
+        for text in self.line_end_programs():
+            names = re.findall(r"^free (\S+)", text, re.M)
+            inputs = [arg for name in names for arg in ("--input", f"{name}=1")]
+            argvs = [["solve", path], ["bound", path, "--method", "knownbits"],
+                     ["bound", path, "--method", "coarse"], ["run", path, *inputs], ["energy", path, *inputs]]
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            expected = [outcome(capsys, argv) for argv in argvs]
+            for form, edit in self.LINE_ENDS.items():
+                with open(path, "w", newline="") as fh:
+                    fh.write(edit(text))
+                assert [outcome(capsys, argv) for argv in argvs] == expected, (form, text)
+        assert expected[0][0] == 1 and "bad width line" in expected[0][2]
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_powers_file_line_ends(self, capsys, tmp_path, end):
+        path = tmp_path / "powers.txt"
+        path.write_bytes(end.join(["362", "424.5", "", "390"]).encode() + end.encode())
+        assert outcome(capsys, ["summarize-power", "--tdual", "328", "--powers-file", str(path)]) == \
+            outcome(capsys, ["summarize-power", "--tdual", "328", "362", "424.5", "390"])
 
     # g.csv has 64 rows, lines 2 to 65; None for the output of the file as written
     @pytest.mark.parametrize("argv", [["fit", "g.csv"], ["heatmap", "g.csv", "--stage", "minus-in"]])

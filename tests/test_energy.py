@@ -1,7 +1,7 @@
 import math
 import re
 import warnings
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -576,8 +576,8 @@ class TestCsvReader:
     @pytest.mark.parametrize("text, route", [
         (HEADER + "0x1,0x2,2,1,123456789.123456\n", "column"),  # 15 significant digits
         (HEADER + "0x1,0x2,2,1,-0.000000000000001\n", "column"),  # 15 after the point
-        (HEADER + "0x1,0x2,2,1,1234567890.123456\n", "column"),  # 16 significant digits below 2**53
-        (HEADER + "0x1,0x2,2,1,-9007199254.740991\n", "column"),  # 2**53 - 1
+        (HEADER + "0x1,0x2,2,1,1234567890.123456\n", "lines"),  # 16 significant digits below 2**53
+        (HEADER + "0x1,0x2,2,1,-9007199254.740991\n", "lines"),  # 2**53 - 1
         (HEADER + "0x1,0x2,2,1,9007199254.740992\n", "lines"),  # 2**53
         (HEADER + "0x1,0x2,2,1,9.999999999999999\n", "lines"),  # 16 digits past 2**53
         (HEADER + "0x1,0x2,2,1,1.5\n0x1,0x2,2,1,12345678901.123456\n", "lines"),  # 17 significant digits
@@ -646,20 +646,20 @@ class TestCsvReader:
     @given(st.lists(st.tuples(st.booleans(), st.integers(10**15, 2**53 - 1), st.integers(1, 15)),
                     min_size=1, max_size=30))
     def test_sixteen_digit_powers_below_2_53_read_as_float(self, draws):
-        # and for 16 significant digits, while N stays exact in float64
+        # and for 16 significant digits, which `_read_lines` reads
         powers = []
         for negative, n, places in draws:
             whole, frac = divmod(n, 10**places)
             powers.append(f"{'-' * negative}{whole}.{frac:0{places}d}")
         got, calls = read_counting_lines((HEADER + "".join(f"0x0,0x0,0,0,{p}\n" for p in powers)).encode())
-        assert calls == 0
+        assert calls == 1
         assert got.power.tolist() == [float(p) for p in powers]
         assert np.signbit(got.power).tolist() == [p.startswith("-") for p in powers]
 
     # gen-grid's powers have 16 significant digits from base 1e9 and 17 from
-    # 1e10: through 9e9 every chunk takes the column path
-    @pytest.mark.parametrize("base, route", [(1e9, "column"), (5e9, "column"), (-9e9, "column"),
-                                             (9e9, "column"), (1e10, "lines")])
+    # 1e10: from 1e9 every chunk goes to `_read_lines`
+    @pytest.mark.parametrize("base, route", [(1e9, "lines"), (5e9, "lines"), (-9e9, "lines"),
+                                             (9e9, "lines"), (1e10, "lines")])
     def test_wide_base_grid_route(self, base, route):
         grid = gen_synthetic_grid(8, "add", PAPER_MODEL, base=base, noise_sigma=1.5, seed=8)
         data = measurements_to_csv(grid, 8).encode()
@@ -668,7 +668,7 @@ class TestCsvReader:
         assert_same_outcome(got, read_by_lines(data))
 
     # every grid gen-grid writes reads back to its written digits, on the
-    # column path or, past its limits (bases of 1e10 and up), `_read_lines`;
+    # column path or, past its limits (bases of 1e9 and up), `_read_lines`;
     # widths 7 and 8 only as examples, as writing 1e300 at width 8 takes ~1.5 s
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 6), st.sampled_from(GRID_MNEMONICS),
@@ -827,6 +827,15 @@ class TestModelLoading:
         model = load_model("xs1l-paper")
         assert (model.c_in, model.c_out, model.p_idle_single) == (1.3, 4.4, 164.0)
         assert model.f == 500e6
+
+    # a preset is one shared object, so no job can change it for the next
+    @pytest.mark.parametrize("name", ["p_idle_single", "c_in", "c_out", "f"])
+    def test_preset_is_frozen(self, name):
+        model = load_model("xs1l-paper")
+        with pytest.raises(FrozenInstanceError):
+            setattr(model, name, -1.0)
+        assert load_model("xs1l-paper") is model
+        assert (model.p_idle_single, model.c_in, model.c_out, model.f) == (164.0, 1.3, 4.4, 500e6)
 
     def test_json_file(self, tmp_path):
         path = tmp_path / "model.json"

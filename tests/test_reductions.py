@@ -1,9 +1,12 @@
 import hashlib
 import itertools
+import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cswp.analysis import brute_force_worst_case
 from cswp import reductions
@@ -265,6 +268,16 @@ class TestReduceSatGap:
         inst = SatInstance(2, [[1], [2]])
         gap = reduce_sat_gap(inst, width=4, factor=1.5)
         assert gap.switching_len >= 1.5 * gap.decision_len / 2 + 1
+
+    # the phase length is exact in the factor's value, with Fraction as the
+    # oracle: floats in [1, 64], and k / 2**j, which often make
+    # factor * decision_len / 2 whole, where an inexact ceiling is off by one
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.floats(1, 64), st.integers(0, 12).flatmap(
+        lambda j: st.integers(2**j, 64 * 2**j).map(lambda k: k / 2**j))))
+    def test_switching_len_is_exact_in_factor(self, factor):
+        gap = reduce_sat_gap(SatInstance(2, [[1, -2], [2]]), width=2, factor=factor)
+        assert gap.switching_len == 2 * (math.ceil(Fraction(factor) * gap.decision_len / 2) + 1)
 
     def test_phase_length_limited(self, monkeypatch):
         # SatInstance(1, [[1]]) has decision_len 4, so factor f asks for
