@@ -20,6 +20,7 @@ import dataclasses
 import errno
 import functools
 import os
+import re
 import stat
 import sys
 import tempfile
@@ -253,6 +254,11 @@ def _cmd_summarize_power(args) -> list[str]:
 
 # ---------------------------------------------------------------------------
 
+# a negative number as float() reads it (-9e9, -.5) or a clause that starts
+# with a negated literal (-3, -x3): a value, where argparse's test reads no exponent
+_VALUE = re.compile(r"-[x.]?\d")
+
+
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -266,6 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
         """A subcommand taking -o and the `shared` option groups, in that
         order, before its own options."""
         p = sub.add_parser(name, help=help_text, parents=[output, *shared])
+        p._negative_number_matcher = _VALUE  # such a token is a value, never an option
         p.set_defaults(func=func)
         return p
 
@@ -325,14 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _is_clause(token: str) -> bool:
-    try:
-        sat.parse_clause(token)
-    except CswpError:
-        return False
-    return True
-
-
 _PLAIN_KINDS = (argparse._StoreAction, argparse._AppendAction)
 
 
@@ -353,12 +352,9 @@ def _plain_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
     default and a `type`, so defaults land as argparse puts them."""
     args = argparse.Namespace()
     for action in parser._actions:  # the defaults, as parse_known_args sets them
-        if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS \
-                and not hasattr(args, action.dest):
+        if action.default is not argparse.SUPPRESS:
             setattr(args, action.dest, action.default)
-    for dest, value in parser._defaults.items():
-        if not hasattr(args, dest):
-            setattr(args, dest, value)
+    vars(args).update(parser._defaults)
     given, run, run_over = set(), [], False
     tokens = iter(argv)
     try:
@@ -405,18 +401,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     and is in the plain form is parsed by `_plain_args` from that
     subcommand's parser, the one the full parser hands the rest of argv to;
     the full parser takes any other argv, so its usage text, errors and exit
-    code 2 are argparse's.
-
-    argparse takes a value that starts with "-" for an option, so a
-    `--clause` followed by a clause such as `-x3` is first joined into
-    `--clause=-x3`."""
-    joined = []
-    for token in argv:
-        if joined and joined[-1] == "--clause" and token.startswith("-") and _is_clause(token):
-            joined[-1] += "=" + token
-        else:
-            joined.append(token)
-    argv = joined
+    code 2 are argparse's. A token `_VALUE` matches is never an option."""
     parser = _build_parser()
     command = parser.subcommands.get(argv[0]) if argv else None
     args = None if command is None else _plain_args(command, argv[1:])

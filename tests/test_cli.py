@@ -152,7 +152,8 @@ class TestReductionCommands:
     @pytest.mark.parametrize("command", ["reduce-maxsat", "reduce-sat-gap"])
     @pytest.mark.parametrize("clause", ["-x3", "-3", "-x1 x2", "-x2,-x3"])
     def test_clause_may_start_with_a_minus(self, capsys, command, clause):
-        # argparse would take a separate "-x3" for an option
+        # argparse's own test for a value would take a separate "-x3" for an
+        # option; cli's value pattern reads it as the value of --clause
         argv = [command, "--vars", "3", "--clause", "x1"]
         joined = run_cli(capsys, *argv, f"--clause={clause}")
         assert joined[0] == 0 and joined[1]
@@ -867,7 +868,10 @@ DISPATCH_CASES = [[], ["frobnicate"], ["frobnicate", "-h"], ["-h"], ["--help"], 
                   ["--", "solve", "p.cswp"], ["solve", "p.cswp", "--form", "csv"],
                   ["bound", "p.cswp", "--meth", "coarse"], ["bound", "p.cswp", "--method=coarse"],
                   ["solve", "p.cswp", "-o", "-"], ["heatmap", "g.csv", "--stage", "raw", "--c-in", "-1"],
-                  ["summarize-power", "1", "--tdual", "5", "2"], ["summarize-power", "--tdual", "5", "-1"]]
+                  ["summarize-power", "1", "--tdual", "5", "2"], ["summarize-power", "--tdual", "5", "-1"],
+                  ["gen-grid", "--op", "add", "--width", "1", "--base", "-9e9"],
+                  ["summarize-power", "--tdual", "5", "3", "-1e3"],
+                  ["reduce-maxsat", "--vars", "3", "--clause", "-x3"]]
 for _argv in REPORTS + FILES:
     _name = _argv[0]
     DISPATCH_CASES += [
@@ -906,6 +910,57 @@ class TestDispatch:
         assert outcome(capsys, argv)[0] == 0
 
 
+# argv holding a value that starts with "-" and that argparse's own test
+# for a value does not read, with what each gives: the output of its "="
+# form, or an exit code and the last line of stderr
+NEGATIVE_VALUES = [
+    (["gen-grid", "--op", "add", "--width", "1", "--base", "-9e9"],
+     ["gen-grid", "--op", "add", "--width", "1", "--base=-9e9"]),
+    (["gen-grid", "--op", "add", "--width", "1", "--c-in", "-1e-3"],
+     (1, "error: power coefficients must be non-negative")),
+    (["summarize-power", "--tdual", "328", "-1e3"],
+     (1, "error: dual-core idle and test powers must be non-negative")),
+    (["reduce-sat-gap", "--vars", "3", "--clause", "x1", "--factor", "-1e0"],
+     (1, "error: gap factor -1.0 must be >= 1")),
+    (["reduce-maxsat", "--vars", "3", "--clause", "-3abc"],
+     (1, "error: bad literal '-3abc' (want e.g. x3 or ~x3)")),
+    (["reduce-maxsat", "--vars", "-1e3", "--clause", "x1"],
+     ("SystemExit 2", "cswp reduce-maxsat: error: argument --vars: invalid int value: '-1e3'")),
+]
+
+
+class TestValueRule:
+    """A token that is a negative number or starts with a negated literal is
+    a value on both routes, so it reaches cswp's own checks."""
+
+    @pytest.mark.parametrize("route", ["main", "full parser"])
+    @pytest.mark.parametrize("argv, expected", NEGATIVE_VALUES, ids=lambda x: " ".join(map(str, x)))
+    def test_value_reaches_its_check(self, capsys, monkeypatch, route, argv, expected):
+        if route == "full parser":
+            monkeypatch.setattr(cli, "_parse_args", lambda argv: cli._build_parser().parse_args(argv))
+        code, out, err = outcome(capsys, argv)
+        if isinstance(expected, list):
+            assert (code, err) == (0, "") and out
+            assert outcome(capsys, expected) == (code, out, err)
+        else:
+            assert (code, out, err.splitlines()[-1]) == (expected[0], "", expected[1])
+
+    # an option string the pattern matches would make argparse take every
+    # such token for an option, and a short option such as -x would take
+    # -x3 as -x with the value 3; options holding such text (--x1) go too
+    @pytest.mark.parametrize("command", list(subparsers()))
+    def test_no_option_looks_like_a_value(self, command):
+        parser = subparsers()[command]
+        assert parser._negative_number_matcher is cli._VALUE
+        assert [o for o in parser._option_string_actions if cli._VALUE.search(o + "0")] == []
+
+    # `_plain_args` seeds each dest once, from its action's default
+    @pytest.mark.parametrize("command", list(subparsers()))
+    def test_no_two_actions_share_a_dest(self, command):
+        dests = [a.dest for a in subparsers()[command]._actions]
+        assert len(dests) == len(set(dests))
+
+
 def readme():
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")) as fh:
         return fh.read()
@@ -941,8 +996,8 @@ def walkthrough_argvs():
 # tokens the property draws argv from, besides each subcommand's own option
 # strings: values of every kind the options take, invalid ones, ones that
 # start with "-", and NaN
-PLAIN_VALUES = ["p.cswp", "g.csv", "1", "0x1f", "2.5", "nan", "inf", "", "-", "-1", "-x3", "x1 ~x2", "~x1",
-                "free0=1", "text", "csv", "xml", "coarse", "knownbits", "add", "mul", "raw", "residual", "01"]
+PLAIN_VALUES = ["p.cswp", "g.csv", "1", "0x1f", "2.5", "nan", "inf", "", "-", "-1", "-9e9", "-.5", "-1e3",
+                "-x3", "-x2,-x3", "x1 ~x2", "~x1", "free0=1", "text", "csv", "xml", "coarse", "knownbits", "add", "mul", "raw", "residual", "01"]
 
 
 def _takes(action, value):
