@@ -92,8 +92,9 @@ class _Lowered:
     switch between appears once, at the last step where it occurs, with the
     number of times it occurs. `outputs` holds each instruction's output
     slot and `base` the switching between adjacent constant outputs.
-    `width` and `coarse_bound` are the program's, and only the scan turns
-    them into NumPy dtypes, so known bits runs without NumPy.
+    `width` and `coarse_bound` are the program's, and only the column scan
+    turns them into NumPy dtypes, so known bits and the plane search run
+    without NumPy.
     """
 
     width: int
@@ -269,23 +270,25 @@ def _scan_chunk(lowered: _Lowered, lo: int, hi: int) -> np.ndarray:
 def brute_force_worst_case(program: Program, budget: int = DEFAULT_BUDGET) -> WorstCaseResult:
     """Enumerate every free-input assignment and return the exact maximum.
 
-    The program is lowered once and evaluated over chunks of consecutive
-    enumeration indices as columns of the narrowest unsigned dtype that
-    holds the width (see `_chunk_rows` for the chunk size). Within a chunk argmax
-    keeps the first maximum and across chunks only a strictly larger total
-    replaces it, so the witness is the first maximum in enumeration order.
+    The program is lowered once and searched in chunks of consecutive
+    enumeration indices. Where every free-input field is one bit wide, a
+    chunk is evaluated over planes (`_plane_chunk`). Which steps take planes
+    depends on the program alone, so a step of three or more values shows
+    in the first chunk, and then the whole program goes to the column scan
+    (`_scan_chunk`), as does one with a wider field. Both engines keep the
+    first maximum in enumeration order, so the answer depends on neither
+    the engine nor the chunk size.
     """
     lowered = _lower(program)
     total_assignments = prod(mask + 1 for _, mask in lowered.fields)
     check_budget(total_assignments, budget)
 
-    rows = _chunk_rows(lowered.dtype)
-    best, best_index = -1, 0
-    for lo in range(0, total_assignments, rows):
-        totals = _scan_chunk(lowered, lo, min(lo + rows, total_assignments))
-        row = int(totals.argmax())
-        if totals[row] > best:
-            best, best_index = int(totals[row]), lo + row
+    found = None
+    if all(mask == 1 for _, mask in lowered.fields):
+        found = _search(_plane_chunk, lowered, total_assignments, PLANE_ROWS)
+    if found is None:
+        found = _search(_scan_max, lowered, total_assignments, _chunk_rows(lowered.dtype))
+    best, best_index = found
 
     return WorstCaseResult(
         max_switching=best,
@@ -295,6 +298,209 @@ def brute_force_worst_case(program: Program, budget: int = DEFAULT_BUDGET) -> Wo
         },
         explored=total_assignments,
     )
+
+
+def _search(chunk_max, lowered: _Lowered, total: int, rows: int) -> tuple[int, int] | None:
+    """The maximum total over every enumeration index and the first index
+    that has it, from `chunk_max(lowered, lo, hi)` over chunks [lo, hi) of
+    `rows` consecutive indices, which gives a chunk's maximum and its first
+    row, or None where the engine cannot take the program. Only a strictly
+    larger maximum replaces the best of the chunks before."""
+    best, best_index = -1, 0
+    for lo in range(0, total, rows):
+        found = chunk_max(lowered, lo, min(lo + rows, total))
+        if found is None:
+            return None
+        if found[0] > best:
+            best, best_index = found[0], lo + found[1]
+    return best, best_index
+
+
+def _scan_max(lowered: _Lowered, lo: int, hi: int) -> tuple[int, int]:
+    """The maximum of `_scan_chunk`'s totals and its first row."""
+    totals = _scan_chunk(lowered, lo, hi)
+    row = int(totals.argmax())
+    return int(totals[row]), row
+
+
+# Rows per chunk of the plane search, a power of two: each plane of a chunk
+# is an int of this many bits. On maxsat2 n=22 and sat-gap n=20, 2**17 and
+# 2**18 rows took 10-30% less time than 2**16 but twice and four times the
+# memory (sat-gap: 4, 8 and 16 MiB), and 2**15 rows 40-70% more time.
+PLANE_ROWS = 1 << 16
+
+# the mnemonics whose result over two slots valued {0, m} is the same
+# operation on their planes
+_PLANE_OPS = {"and": int.__and__, "or": int.__or__, "xor": int.__xor__}
+
+
+def _index_plane(bit: int, rows: int) -> int:
+    """The rows r < `rows` whose bit `bit` is set, as a plane: one period of
+    the pattern in bytes, repeated and read as an int."""
+    if bit < 3:
+        pattern = (b"\xaa", b"\xcc", b"\xf0")[bit]
+    else:
+        half = 1 << (bit - 3)
+        pattern = bytes(half) + b"\xff" * half
+    repeats = -(-rows // (8 * len(pattern)))
+    return int.from_bytes(pattern * repeats, "little") & ((1 << rows) - 1)
+
+
+def _plane_chunk(lowered: _Lowered, lo: int, hi: int) -> tuple[int, int] | None:
+    """The maximum total over enumeration indices [lo, hi) and its first
+    row, or None where a step takes three or more values. Every free-input
+    field is one bit wide, so the index range is a power of two, and `lo`
+    a multiple of it.
+
+    A plane is an int in which bit r stands for row r. A slot is (v0, v1,
+    plane, id): its value is v1 on the rows in `plane` and v0 on the
+    others, and `id` names the plane by the slot of the free input or the
+    step that made it. A constant is (v, v, 0, None). An index bit below
+    the chunk's bits is a repeating plane, one at or above them is every
+    row or none, and either is a plane of its own id. Each transition adds
+    the part of its switching that every row shares to `base` and the rest
+    to signed weights of planes (`_plane_transition`). The weighted planes
+    go to a bit-sliced counter (`_count`), which one ripple resolves into
+    the totals' bit planes; from the top bit down, the rows that have each
+    bit are kept where any do, so the lowest row left is the first
+    maximum."""
+    rows = hi - lo
+    everyone = (1 << rows) - 1
+    bits = rows.bit_length() - 1
+    env: list = [None if v is None else (v, v, 0, None) for v in lowered.constants]
+    for k, (shift, _) in enumerate(lowered.fields):
+        plane = _index_plane(shift, rows) if shift < bits else everyone if lo >> shift & 1 else 0
+        env[k] = (0, 1, plane, k)
+    width, base, weights = lowered.width, lowered.base, {}
+    for mnemonic, dest, srcs, pair, dead in lowered.steps:
+        if mnemonic is not None:
+            slot = _plane_step(mnemonic, [env[s] for s in srcs], dest, everyone, width)
+            if slot is None:
+                return None
+            env[dest] = slot
+        if pair is not None:
+            base += _plane_transition(env[pair[0]], env[pair[1]], pair[2], weights)
+        for s in dead:
+            env[s] = None
+    counter: list = [[] for _ in range(lowered.coarse_bound.bit_length())]
+    for plane, weight in weights.values():
+        if weight < 0:  # on every row, less the complement
+            base, plane, weight = base + weight, everyone ^ plane, -weight
+        _count(counter, plane, weight)
+    carry, total_bits = 0, []
+    for pending in counter:
+        a, b, *_ = *pending, 0, 0
+        t = a ^ b
+        total_bits.append(t ^ carry)
+        carry = (a & b) | (carry & t)
+    best, left = 0, everyone
+    for j in range(len(total_bits) - 1, -1, -1):
+        kept = left & total_bits[j]
+        if kept:
+            best, left = best | 1 << j, kept
+    return base + best, (left & -left).bit_length() - 1
+
+
+def _plane_step(mnemonic: str, args: list, dest: int, everyone: int, width: int) -> tuple | None:
+    """The slot of one instruction over its operand slots, or None where it
+    takes three or more values. Operands over at most one plane are
+    evaluated at its two valuations. Over two or three planes they are
+    evaluated at each combination of the planes' bits, and the rows of the
+    combinations that give a second value make a new plane; but `and`, `or`
+    and `xor` of two slots valued {0, m} is the same operation on their
+    planes, a complemented slot (m, 0, P) taking `everyone ^ P`."""
+    first = None  # the first operand over a plane
+    for a in args:
+        if a[3] is not None:
+            if first is None:
+                first = a
+            elif a[3] != first[3]:
+                break
+    else:
+        v0 = apply_mnemonic(mnemonic, [a[0] for a in args], width)
+        v1 = apply_mnemonic(mnemonic, [a[1] for a in args], width)
+        if v0 == v1:
+            return v0, v0, 0, None
+        return v0, v1, first[2], first[3]
+    if mnemonic in _PLANE_OPS:
+        (a0, a1, pa, _), (b0, b1, pb, _) = args
+        if a0 | a1 == b0 | b1 and not (a0 and a1) and not (b0 and b1):
+            pa = pa if a0 == 0 else everyone ^ pa
+            pb = pb if b0 == 0 else everyone ^ pb
+            return 0, a0 | a1, _PLANE_OPS[mnemonic](pa, pb), dest
+    planes = {a[3]: a[2] for a in args if a[3] is not None}  # id -> plane
+    ids = list(planes)
+    bit = [None if a[3] is None else ids.index(a[3]) for a in args]  # each operand's plane bit in a combination
+    values = [apply_mnemonic(mnemonic, [a[0] if k is None else a[combo >> k & 1] for a, k in zip(args, bit)], width)
+              for combo in range(1 << len(ids))]
+    others = set(values) - {values[0]}
+    if not others:
+        return values[0], values[0], 0, None
+    if len(others) > 1:
+        return None
+    (v1,) = others
+    plane = 0
+    for combo, value in enumerate(values):
+        if value == v1:
+            term = everyone
+            for k, p in enumerate(planes.values()):
+                term &= p if combo >> k & 1 else everyone ^ p
+            plane |= term
+    return values[0], v1, plane, dest
+
+
+def _plane_transition(a: tuple, b: tuple, count: int, weights: dict) -> int:
+    """Adds the per-row switching between slots `a` and `b`, times `count`,
+    to the signed `weights` of the planes it follows, and returns the part
+    that every row shares. A bit of `a ^ b` where neither slot varies is
+    the same on every row. The others follow a plane: that of `a` where only
+    `a` varies, that of `b` where only `b` does, and their xor where both do
+    (none where the two share a plane). A bit that is 1 at the planes' zero
+    valuation follows the plane's complement, 1 on every row less the
+    plane. A weight is keyed by its plane's id, or by the pair of ids of an
+    xor."""
+    a0, a1, pa, ida = a
+    b0, b1, pb, idb = b
+    differ, da, db = a0 ^ b0, a0 ^ a1, b0 ^ b1
+    if ida is None or idb is None or ida == idb:
+        bits = da ^ db
+        groups = ((bits, pa, ida) if idb is None else (bits, pb, idb),)
+    else:
+        bits, both = da | db, (None, (ida, idb) if ida < idb else (idb, ida))
+        groups = ((da, *both),) if da == db else ((da & ~db, pa, ida), (db & ~da, pb, idb), (da & db, *both))
+    shared = (differ & ~bits).bit_count()
+    for bits, plane, key in groups:
+        off = (bits & differ).bit_count()
+        weight = (bits.bit_count() - 2 * off) * count
+        shared += off
+        if weight:
+            entry = weights.get(key)
+            if entry is None:
+                weights[key] = [pa ^ pb if plane is None else plane, weight]
+            else:
+                entry[1] += weight
+    return shared * count
+
+
+def _count(counter: list, plane: int, weight: int):
+    """Adds `weight` on the rows of `plane` to a carry-save counter, which
+    holds at most two pending planes per bit of the totals: a third at bit
+    j goes with those two through a full adder, whose sum stays at bit j
+    and whose carry goes on to bit j + 1. The counter has a place for each
+    bit of the coarse bound, which no sum of weights exceeds."""
+    j = 0
+    while weight:
+        if weight & 1:
+            x, k = plane, j
+            while len(counter[k]) == 2:
+                a, b = counter[k]
+                t = a ^ b
+                counter[k] = [t ^ x]
+                x = (a & b) | (x & t)
+                k += 1
+            counter[k].append(x)
+        weight >>= 1
+        j += 1
 
 
 # ---------------------------------------------------------------------------

@@ -254,9 +254,10 @@ def _cmd_summarize_power(args) -> list[str]:
 
 # ---------------------------------------------------------------------------
 
-# a negative number as float() reads it (-9e9, -.5) or a clause that starts
-# with a negated literal (-3, -x3): a value, where argparse's test reads no exponent
-_VALUE = re.compile(r"-[x.]?\d")
+# a negative number as float() reads it (-9e9, -.5, -inf, -nan) or a clause
+# that starts with a negated literal (-3, -x3): a value, where argparse's test
+# reads no exponent and no infinity; case is ignored only where float() ignores it
+_VALUE = re.compile(r"-(?:[x.]?\d|(?i:inf|nan))")
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged

@@ -102,8 +102,10 @@ class TestBruteForce:
         assert {analysis._lower(p).dtype for p in programs} == {np.dtype(np.uint8), np.dtype(np.uint64)}
         one_chunk = [brute_force_worst_case(p) for p in programs]
         for rows in (1, 3, 7):
-            monkeypatch.setattr(analysis, "_chunk_rows", lambda dtype: rows)
+            scanned = set()  # the dtypes the scan ran at: a wider field or a fallback from planes
+            monkeypatch.setattr(analysis, "_chunk_rows", lambda dtype: scanned.add(dtype) or rows)
             assert [brute_force_worst_case(p) for p in programs] == one_chunk
+            assert scanned == {np.dtype(np.uint8), np.dtype(np.uint64)}
 
 
 def scalar_worst_case(p):
@@ -138,9 +140,11 @@ class TestVectorizedEngine:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(analysis, "_chunk_rows", lambda dtype: rows)
                 result = brute_force_worst_case(p)
+                scanned = analysis._search(analysis._scan_max, lowered, len(totals), rows)  # whatever took p
         for index, combo in enumerate(combos):
             assert vector[index] == sum(execute(p, combo).transitions) == totals[index]
         best = max(totals)
+        assert scanned == (best, totals.index(best))
         assert result.max_switching == best
         assert result.witness == combos[totals.index(best)]
         assert result.explored == len(totals)
@@ -293,6 +297,124 @@ class TestVectorizedEngine:
                 combo = {name: (index >> sum(bits[k + 1:])) & ((1 << bits[k]) - 1)
                          for k, (name, _) in enumerate(inputs)}
                 assert vector[row] == sum(execute(p, combo).transitions), (lo, combo)
+
+
+def one_bit_program(seed):
+    """A random program whose every free-input field is one bit wide: at
+    width 1 for an odd seed, else with binary inputs only."""
+    rng = random.Random(seed)
+    if seed % 2:
+        return random_program(rng, max_width=1, max_full_inputs=3, max_binary_inputs=3)
+    return random_program(rng, max_full_inputs=0, max_binary_inputs=6)
+
+
+def engines(p):
+    """The (maximum, first index) of the plane search, None where it falls
+    back, and of the scan, over every assignment of `p`."""
+    lowered = analysis._lower(p)
+    total = 1 << len(lowered.fields)
+    return (analysis._search(analysis._plane_chunk, lowered, total, analysis.PLANE_ROWS),
+            analysis._search(analysis._scan_max, lowered, total, analysis.CHUNK_ROWS))
+
+
+# two-valued reductions: maxsat2, and sat-gap over a satisfiable and an
+# unsatisfiable formula
+REDUCED = {
+    "maxsat2": lambda: reduce_maxsat2(MaxSat2Instance(5, [[1, -2], [2, 3], [-1], [-3, 4], [5, -4], [2]]),
+                                      width=8).program,
+    "gap-sat": lambda: reduce_sat_gap(SatInstance(4, [[1, -2, 3], [-1, 4, 2], [-3, -4, 1]]), width=8).program,
+    "gap-unsat": lambda: reduce_sat_gap(SatInstance(2, [[1, 2], [1, -2], [-1, 2], [-1, -2]]), width=8).program,
+}
+
+
+class TestPlaneEngine:
+    """Where every free-input field is one bit wide and every step stays
+    two-valued, the plane search gives the scan's maximum and first
+    maximiser, so `brute_force_worst_case` gives the same answer with either
+    engine; anything else goes to the scan from the start."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=20, max_size=20))
+    def test_matches_scan_and_scalar_interpreter(self, seeds):
+        taken = 0
+        for seed in seeds:
+            p = one_bit_program(seed)
+            planes, scan = engines(p)
+            totals, combos = scalar_worst_case(p)
+            best = max(totals)
+            assert scan == (best, totals.index(best))
+            assert planes in (None, scan)
+            taken += planes is not None
+            result = brute_force_worst_case(p)
+            assert (result.max_switching, result.witness, result.explored) == (best, combos[scan[1]], len(totals))
+        # so the property is not vacuous: of seeds 0 to 1,999, 1,950 take planes
+        assert taken >= len(seeds) // 2
+
+    @pytest.mark.parametrize("name", REDUCED)
+    def test_reductions_take_planes(self, name):
+        p = REDUCED[name]()
+        planes, scan = engines(p)
+        totals, _ = scalar_worst_case(p)
+        assert planes == scan == (max(totals), totals.index(max(totals)))
+
+    @pytest.mark.parametrize("rows", [1, 2, 8])
+    def test_any_chunk_size_matches_one_chunk(self, monkeypatch, rows):
+        programs = [REDUCED[name]() for name in REDUCED] + [one_bit_program(seed) for seed in range(60)]
+        one_chunk = [engines(p)[0] for p in programs]
+        assert sum(found is not None for found in one_chunk) > 50
+        monkeypatch.setattr(analysis, "PLANE_ROWS", rows)
+        assert [engines(p)[0] for p in programs] == one_chunk
+
+    def test_wider_field_goes_to_scan(self, monkeypatch):
+        p = prog(2, [Instruction("mov", (Free("x"),)), Instruction("xor", (PriorOutput(0), Free("b")))],
+                 free_inputs=[("b", BINARY01), ("x", FULL)])
+
+        def planes(lowered, lo, hi):
+            raise AssertionError("a two-bit field took planes")
+
+        monkeypatch.setattr(analysis, "_plane_chunk", planes)
+        totals, combos = scalar_worst_case(p)
+        assert brute_force_worst_case(p).witness == combos[totals.index(max(totals))]
+
+    @pytest.mark.parametrize("steps, takes_planes", [
+        # add of two binary inputs: 0, 1 or 2
+        ([Instruction("add", (Free("a"), Free("b")))], False),
+        # an ite over three planes with values 0, 1 and 2
+        ([Instruction("ite", (Free("b"), Const(2), Const(0))),
+          Instruction("ite", (Free("a"), PriorOutput(1), Free("c")))], False),
+        # and one with two values, which takes a new plane
+        ([Instruction("ite", (Free("a"), Free("b"), Free("c")))], True),
+    ])
+    def test_step_of_three_values_falls_back(self, monkeypatch, steps, takes_planes):
+        p = prog(2, [Instruction("mov", (Const(0),)), *steps, Instruction("mov", (Const(0),))],
+                 free_inputs=[("a", BINARY01), ("b", BINARY01), ("c", BINARY01)])
+        chunks = []
+        monkeypatch.setattr(analysis, "PLANE_ROWS", 2)
+        chunk = analysis._plane_chunk
+        monkeypatch.setattr(analysis, "_plane_chunk", lambda *args: chunks.append(args[1]) or chunk(*args))
+        found, scan = engines(p)
+        assert found == (scan if takes_planes else None)
+        # a fallback comes from the first chunk
+        assert chunks == ([0, 2, 4, 6] if takes_planes else [0])
+        totals, combos = scalar_worst_case(p)
+        assert scan == (max(totals), totals.index(max(totals)))
+        assert brute_force_worst_case(p).witness == combos[scan[1]]
+
+    @pytest.mark.parametrize("width", [1, 8, 64])
+    def test_complemented_operands(self, width):
+        # `and`, `or` and `xor` of slots valued {0, m}, either way round,
+        # and of a slot with its own complement
+        top = (1 << width) - 1
+        p = prog(width, [
+            Instruction("ite", (Free("a"), Const(top), Const(0))),
+            Instruction("ite", (Free("b"), Const(0), Const(top))),
+            Instruction("xor", (PriorOutput(0), Const(top))),
+            *[Instruction(op, (PriorOutput(i), PriorOutput(j)))
+              for op in ("and", "or", "xor") for i, j in [(0, 1), (1, 2), (0, 2)]],
+        ], free_inputs=[("a", BINARY01), ("b", BINARY01)])
+        planes, scan = engines(p)
+        totals, _ = scalar_worst_case(p)
+        assert planes == scan == (max(totals), totals.index(max(totals)))
 
 
 class TestMaxsatOracle:

@@ -92,13 +92,16 @@ class TestRunSolveBound:
         assert "budget" in err
 
     def test_chunk_size_does_not_change_output(self, capsys, monkeypatch, tmp_path):
-        for text in (DOUBLING, WIDE):  # uint8 and uint64 columns
+        # uint8 and uint64 columns: a two-bit field, and a step of four values
+        for text in (DOUBLING, WIDE):
             path = tmp_path / "prog.cswp"
             path.write_text(text)
             _, one_chunk, _ = run_cli(capsys, "solve", str(path))
             for rows in (1, 3, 7):
-                monkeypatch.setattr(analysis, "_chunk_rows", lambda dtype: rows)
+                scanned = []
+                monkeypatch.setattr(analysis, "_chunk_rows", lambda dtype: scanned.append(dtype) or rows)
                 assert run_cli(capsys, "solve", str(path)) == (0, one_chunk, "")
+                assert scanned
             monkeypatch.undo()
 
     def test_workers_flag_is_gone(self, doubling_path):
@@ -926,6 +929,12 @@ NEGATIVE_VALUES = [
      (1, "error: bad literal '-3abc' (want e.g. x3 or ~x3)")),
     (["reduce-maxsat", "--vars", "-1e3", "--clause", "x1"],
      ("SystemExit 2", "cswp reduce-maxsat: error: argument --vars: invalid int value: '-1e3'")),
+    (["summarize-power", "--tdual", "328", "-inf"],
+     (1, "error: dual-core idle and test powers must be finite")),
+    (["gen-grid", "--op", "add", "--width", "1", "--base", "-Infinity"],
+     (1, "error: base power -inf must be finite")),
+    (["gen-grid", "--op", "add", "--width", "1", "--c-in", "-nan"],
+     (1, "error: model c_in nan must be finite")),
 ]
 
 
@@ -944,6 +953,14 @@ class TestValueRule:
             assert outcome(capsys, expected) == (code, out, err)
         else:
             assert (code, out, err.splitlines()[-1]) == (expected[0], "", expected[1])
+
+    # case is ignored where float() ignores it, in an infinity or a NaN,
+    # and nowhere else: -X3 is no clause
+    @pytest.mark.parametrize("token, value", [
+        ("-inf", True), ("-INF", True), ("-Infinity", True), ("-nan", True), ("-NaN", True), ("-x3", True),
+        ("-X3", False), ("--inf", False), ("-i", False), ("-n", False)])
+    def test_case_ignored_only_in_inf_and_nan(self, token, value):
+        assert bool(cli._VALUE.match(token)) is value
 
     # an option string the pattern matches would make argparse take every
     # such token for an option, and a short option such as -x would take
@@ -997,6 +1014,7 @@ def walkthrough_argvs():
 # strings: values of every kind the options take, invalid ones, ones that
 # start with "-", and NaN
 PLAIN_VALUES = ["p.cswp", "g.csv", "1", "0x1f", "2.5", "nan", "inf", "", "-", "-1", "-9e9", "-.5", "-1e3",
+                "-inf", "-Infinity", "-nan",
                 "-x3", "-x2,-x3", "x1 ~x2", "~x1", "free0=1", "text", "csv", "xml", "coarse", "knownbits", "add", "mul", "raw", "residual", "01"]
 
 

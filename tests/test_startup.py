@@ -45,13 +45,17 @@ def python(*args, cwd):
 def workdir(tmp_path):
     (tmp_path / "p.cswp").write_text(PROGRAM)
     (tmp_path / "g.csv").write_text(GRID)
+    assert main(["reduce-maxsat", *CLAUSES, "-o", str(tmp_path / "m.cswp")]) == 0
     return tmp_path
 
 
 CLAUSES = ["--vars", "2", "--clause", "x1 ~x2", "--clause", "x2"]
-# commands that compute no array, and those that do
+# commands that compute no array, and those that do: `solve` searches the
+# two-valued maxsat2 embedding m.cswp over planes, and p.cswp, whose input
+# `a` is eight bits wide, over columns
 WITHOUT_NUMPY = [
     ["run", "p.cswp", "--input", "a=3", "--input", "b=1"],
+    ["solve", "m.cswp"],
     ["bound", "p.cswp", "--method", "coarse"],
     ["bound", "p.cswp", "--method", "knownbits"],
     ["energy", "p.cswp", "--input", "a=3", "--input", "b=1"],
